@@ -15,7 +15,6 @@ from .errors import (
     NotProjector,
     NotUnit,
     NotUnitary,
-    PlanMismatch,
     ValidationFailed,
     ZeroVector,
 )
@@ -35,11 +34,9 @@ from .experiment import (
 )
 from .kcbs import (
     TERM_NAMES,
-    MeasurementPlan,
     TermSet,
     exact_terms,
     kcbs_value,
-    measurement_plans,
     modified_kcbs_value,
     nchv_bound,
     nchv_bound_modified,

@@ -20,7 +20,6 @@ from .kcbs import (
     TERM_NAMES,
     exact_terms,
     kcbs_value,
-    measurement_plans,
     modified_kcbs_value,
     nchv_bound,
     nchv_bound_modified,
@@ -33,6 +32,7 @@ from .pentagram import (
     build_pulse_quintuplet,
     closure_defect,
     gram,
+    slot_defect,
 )
 from .qutrit import spin_operators
 
@@ -89,8 +89,7 @@ def _validation_checks(gamma_override=None):
     yield ("psi0_singles", float(np.max(np.abs(terms.singles - 5**-0.5))), 1e-10)
     yield ("psi0_pairs", float(np.max(np.abs(terms.pairs))), 1e-10)
 
-    measurement_plans(q)  # raises PlanMismatch on a convention bug
-    yield ("measurement_plans", 0.0, 1.0)
+    yield ("readout_slots", slot_defect(q), 1e-10)
 
     sx, sy, sz = spin_operators()
     comm = sx @ sy - sy @ sx - 1j * sz
@@ -152,7 +151,7 @@ def cmd_simulate(args) -> int:
         "modified_kcbs_value": result.inequality_value,
         "inequality_stderr": result.inequality_stderr,
         "violation_sigma": result.violation_sigma,
-        "nchv_bound": 2,
+        "nchv_bound": nchv_bound()[0],
         "nchv_bound_modified": nchv_bound_modified(),
         "readout_misassignment": {"assign1_given0": eps0, "assign0_given1": eps1},
         "wall_clock_seconds": time.perf_counter() - t0,

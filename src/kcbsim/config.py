@@ -78,10 +78,6 @@ def build_run_config(
     resolved_seed = seed if seed is not None else data.get("seed", DEFAULT_SEED)
     resolved_shots = shots if shots is not None else data.get("shots_per_term", DEFAULT_SHOTS)
     resolved_order = pair_order if pair_order is not None else data.get("pair_order", "forward")
-    if not isinstance(resolved_seed, int):
-        raise ConfigError(f"seed must be an integer, got {resolved_seed!r}")
-    if not isinstance(resolved_shots, int):
-        raise ConfigError(f"shots_per_term must be an integer, got {resolved_shots!r}")
     return RunConfig(
         seed=resolved_seed,
         shots_per_term=resolved_shots,

@@ -37,10 +37,6 @@ class ConventionMismatch(KcbsimError):
     """Two independent constructions of the same state disagree beyond phase."""
 
 
-class PlanMismatch(KcbsimError):
-    """A measurement unitary does not map onto its designated basis states."""
-
-
 class InsufficientData(KcbsimError):
     """Too few kept shots to form an estimate."""
 

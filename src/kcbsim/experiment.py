@@ -5,18 +5,22 @@ post-selection, photon-count-thresholded readouts, and shot statistics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientData, NonFinite
-from .kcbs import TERM_NAMES, TermSet, measurement_plans, swap_pulses
-from .pentagram import psi0_pulses
+from .kcbs import TERM_NAMES, TermSet, kcbs_value, modified_kcbs_value
+from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_pulses
+from .qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 
-KET_PLUS3 = np.array([1.0 + 0j, 0j, 0j])
-KET_ZERO3 = np.array([0j, 1.0 + 0j, 0j])
-KET_MINUS3 = np.array([0j, 0j, 1.0 + 0j])
+#: Largest accepted mean photon count, well inside numpy's Poisson range.
+LAMBDA_MAX = 1e9
+#: Most shot attempts a single shot group may be budgeted.
+MAX_ATTEMPTS = 1e8
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,8 @@ class NoiseModel:
     init_error_prob: probability the prepared state is |0> or |-1>
         (split evenly) instead of |+1>.
     lambda_bright / lambda_dark: mean photon counts of the two readout
-        outcomes.
+        outcomes, each in [0, LAMBDA_MAX].
     readout_threshold: counts strictly above it assign the bright outcome.
-    init_threshold: threshold used by the initialization readout; kept in
-        the configuration schema for completeness (initialization fidelity
-        is modeled directly by init_error_prob).
     nuclear_flip_prob: probability per readout that the post-measurement
         state is replaced by a uniformly random state of the subspace it
         collapsed into.
@@ -71,27 +72,32 @@ class NoiseModel:
     lambda_bright: float = 100.0
     lambda_dark: float = 0.0
     readout_threshold: int = 10
-    init_threshold: int = 5
     nuclear_flip_prob: float = 0.0
     charge_good_prob: float = 1.0
     bright_state_is_one: bool = True
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if f.name == "bright_state_is_one":
+                if not isinstance(v, bool):
+                    raise ConfigError(f"{f.name} must be true or false, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
         for name in ("init_error_prob", "nuclear_flip_prob", "charge_good_prob"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
         for name in ("lambda_bright", "lambda_dark"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigError(f"{name} must be a finite value >= 0, got {v!r}")
-        for name in ("readout_threshold", "init_threshold"):
-            v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ConfigError(f"{name} must be an integer >= 0, got {v!r}")
-            object.__setattr__(self, name, int(v))  # normalize integral floats
-        if not (math.isfinite(self.pulse_angle_error_std) and self.pulse_angle_error_std >= 0.0):
-            raise ConfigError("pulse_angle_error_std must be a finite value >= 0")
+            if not (0.0 <= v <= LAMBDA_MAX):
+                raise ConfigError(f"{name} must lie in [0, {LAMBDA_MAX:.0e}], got {v!r}")
+        v = self.readout_threshold
+        if int(v) != v or v < 0:
+            raise ConfigError(f"readout_threshold must be an integer >= 0, got {v!r}")
+        object.__setattr__(self, "readout_threshold", int(v))  # normalize integral floats
+        if self.pulse_angle_error_std < 0.0:
+            raise ConfigError("pulse_angle_error_std must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,12 +110,32 @@ class RunConfig:
     pair_order: str = "forward"
 
     def __post_init__(self):
+        for name in ("seed", "shots_per_term"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.shots_per_term < 1:
             raise ConfigError("shots_per_term must be >= 1")
         if self.pair_order not in ("forward", "reverse"):
             raise ConfigError("pair_order must be 'forward' or 'reverse'")
+        self.attempt_budget()  # refuses a run too long to finish
+
+    def attempt_budget(self) -> int:
+        """Shot attempts per group before the run gives up: 4 shots /
+        charge_good_prob + 100, or just the shots when none can be kept.
+        Raises ConfigError above MAX_ATTEMPTS."""
+        p = self.noise.charge_good_prob
+        if p == 0.0:
+            return self.shots_per_term
+        budget = 4.0 * self.shots_per_term / p
+        if not budget + 100 <= MAX_ATTEMPTS:
+            raise ConfigError(
+                f"charge_good_prob = {p!r} at {self.shots_per_term} shots per term "
+                f"needs {budget + 100:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
+            )
+        return int(budget) + 100
 
 
 @dataclass(frozen=True)
@@ -141,10 +167,10 @@ def initialize(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
     u = rng.random()
     p = noise.init_error_prob
     if u < 1.0 - p:
-        return KET_PLUS3.copy()
+        return KET_PLUS.copy()
     if u < 1.0 - p / 2.0:
-        return KET_ZERO3.copy()
-    return KET_MINUS3.copy()
+        return KET_ZERO.copy()
+    return KET_MINUS.copy()
 
 
 def charge_check(noise: NoiseModel, rng: np.random.Generator) -> bool:
@@ -182,7 +208,7 @@ def single_shot_readout(
     p_plus = a.real * a.real + a.imag * a.imag
     true_one = rng.random() < p_plus
     if true_one:
-        post = KET_PLUS3.copy()
+        post = KET_PLUS.copy()
     else:
         rest = math.sqrt(b.real * b.real + b.imag * b.imag + c.real * c.real + c.imag * c.imag)
         post = np.array([0j, b / rest, c / rest])
@@ -271,30 +297,24 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
     """
     prep = psi0_pulses()
     swap = swap_pulses()
-    plans = measurement_plans()
+    settings = setting_pulses()
+    reverse = pair_order == "reverse"
     programs = []
-    for plan in plans:
-        i = plan.index
-        single_first = plan.first_target == i
-        if pair_order == "forward":
-            pre = prep + plan.pulses
-            from_first = single_first
-        else:
-            pre = prep + plan.pulses + swap
-            from_first = not single_first
+    for i, (pulses, (first, _)) in enumerate(zip(settings, SLOT_TARGETS), start=1):
         programs.append(
             _ShotProgram(
                 group=i - 1,
-                pre_pulses=pre,
+                pre_pulses=prep + pulses + (swap if reverse else ()),
                 mid_pulses=swap,
                 single_term=f"L{i}",
-                single_from_first=from_first,
+                single_from_first=(first == i) != reverse,
                 pair_term=TERM_NAMES[4 + i],
             )
         )
-    closing = plans[4].pulses  # the setting whose swapped slot reads l6
-    closing_inv = tuple((ax, -t) for ax, t in reversed(closing))
-    if pair_order == "forward":
+    # the setting whose swapped slot reads the closing state l6
+    closing = next(p for p, (_, second) in zip(settings, SLOT_TARGETS) if second == 6)
+    closing_inv = inverse(closing)
+    if not reverse:
         # readout 1 on the closing state l6, undo, readout 2 on l1
         corr = _ShotProgram(
             group=5,
@@ -330,10 +350,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     noise = config.noise
     shots = config.shots_per_term
     programs = shot_programs(config.pair_order)
-    if noise.charge_good_prob > 0.0:
-        budget = int(4.0 * shots / noise.charge_good_prob) + 100
-    else:
-        budget = shots
+    budget = config.attempt_budget()
     successes = {name: 0 for name in TERM_NAMES}
     kept_total = 0
     discarded_total = 0
@@ -363,23 +380,12 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     counts = np.array([successes[name] for name in TERM_NAMES], dtype=float)
     trials = np.full(len(TERM_NAMES), shots, dtype=float)
     means, errs, combined = estimate_stats(counts, trials)
-    terms = TermSet(
-        singles=means[0:5],
-        pairs=means[5:10],
-        correction_single=float(means[10]),
-        correction_pair=float(means[11]),
-    )
-    stderrs = TermSet(
-        singles=errs[0:5],
-        pairs=errs[5:10],
-        correction_single=float(errs[10]),
-        correction_pair=float(errs[11]),
-    )
-    plain = float(np.sum(terms.singles) - np.sum(terms.pairs))
-    modified = plain - terms.correction_single + terms.correction_pair
+    terms = TermSet.from_vector(means)
+    plain = kcbs_value(terms)
+    modified = modified_kcbs_value(terms)
     return ExperimentResult(
         terms=terms,
-        stderrs=stderrs,
+        stderrs=TermSet.from_vector(errs),
         successes=dict(successes),
         shots_per_term=shots,
         kept_shots=kept_total,

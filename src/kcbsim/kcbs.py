@@ -1,18 +1,15 @@
-"""Exact evaluation of the five-cycle noncontextuality inequality, the
-measurement-unitary bookkeeping, and brute-force certification of the
-noncontextual bound."""
+"""Exact evaluation of the five-cycle noncontextuality inequality and
+brute-force certification of the noncontextual bound."""
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlanMismatch
-from .pentagram import Quintuplet, angles, build_pulse_quintuplet
-from .qutrit import GEOMETRY_ATOL, KET_MINUS, KET_PLUS, compose, dagger, overlap, rot_a, rot_b
+from .pentagram import Quintuplet
+from .qutrit import overlap
 
 #: Order of the twelve estimated terms: five singles, five sequential
 #: pairs, the remeasured first single, and the closing sequential pair.
@@ -32,80 +29,20 @@ class TermSet:
     correction_single: float  # <L1> remeasured
     correction_pair: float  # <L1' L1>, L1' being the closing state l6
 
+    @classmethod
+    def from_vector(cls, values) -> TermSet:
+        """TermSet from twelve values in TERM_NAMES order."""
+        return cls(
+            singles=values[0:5],
+            pairs=values[5:10],
+            correction_single=float(values[10]),
+            correction_pair=float(values[11]),
+        )
+
     def as_dict(self) -> dict[str, float]:
         values = list(self.singles) + list(self.pairs)
         values += [self.correction_single, self.correction_pair]
         return {name: float(v) for name, v in zip(TERM_NAMES, values)}
-
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """One of the five pulse settings and the basis states it reads out.
-
-    The first readout (on |+1>) measures l_{first_target}; after the
-    population swap the second readout measures l_{second_target}.
-    """
-
-    index: int
-    unitary: np.ndarray
-    pulses: tuple[tuple[str, float], ...]  # application order
-    first_target: int  # = 2*floor(i/2) + 1
-    second_target: int  # = 2*floor((i+1)/2)
-
-
-def plan_pulses(index: int) -> tuple[tuple[str, float], ...]:
-    """Pulse string of the index-th setting, in application order.
-
-    The settings walk the basis cycle: U_1 = identity and each next
-    setting appends one more gamma pulse on alternating transitions,
-    starting with 'a'.
-    """
-    g = angles().gamma
-    chain = (("a", g), ("b", g), ("a", g), ("b", g))
-    return chain[: index - 1]
-
-
-def swap_pulses() -> tuple[tuple[str, float], ...]:
-    """Pulse string exchanging the |+1> and |-1> populations."""
-    return (("b", math.pi), ("a", math.pi), ("b", math.pi))
-
-
-def _matrix(pulses) -> np.ndarray:
-    ops = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
-    return compose(ops) if ops else np.eye(3, dtype=complex)
-
-
-def measurement_plans(quintuplet: Quintuplet | None = None) -> list[MeasurementPlan]:
-    """The five measurement settings, verified against the basis cycle.
-
-    Raises PlanMismatch when U_i^dag |+1> or U_i^dag |-1> fails to match
-    its designated cycle state up to phase (a convention bug).
-    """
-    q = build_pulse_quintuplet() if quintuplet is None else quintuplet
-    plans = []
-    for i in range(1, 6):
-        pulses = plan_pulses(i)
-        u = _matrix(pulses)
-        first = 2 * (i // 2) + 1
-        second = 2 * ((i + 1) // 2)
-        ud = dagger(u)
-        for ket, target in ((KET_PLUS, first), (KET_MINUS, second)):
-            got = ud @ ket
-            if abs(abs(overlap(got, q.states[target - 1])) - 1.0) > GEOMETRY_ATOL:
-                raise PlanMismatch(
-                    f"U_{i}^dag readout state does not match l{target} "
-                    f"(overlap {abs(overlap(got, q.states[target - 1])):.12f})"
-                )
-        plans.append(
-            MeasurementPlan(
-                index=i,
-                unitary=u,
-                pulses=pulses,
-                first_target=first,
-                second_target=second,
-            )
-        )
-    return plans
 
 
 def sequential_pair_probability(psi, first, second) -> float:

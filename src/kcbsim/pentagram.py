@@ -1,6 +1,7 @@
 """Construction of the five pentagram measurement states and the
 symmetry-axis state, via two independent routes (pulse recipe and
-Cartesian geometry) that must agree.
+Cartesian geometry) that must agree, and the pulse settings whose readout
+slots measure them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,18 @@ import numpy as np
 
 from . import qutrit
 from .errors import ClosureFailure, ConventionMismatch
-from .qutrit import GEOMETRY_ATOL, KET_MINUS, KET_PLUS, compose, fix_phase, overlap, rot_a, rot_b
+from .qutrit import (
+    GEOMETRY_ATOL,
+    IDENTITY,
+    KET_MINUS,
+    KET_PLUS,
+    compose,
+    dagger,
+    fix_phase,
+    overlap,
+    rot_a,
+    rot_b,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -60,25 +72,76 @@ def closure_defect(q: Quintuplet) -> float:
     return abs(1.0 - abs(overlap(q.states[5], q.states[0])))
 
 
-def build_pulse_quintuplet(gamma: float | None = None) -> Quintuplet:
-    """Basis cycle from the pulse recipe.
+#: Cycle states read by the two readout slots of each setting: the first
+#: readout on |+1>, the second on |-1> (after the population swap).
+SLOT_TARGETS = ((1, 2), (3, 2), (3, 4), (5, 4), (5, 6))
 
-    l1 = |+1>, l2 = |-1>, l3 = R_a(-g) l1, and each further state applies
-    W = R_a(-g) R_b(-g) (R_b first) to the state two steps back. With
-    g = arccos(2 - sqrt(5)) the cycle closes: l6 = l1.
 
-    `gamma` overrides the closure angle (testing hook); any override that
-    breaks closure beyond 1e-10 raises ClosureFailure.
+def setting_pulses(gamma: float | None = None) -> tuple[tuple[tuple[str, float], ...], ...]:
+    """Pulse strings of the five measurement settings, in application order.
+
+    The settings walk the basis cycle: U_1 = identity and each next
+    setting appends one more gamma pulse on alternating transitions,
+    starting with 'a'. `gamma` overrides the closure angle.
     """
     g = angles().gamma if gamma is None else float(gamma)
-    w = compose([rot_b(-g), rot_a(-g)])
-    l1 = KET_PLUS.copy()
-    l2 = KET_MINUS.copy()
-    l3 = rot_a(-g) @ l1
-    l4 = w @ l2
-    l5 = w @ l3
-    l6 = w @ l4
-    q = Quintuplet(states=(l1, l2, l3, l4, l5, l6), source="pulse")
+    chain = (("a", g), ("b", g), ("a", g), ("b", g))
+    return tuple(chain[:i] for i in range(5))
+
+
+def swap_pulses() -> tuple[tuple[str, float], ...]:
+    """Pulse string exchanging the |+1> and |-1> populations."""
+    return (("b", math.pi), ("a", math.pi), ("b", math.pi))
+
+
+def pulse_unitary(pulses) -> np.ndarray:
+    """Matrix of a pulse string given in application order."""
+    ops = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
+    return compose(ops) if ops else IDENTITY.copy()
+
+
+def inverse(pulses) -> tuple[tuple[str, float], ...]:
+    """Pulse string undoing `pulses`."""
+    return tuple((ax, -t) for ax, t in reversed(pulses))
+
+
+def _slot_states(gamma: float | None = None):
+    """(k, U_i^dag |+-1>) for the ten readout slots, setting by setting."""
+    for pulses, targets in zip(setting_pulses(gamma), SLOT_TARGETS):
+        ud = dagger(pulse_unitary(pulses))
+        for ket, k in zip((KET_PLUS, KET_MINUS), targets):
+            yield k, ud @ ket
+
+
+def pulse_cycle(gamma: float | None = None) -> Quintuplet:
+    """Basis cycle read off the settings, without any check.
+
+    l_k is the state read by the first slot that targets it. With the
+    gamma chain this is the recipe l1 = |+1>, l2 = |-1>, l3 = R_a(-g) l1,
+    and each further state applies W = R_a(-g) R_b(-g) (R_b first) to the
+    state two steps back.
+    """
+    states = {}
+    for k, state in _slot_states(gamma):
+        states.setdefault(k, state)
+    return Quintuplet(states=tuple(states[k] for k in range(1, 7)), source="pulse")
+
+
+def slot_defect(q: Quintuplet) -> float:
+    """Largest deviation of |<U_i^dag|+-1>|l_k>| from 1 over the ten
+    readout slots, l_k being the state the slot is meant to read."""
+    return max(abs(1.0 - abs(overlap(state, q.states[k - 1]))) for k, state in _slot_states())
+
+
+def build_pulse_quintuplet(gamma: float | None = None) -> Quintuplet:
+    """Basis cycle from the pulse recipe (`pulse_cycle`), checked.
+
+    With g = arccos(2 - sqrt(5)) the cycle closes: l6 = l1. `gamma`
+    overrides the closure angle (testing hook); any override that breaks
+    closure beyond 1e-10 raises ClosureFailure.
+    """
+    g = angles().gamma if gamma is None else float(gamma)
+    q = pulse_cycle(g)
     if closure_defect(q) > GEOMETRY_ATOL:
         raise ClosureFailure(
             f"|<l6|l1>| deviates from 1 by {closure_defect(q):.3e} "
@@ -136,8 +199,7 @@ def build_psi0() -> np.ndarray:
     sign bug).
     """
     coeff = qutrit.make_state(5.0 ** -0.25, math.sqrt(1.0 - 2.0 / SQRT5), 5.0 ** -0.25)
-    seq = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in psi0_pulses()]
-    pulsed = compose(seq) @ KET_PLUS
+    pulsed = pulse_unitary(psi0_pulses()) @ KET_PLUS
     if not qutrit.states_equal_up_to_phase(coeff, pulsed):
         raise ConventionMismatch(
             "pulse-built symmetry-axis state disagrees with its explicit "

@@ -21,7 +21,6 @@ from kcbsim.kcbs import (
     nchv_bound_modified,
 )
 from kcbsim.pentagram import (
-    Quintuplet,
     adjacency_defect,
     angles,
     build_cartesian_quintuplet,
@@ -29,10 +28,11 @@ from kcbsim.pentagram import (
     build_pulse_quintuplet,
     closure_defect,
     gram,
+    pulse_cycle,
 )
 from kcbsim.errors import ClosureFailure
 from kcbsim.experiment import run_protocol
-from kcbsim.qutrit import KET_MINUS, KET_PLUS, compose, overlap, rot_a, rot_b
+from kcbsim.qutrit import overlap
 
 SQRT5 = math.sqrt(5.0)
 
@@ -89,19 +89,6 @@ def test_criterion_4_construction_validity():
     )
 
 
-def _pulse_cycle(gamma: float) -> Quintuplet:
-    """The pulse recipe of build_pulse_quintuplet at any gamma, without
-    its closure check, so that an open cycle can be measured."""
-    w = compose([rot_b(-gamma), rot_a(-gamma)])
-    l1 = KET_PLUS.copy()
-    l2 = KET_MINUS.copy()
-    l3 = rot_a(-gamma) @ l1
-    l4 = w @ l2
-    l5 = w @ l3
-    l6 = w @ l4
-    return Quintuplet(states=(l1, l2, l3, l4, l5, l6), source="pulse")
-
-
 def test_criterion_5_gamma_sensitivity():
     # Closure hinges on the exact gamma, and the law is quadratic:
     # 1 - |<l6|l1>| = (5(sqrt5 - 1)/8) dg^2 + O(dg^3), with 5(sqrt5 - 1)/8
@@ -116,13 +103,13 @@ def test_criterion_5_gamma_sensitivity():
     coeff = 5.0 * (SQRT5 - 1.0) / 8.0
     ratios = {}
     for delta in (+0.01, -0.01, +0.001, -0.001):
-        ratios[delta] = closure_defect(_pulse_cycle(g + delta)) / delta**2
+        ratios[delta] = closure_defect(pulse_cycle(g + delta)) / delta**2
     law = all(abs(r / coeff - 1.0) < 0.01 for r in ratios.values())
 
     d_star = math.sqrt(1e-4 / coeff)
     crossing = all(
-        closure_defect(_pulse_cycle(g + sign * 0.99 * d_star)) < 1e-4
-        < closure_defect(_pulse_cycle(g + sign * 1.01 * d_star))
+        closure_defect(pulse_cycle(g + sign * 0.99 * d_star)) < 1e-4
+        < closure_defect(pulse_cycle(g + sign * 1.01 * d_star))
         for sign in (+1.0, -1.0)
     )
 

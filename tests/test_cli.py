@@ -57,6 +57,11 @@ class TestValidate:
         gram = next(c for c in rec["checks"] if c["check"] == "gram_equivalence")
         assert gram["defect"] < 1e-10
 
+    def test_readout_slots_measured(self):
+        _, rec = run_cli("validate")
+        slots = next(c for c in rec["checks"] if c["check"] == "readout_slots")
+        assert slots["defect"] < 1e-10
+
     def test_injected_wrong_gamma_fails(self):
         code, rec = run_cli("validate", "--gamma", str(math.acos(-0.5)))
         assert code != 0
@@ -156,6 +161,33 @@ class TestSimulate:
         assert code != 0
         err = capsys.readouterr().err
         assert "init_error_prob" in err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param("seed: true\n", "seed", id="seed-bool"),
+            pytest.param("shots_per_term: true\n", "shots_per_term", id="shots-bool"),
+            pytest.param("noise: {readout_threshold: .nan}\n", "readout_threshold", id="threshold-nan"),
+            pytest.param("noise: {lambda_bright: 1.0e+30}\n", "lambda_bright", id="lambda-huge"),
+            # YAML reads 1e30 (no dot) as a string
+            pytest.param("noise: {lambda_bright: 1e30}\n", "lambda_bright", id="lambda-string"),
+            pytest.param("noise: {charge_good_prob: 1.0e-320}\n", "charge_good_prob", id="budget-inf"),
+            pytest.param("noise: {charge_good_prob: 1.0e-6}\n", "charge_good_prob", id="budget-4e10"),
+            pytest.param("noise: {readout_thresh: 4}\n", "readout_thresh", id="unknown-noise-key"),
+            pytest.param("noise: {bright_state_is_one: 0}\n", "bright_state_is_one", id="polarity-int"),
+        ],
+    )
+    def test_invalid_input_exits_2(self, tmp_path, capsys, monkeypatch, text, field):
+        def never(config):
+            raise AssertionError("the shot loop was started")
+
+        monkeypatch.setattr("kcbsim.cli.run_protocol", never)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        code, _ = run_cli("simulate", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ConfigError" in err and field in err
 
     def test_unknown_preset(self, capsys):
         code, _ = run_cli("simulate", "--preset", "nope")

@@ -20,8 +20,7 @@ from kcbsim.experiment import (
     shot_rng,
     single_shot_readout,
 )
-from kcbsim.kcbs import swap_pulses
-from kcbsim.pentagram import build_psi0, psi0_pulses
+from kcbsim.pentagram import build_psi0, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
 
 SQRT5 = math.sqrt(5.0)

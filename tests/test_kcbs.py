@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kcbsim.errors import PlanMismatch
 from kcbsim.kcbs import (
     TERM_NAMES,
     TermSet,
     assignment_value,
     exact_terms,
     kcbs_value,
-    measurement_plans,
     modified_assignment_value,
     modified_kcbs_value,
     nchv_bound,
     nchv_bound_modified,
     sequential_pair_probability,
 )
-from kcbsim.pentagram import Quintuplet, build_psi0, build_pulse_quintuplet
-from kcbsim.qutrit import KET_MINUS, KET_PLUS, KET_ZERO, dagger, overlap
+from kcbsim.pentagram import build_psi0, build_pulse_quintuplet
+from kcbsim.qutrit import KET_PLUS, KET_ZERO
 
 SQRT5 = math.sqrt(5.0)
 
@@ -40,35 +38,6 @@ def make_terms(singles, pairs, correction_single, correction_pair):
 
 
 ZERO_TERMS = make_terms([0] * 5, [0] * 5, 0.0, 0.0)
-
-
-class TestMeasurementPlans:
-    def test_targets_follow_floor_formula(self):
-        plans = measurement_plans()
-        expected = [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6)]
-        assert [(p.first_target, p.second_target) for p in plans] == expected
-
-    def test_unitaries_map_onto_cycle_states(self):
-        q = build_pulse_quintuplet()
-        for plan in measurement_plans(q):
-            got_first = dagger(plan.unitary) @ KET_PLUS
-            got_second = dagger(plan.unitary) @ KET_MINUS
-            assert abs(abs(overlap(got_first, q.states[plan.first_target - 1])) - 1) < 1e-10
-            assert abs(abs(overlap(got_second, q.states[plan.second_target - 1])) - 1) < 1e-10
-
-    def test_first_plan_is_identity(self):
-        plans = measurement_plans()
-        assert_allclose(plans[0].unitary, np.eye(3))
-        assert plans[0].pulses == ()
-
-    def test_mismatched_quintuplet_raises(self):
-        q = build_pulse_quintuplet()
-        shuffled = Quintuplet(
-            states=(q.states[0], q.states[1], q.states[3], q.states[2], q.states[4], q.states[5]),
-            source="pulse",
-        )
-        with pytest.raises(PlanMismatch):
-            measurement_plans(shuffled)
 
 
 class TestExactTerms:

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from kcbsim.errors import ClosureFailure, ConventionMismatch
 from kcbsim.pentagram import (
+    SLOT_TARGETS,
+    Quintuplet,
     adjacency_defect,
     angles,
     build_cartesian_quintuplet,
@@ -13,11 +15,16 @@ from kcbsim.pentagram import (
     build_pulse_quintuplet,
     closure_defect,
     gram,
+    inverse,
     pentagram_directions,
+    pulse_unitary,
+    setting_pulses,
+    slot_defect,
 )
 from kcbsim.qutrit import (
     KET_MINUS,
     KET_PLUS,
+    dagger,
     overlap,
     spin_operators,
     states_equal_up_to_phase,
@@ -71,6 +78,39 @@ class TestPulseQuintuplet:
     def test_small_angle_error_still_raises(self):
         with pytest.raises(ClosureFailure):
             build_pulse_quintuplet(gamma=angles().gamma + 0.01)
+
+
+class TestReadoutSlots:
+    def test_slot_targets_follow_floor_formula(self):
+        # setting i reads l_{2 floor(i/2) + 1} on |+1>, l_{2 floor((i+1)/2)} on |-1>
+        formula = tuple((2 * (i // 2) + 1, 2 * ((i + 1) // 2)) for i in range(1, 6))
+        assert SLOT_TARGETS == formula == ((1, 2), (3, 2), (3, 4), (5, 4), (5, 6))
+
+    def test_setting_unitaries_map_onto_cycle_states(self):
+        q = build_pulse_quintuplet()
+        for pulses, (first, second) in zip(setting_pulses(), SLOT_TARGETS):
+            ud = dagger(pulse_unitary(pulses))
+            assert states_equal_up_to_phase(ud @ KET_PLUS, q.states[first - 1])
+            assert states_equal_up_to_phase(ud @ KET_MINUS, q.states[second - 1])
+
+    def test_first_setting_is_identity(self):
+        settings = setting_pulses()
+        assert settings[0] == ()
+        assert_allclose(pulse_unitary(settings[0]), np.eye(3))
+        # each further setting appends one gamma pulse, alternating a and b
+        g = angles().gamma
+        assert settings[4] == (("a", g), ("b", g), ("a", g), ("b", g))
+        for pulses in settings:
+            assert_allclose(pulse_unitary(pulses + inverse(pulses)), np.eye(3), atol=1e-12)
+
+    def test_shuffled_cycle_has_slot_defect(self):
+        q = build_pulse_quintuplet()
+        assert slot_defect(q) < 1e-10
+        shuffled = Quintuplet(
+            states=(q.states[0], q.states[1], q.states[3], q.states[2], q.states[4], q.states[5]),
+            source="pulse",
+        )
+        assert slot_defect(shuffled) > 0.1
 
 
 class TestCartesianQuintuplet:
