@@ -24,12 +24,12 @@ from .experiment import (
     NvParameters,
     RunConfig,
     estimate_stats,
+    group_rng,
     initialize,
     misassignment_probabilities,
     nmr_frequencies,
     noisy_apply,
     run_protocol,
-    shot_rng,
     single_shot_readout,
 )
 from .kcbs import (

@@ -47,19 +47,19 @@ def load_config_file(path: str | Path) -> dict:
 def _parse(text: str, source: str) -> dict:
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
         raise ConfigError(f"{source}: not valid YAML ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
     unknown = set(data) - _TOP_FIELDS
     if unknown:
-        raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{source}: unknown keys {sorted(unknown, key=repr)}")
     noise = data.get("noise", {})
     if not isinstance(noise, dict):
         raise ConfigError(f"{source}: 'noise' must be a mapping")
     bad = set(noise) - _NOISE_FIELDS
     if bad:
-        raise ConfigError(f"{source}: unknown noise keys {sorted(bad)}")
+        raise ConfigError(f"{source}: unknown noise keys {sorted(bad, key=repr)}")
     return data
 
 

@@ -17,10 +17,20 @@ from .kcbs import TERM_NAMES, TermSet, kcbs_value, modified_kcbs_value
 from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_pulses
 from .qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 
-#: Largest accepted mean photon count, well inside numpy's Poisson range.
+#: Largest accepted mean photon count; it bounds the Poisson window that
+#: misassignment_probabilities sums (about 7.6e5 terms).
 LAMBDA_MAX = 1e9
 #: Most shot attempts a single shot group may be budgeted.
 MAX_ATTEMPTS = 1e8
+
+
+def _finite(v: Real) -> bool:
+    """True for a number with a finite float value; an integer too large
+    for a float is not finite."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,8 @@ class NoiseModel:
     """Error channels of the simulated protocol.
 
     pulse_angle_error_std: each pulse angle t is executed as t*(1+e) with
-        e drawn fresh per pulse from N(0, std^2).
+        e drawn fresh per pulse from N(0, std^2); std lies in [0, 1], at
+        most 100 % relative jitter.
     init_error_prob: probability the prepared state is |0> or |-1>
         (split evenly) instead of |+1>.
     lambda_bright / lambda_dark: mean photon counts of the two readout
@@ -82,9 +93,10 @@ class NoiseModel:
             if f.name == "bright_state_is_one":
                 if not isinstance(v, bool):
                     raise ConfigError(f"{f.name} must be true or false, got {v!r}")
-            elif isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+            elif isinstance(v, bool) or not isinstance(v, Real) or not _finite(v):
                 raise ConfigError(f"{f.name} must be a finite number, got {v!r}")
-        for name in ("init_error_prob", "nuclear_flip_prob", "charge_good_prob"):
+        probabilities = ("init_error_prob", "nuclear_flip_prob", "charge_good_prob")
+        for name in ("pulse_angle_error_std", *probabilities):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
@@ -96,8 +108,6 @@ class NoiseModel:
         if int(v) != v or v < 0:
             raise ConfigError(f"readout_threshold must be an integer >= 0, got {v!r}")
         object.__setattr__(self, "readout_threshold", int(v))  # normalize integral floats
-        if self.pulse_angle_error_std < 0.0:
-            raise ConfigError("pulse_angle_error_std must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,8 +126,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        if self.shots_per_term < 1:
-            raise ConfigError("shots_per_term must be >= 1")
+        if not 1 <= self.shots_per_term <= MAX_ATTEMPTS:
+            raise ConfigError(f"shots_per_term must lie in [1, {MAX_ATTEMPTS:.0e}]")
         if self.pair_order not in ("forward", "reverse"):
             raise ConfigError("pair_order must be 'forward' or 'reverse'")
         self.attempt_budget()  # refuses a run too long to finish
@@ -154,101 +164,149 @@ class ExperimentResult:
     violation_sigma: float
 
 
-def shot_rng(seed: int, group: int, shot: int) -> np.random.Generator:
-    """Independent random stream for one shot, derived from
-    (seed, group index, shot index). The derivation is order-free, so any
-    parallel schedule reproduces the sequential results bit for bit."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(group, shot)))
+def group_rng(seed: int, group: int) -> np.random.Generator:
+    """The random stream of one shot group, derived from (seed, group).
+
+    Attempt i of the group owns the window of uniforms
+    [i * W, (i + 1) * W) of this stream, W being the width in its shot
+    program's `layout`.
+    `Generator.random` takes exactly one 64-bit output per double, so
+    `bit_generator.advance(i * W)` reaches any attempt's window directly:
+    results do not depend on the order in which attempts or groups run."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(group,)))
 
 
-def initialize(noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    """Prepared state: |+1> with probability 1 - init_error_prob, else
-    |0> or |-1> with equal probability."""
-    u = rng.random()
+_TWO_PI = 2.0 * math.pi
+#: Uniforms one readout consumes: Born, nuclear flip, assignment, and four
+#: for the complex Gaussian pair of the depolarised state.
+READOUT_UNIFORMS = 7
+#: Attempts whose windows are drawn in one call. Larger chunks save little
+#: time and hold more Python floats at once.
+CHUNK = 128
+_PLUS, _ZERO, _MINUS = (tuple(map(complex, k)) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
+
+
+def initialize(noise: NoiseModel, u: float) -> tuple[complex, complex, complex]:
+    """Prepared state from one uniform: |+1> with probability
+    1 - init_error_prob, else |0> or |-1> with equal probability."""
     p = noise.init_error_prob
     if u < 1.0 - p:
-        return KET_PLUS.copy()
+        return _PLUS
     if u < 1.0 - p / 2.0:
-        return KET_ZERO.copy()
-    return KET_MINUS.copy()
+        return _ZERO
+    return _MINUS
 
 
-def charge_check(noise: NoiseModel, rng: np.random.Generator) -> bool:
-    """True when the shot passes the charge-state check and is kept."""
-    return bool(rng.random() < noise.charge_good_prob)
+def normal_uniforms(n: int) -> int:
+    """Uniforms that n Box-Muller normals consume: one pair per two."""
+    return 2 * ((n + 1) // 2)
 
 
-def noisy_apply(pulses, noise: NoiseModel, rng: np.random.Generator, psi: np.ndarray) -> np.ndarray:
+def noisy_apply(pulses, noise: NoiseModel, u, psi):
     """Apply a pulse string (application order) with multiplicative angle
-    noise, one fresh draw per pulse."""
-    a, b, c = complex(psi[0]), complex(psi[1]), complex(psi[2])
+    noise: pulse k runs at angle * (1 + std * e_k), the normals e_k coming
+    in Box-Muller pairs from the uniforms u (normal_uniforms(len(pulses))
+    of them, read only when the noise is on)."""
+    a, b, c = psi
     std = noise.pulse_angle_error_std
-    for axis, angle in pulses:
-        t = angle * (1.0 + rng.normal(0.0, std)) if std > 0.0 else angle
+    for k, (axis, t) in enumerate(pulses):
+        if std > 0.0:
+            if k % 2 == 0:
+                r = math.sqrt(-2.0 * math.log(1.0 - u[k]))
+                phi = _TWO_PI * u[k + 1]
+                e = r * math.cos(phi)
+            else:
+                e = r * math.sin(phi)
+            t *= 1.0 + std * e
         ch = math.cos(0.5 * t)
         sh = math.sin(0.5 * t)
         if axis == "a":
             a, b = ch * a + sh * b, -sh * a + ch * b
         else:
             b, c = ch * b + sh * c, -sh * b + ch * c
-    return np.array([a, b, c])
+    return a, b, c
 
 
-def single_shot_readout(
-    psi: np.ndarray, noise: NoiseModel, rng: np.random.Generator
-) -> tuple[int, np.ndarray, int]:
-    """One photon-count-thresholded readout of the |+1> population.
+def single_shot_readout(psi, u, misassignment: tuple[float, float], flip_prob: float):
+    """One readout of the |+1> population from READOUT_UNIFORMS uniforms.
 
-    Returns (assigned_bit, post_state, photon_count). The true outcome is
-    sampled from the Born probability and sets the collapse and the
-    photon-count mean; the assigned bit only thresholds the count, so the
-    two disagree with the Poisson tail probabilities.
+    Returns (assigned_bit, post_state). u[0] draws the true outcome from
+    the Born probability and sets the collapse. On the |0>, |-1> outcome,
+    u[1] < flip_prob replaces the post-measurement state by a uniformly
+    random state of that subspace, built from u[3:7]. u[2] misassigns the
+    bit with the Poisson tail probabilities `misassignment` =
+    (P(assign 1 | true 0), P(assign 0 | true 1)) of the photon count, as
+    misassignment_probabilities gives them.
     """
-    a, b, c = complex(psi[0]), complex(psi[1]), complex(psi[2])
-    p_plus = a.real * a.real + a.imag * a.imag
-    true_one = rng.random() < p_plus
-    if true_one:
-        post = KET_PLUS.copy()
+    a, b, c = psi
+    if u[0] < a.real * a.real + a.imag * a.imag:
+        return (0 if u[2] < misassignment[1] else 1), _PLUS
+    if u[1] < flip_prob:
+        # a normalised complex Gaussian pair r_j e^(i phi_j)
+        r0 = math.sqrt(-2.0 * math.log(1.0 - u[3]))
+        r1 = math.sqrt(-2.0 * math.log(1.0 - u[5]))
+        n = math.hypot(r0, r1)
+        phi0, phi1 = _TWO_PI * u[4], _TWO_PI * u[6]
+        post = (
+            0j,
+            complex(r0 * math.cos(phi0), r0 * math.sin(phi0)) / n,
+            complex(r1 * math.cos(phi1), r1 * math.sin(phi1)) / n,
+        )
     else:
         rest = math.sqrt(b.real * b.real + b.imag * b.imag + c.real * c.real + c.imag * c.imag)
-        post = np.array([0j, b / rest, c / rest])
-    if noise.nuclear_flip_prob > 0.0 and rng.random() < noise.nuclear_flip_prob and not true_one:
-        # depolarize within the {|0>, |-1>} subspace the state collapsed into
-        g = rng.standard_normal(4)
-        z0 = complex(g[0], g[1])
-        z1 = complex(g[2], g[3])
-        n = math.sqrt(abs(z0) ** 2 + abs(z1) ** 2)
-        post = np.array([0j, z0 / n, z1 / n])
-    bright = true_one == noise.bright_state_is_one
-    lam = noise.lambda_bright if bright else noise.lambda_dark
-    photon_count = int(rng.poisson(lam)) if lam > 0.0 else 0
-    above = photon_count > noise.readout_threshold
-    assigned = above if noise.bright_state_is_one else not above
-    return int(assigned), post, photon_count
+        post = (0j, b / rest, c / rest)
+    return (1 if u[2] < misassignment[0] else 0), post
 
 
 def misassignment_probabilities(noise: NoiseModel) -> tuple[float, float]:
-    """Analytic readout confusion (P(assign 1 | true 0), P(assign 0 | true 1))
-    from the Poisson tail masses on either side of the threshold."""
-    lam_true1 = noise.lambda_bright if noise.bright_state_is_one else noise.lambda_dark
-    lam_true0 = noise.lambda_dark if noise.bright_state_is_one else noise.lambda_bright
+    """Readout confusion (P(assign 1 | true 0), P(assign 0 | true 1)): the
+    Poisson tail masses of each outcome's photon count on the wrong side of
+    the threshold. Counts strictly above it assign the bright outcome."""
+    # the true |+1> outcome is the bright one unless the polarity is inverted
+    if noise.bright_state_is_one:
+        lam_one, lam_zero = noise.lambda_bright, noise.lambda_dark
+    else:
+        lam_one, lam_zero = noise.lambda_dark, noise.lambda_bright
+    below_zero, above_zero = _poisson_split(noise.readout_threshold, lam_zero)
+    below_one, above_one = _poisson_split(noise.readout_threshold, lam_one)
+    if noise.bright_state_is_one:
+        return above_zero, below_one
+    return below_zero, above_one
 
-    def p_assign_one(lam: float) -> float:
-        above = 1.0 - _poisson_cdf(noise.readout_threshold, lam)
-        return above if noise.bright_state_is_one else 1.0 - above
 
-    return p_assign_one(lam_true0), 1.0 - p_assign_one(lam_true1)
+def _poisson_split(k: int, lam: float) -> tuple[float, float]:
+    """(P(N <= k), P(N > k)) for N ~ Poisson(lam).
 
-
-def _poisson_cdf(k: int, lam: float) -> float:
+    Both sides are summed directly from weights normalised at the mode over
+    lam +- (12 sqrt(lam) + 40), outside which the mass is below 1e-30, so
+    the cost does not depend on k and nothing underflows at large lam.
+    The log weights are accumulated outward from the mode, where their
+    partial sums stay small.
+    """
     if lam == 0.0:
-        return 1.0
-    term = math.exp(-lam)
-    total = term
-    for i in range(1, k + 1):
-        term *= lam / i
-        total += term
-    return min(total, 1.0)
+        return 1.0, 0.0
+    half = 12.0 * math.sqrt(lam) + 40.0
+    lo = max(0, math.ceil(lam - half))
+    hi = math.floor(lam + half)
+    if k < lo:
+        return 0.0, 1.0
+    if k >= hi:
+        return 1.0, 0.0
+    mode = int(lam)
+    sums = [0.0, 0.0]  # below, above
+    sums[mode > k] = 1.0
+    log_lam = math.log(lam)
+    log_w = 0.0
+    for j in range(mode + 1, hi + 1):
+        # log p(j) / p(j - 1) = log(lam / j); log1p keeps it exact near a large mode
+        log_w += math.log1p((lam - j) / j) if lam >= 1.0 else log_lam - math.log(j)
+        sums[j > k] += math.exp(log_w)
+    log_w = 0.0
+    for j in range(mode, lo, -1):
+        log_w += math.log1p((j - lam) / lam)  # log p(j - 1) / p(j) = log(j / lam)
+        sums[j - 1 > k] += math.exp(log_w)
+    below, above = sums
+    return below / (below + above), above / (below + above)
 
 
 def estimate_stats(successes, trials) -> tuple[np.ndarray, np.ndarray, float]:
@@ -282,6 +340,19 @@ class _ShotProgram:
     single_term: str
     single_from_first: bool  # record the single from b1 (else from b2)
     pair_term: str
+
+    @property
+    def layout(self) -> tuple[int, int, int, int, int]:
+        """Offsets of (pre-pulse normals, readout 1, mid-pulse normals,
+        readout 2) in an attempt's window of uniforms, and the window width
+        W. The window opens with the initialization and charge-check
+        uniforms. Uniforms of a branch not taken are skipped, never reused,
+        so W depends on the pulse schedule alone."""
+        pre = 2
+        first = pre + normal_uniforms(len(self.pre_pulses))
+        mid = first + READOUT_UNIFORMS
+        second = mid + normal_uniforms(len(self.mid_pulses))
+        return pre, first, mid, second, second + READOUT_UNIFORMS
 
 
 def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
@@ -340,43 +411,53 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
 def run_protocol(config: RunConfig) -> ExperimentResult:
     """Run the full sequential-measurement protocol.
 
-    Every group collects shots_per_term kept shots, each one running:
+    Every group collects shots_per_term kept shots, each attempt running:
     initialize -> charge check -> noisy preparation and setting pulses ->
-    first readout -> noisy swap (or undo) pulses -> second readout. Shots
-    failing the charge check are counted and discarded. Random streams
-    are derived per (seed, group, shot), so results are independent of
-    execution order; identical configurations reproduce identical counts.
+    first readout -> noisy swap (or undo) pulses -> second readout.
+    Attempts failing the charge check are counted and discarded. Attempt i
+    of a group reads only its own window of the group's stream (see
+    group_rng), so results are independent of execution order and of the
+    CHUNK of windows drawn at once; identical configurations reproduce
+    identical counts.
     """
     noise = config.noise
     shots = config.shots_per_term
-    programs = shot_programs(config.pair_order)
     budget = config.attempt_budget()
+    p_charge = noise.charge_good_prob
+    flip = noise.nuclear_flip_prob
+    eps = misassignment_probabilities(noise)
     successes = {name: 0 for name in TERM_NAMES}
     kept_total = 0
     discarded_total = 0
-    for prog in programs:
-        kept = 0
-        for attempt in range(budget):
-            if kept >= shots:
-                break
-            rng = shot_rng(config.seed, prog.group, attempt)
-            psi = initialize(noise, rng)
-            if not charge_check(noise, rng):
-                discarded_total += 1
-                continue
-            psi = noisy_apply(prog.pre_pulses, noise, rng, psi)
-            b1, psi, _ = single_shot_readout(psi, noise, rng)
-            psi = noisy_apply(prog.mid_pulses, noise, rng, psi)
-            b2, psi, _ = single_shot_readout(psi, noise, rng)
-            kept += 1
-            successes[prog.single_term] += b1 if prog.single_from_first else b2
-            successes[prog.pair_term] += b1 & b2
+    for prog in shot_programs(config.pair_order):
+        pre, first, mid, second, width = prog.layout
+        rng = group_rng(config.seed, prog.group)
+        kept = attempts = 0
+        singles = pairs = 0
+        while kept < shots and attempts < budget:
+            for u in rng.random((min(CHUNK, budget - attempts), width)).tolist():
+                attempts += 1
+                if not u[1] < p_charge:
+                    continue
+                psi = initialize(noise, u[0])
+                psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
+                b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
+                psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
+                b2, _ = single_shot_readout(psi, u[second:], eps, flip)
+                singles += b1 if prog.single_from_first else b2
+                pairs += b1 & b2
+                kept += 1
+                if kept == shots:
+                    break
         if kept < shots:
             raise InsufficientData(
                 f"group {prog.group}: only {kept} of {shots} shots kept "
-                f"(charge_good_prob = {noise.charge_good_prob})"
+                f"(charge_good_prob = {p_charge})"
             )
+        successes[prog.single_term] += singles
+        successes[prog.pair_term] += pairs
         kept_total += kept
+        discarded_total += attempts - kept
     counts = np.array([successes[name] for name in TERM_NAMES], dtype=float)
     trials = np.full(len(TERM_NAMES), shots, dtype=float)
     means, errs, combined = estimate_stats(counts, trials)

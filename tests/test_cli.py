@@ -1,14 +1,21 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from kcbsim import errors
 from kcbsim.cli import main
+from kcbsim.experiment import NoiseModel
 from kcbsim.kcbs import TERM_NAMES
 
 SQRT5 = math.sqrt(5.0)
@@ -175,6 +182,15 @@ class TestSimulate:
             pytest.param("noise: {charge_good_prob: 1.0e-6}\n", "charge_good_prob", id="budget-4e10"),
             pytest.param("noise: {readout_thresh: 4}\n", "readout_thresh", id="unknown-noise-key"),
             pytest.param("noise: {bright_state_is_one: 0}\n", "bright_state_is_one", id="polarity-int"),
+            pytest.param("1: 2\nfoo: 3\n", "foo", id="unknown-keys-mixed-types"),
+            pytest.param("noise: {1: 2, foo: 3}\n", "foo", id="unknown-noise-keys-mixed-types"),
+            pytest.param(f"noise: {{readout_threshold: {'9' * 400}}}\n", "readout_threshold",
+                         id="threshold-400-digits"),
+            pytest.param(f"shots_per_term: {'9' * 400}\n", "shots_per_term", id="shots-400-digits"),
+            pytest.param("noise: {pulse_angle_error_std: 1.0e+308}\n", "pulse_angle_error_std",
+                         id="pulse-std-huge"),
+            pytest.param("noise: {pulse_angle_error_std: 1.5}\n", "pulse_angle_error_std",
+                         id="pulse-std-above-1"),
         ],
     )
     def test_invalid_input_exits_2(self, tmp_path, capsys, monkeypatch, text, field):
@@ -188,6 +204,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert "ConfigError" in err and field in err
+
+    def test_huge_threshold_is_fast(self, tmp_path):
+        # the Poisson tails cost the same at any threshold
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("noise: {readout_threshold: 1.0e+12}\n")
+        t0 = time.perf_counter()
+        code, rec = run_cli("simulate", "--config", str(cfg), "--shots", "20")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert rec["readout_misassignment"] == {"assign1_given0": 0.0, "assign0_given1": 1.0}
 
     def test_unknown_preset(self, capsys):
         code, _ = run_cli("simulate", "--preset", "nope")
@@ -228,3 +254,47 @@ class TestSpectrum:
     def test_nonfinite_rejected(self, capsys):
         code, _ = run_cli("spectrum", "--Q", "nan")
         assert code != 0
+
+
+# Any YAML scalar or list the schema might meet: numbers of every size and
+# kind (nan, inf, subnormal, huge integers, and in-range values so that
+# runs happen too), booleans, strings and null.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(min_value=0.0, max_value=1.0)
+    | st.text(max_size=8)
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
+_KEYS = st.sampled_from(["pair_order", "seed", "shots_per_term"]) | st.text(max_size=8) | st.integers()
+_NOISE = (
+    st.fixed_dictionaries({}, optional={f.name: _VALUES for f in dataclasses.fields(NoiseModel)})
+    | st.dictionaries(st.text(max_size=8) | st.integers(), _VALUES, max_size=3)
+    | _VALUES
+)
+_DOCS = st.builds(
+    lambda top, noise, has_noise: {**top, "noise": noise} if has_noise else top,
+    st.dictionaries(_KEYS, _VALUES, max_size=4),
+    _NOISE,
+    st.booleans(),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_DOCS)
+    def test_any_mapping_gives_a_record_or_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "fuzz.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        code, rec = run_cli("simulate", "--config", str(path), "--shots", "20")
+        err = capsys.readouterr().err
+        if code == 0:
+            assert set(rec["terms"]) == set(TERM_NAMES)
+        else:
+            assert code == 2 and rec is None
+            name = err.split(":")[1].strip()
+            assert issubclass(getattr(errors, name), errors.KcbsimError), err

@@ -3,21 +3,26 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import poisson
 
+from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData, NonFinite
 from kcbsim.experiment import (
+    LAMBDA_MAX,
+    READOUT_UNIFORMS,
     NoiseModel,
     NvParameters,
     RunConfig,
-    charge_check,
     estimate_stats,
+    group_rng,
     initialize,
     misassignment_probabilities,
     nmr_frequencies,
     noisy_apply,
+    normal_uniforms,
     run_protocol,
-    shot_rng,
+    shot_programs,
     single_shot_readout,
 )
 from kcbsim.pentagram import build_psi0, psi0_pulses, swap_pulses
@@ -94,72 +99,62 @@ class TestNoiseModelValidation:
 
 class TestInitialize:
     def test_no_error_always_plus(self):
-        rng = np.random.default_rng(0)
         noise = NoiseModel(init_error_prob=0.0)
-        for _ in range(100):
-            assert_allclose(initialize(noise, rng), KET_PLUS)
+        for u in np.random.default_rng(0).random(100).tolist():
+            assert_allclose(initialize(noise, u), KET_PLUS)
 
     def test_full_error_never_plus(self):
-        rng = np.random.default_rng(0)
         noise = NoiseModel(init_error_prob=1.0)
-        for _ in range(100):
-            assert initialize(noise, rng)[0] == 0
+        for u in np.random.default_rng(0).random(100).tolist():
+            assert initialize(noise, u)[0] == 0
 
     def test_error_rate_within_binomial_ci(self):
-        rng = np.random.default_rng(123)
         p = 0.3
         noise = NoiseModel(init_error_prob=p)
         n = 100_000
-        hits = sum(int(initialize(noise, rng)[0].real == 1.0) for _ in range(n))
+        uniforms = np.random.default_rng(123).random(n).tolist()
+        hits = sum(int(initialize(noise, u)[0].real == 1.0) for u in uniforms)
         expected = 1.0 - p
         assert abs(hits / n - expected) < 4.0 * math.sqrt(p * (1 - p) / n)
 
     def test_error_split_between_zero_and_minus(self):
-        rng = np.random.default_rng(7)
         noise = NoiseModel(init_error_prob=1.0)
-        zeros = sum(int(initialize(noise, rng)[1].real == 1.0) for _ in range(20_000))
+        uniforms = np.random.default_rng(7).random(20_000).tolist()
+        zeros = sum(int(initialize(noise, u)[1].real == 1.0) for u in uniforms)
         assert abs(zeros / 20_000 - 0.5) < 4.0 * math.sqrt(0.25 / 20_000)
 
 
-class TestChargeCheck:
-    def test_always_keep(self):
-        rng = np.random.default_rng(1)
-        assert all(charge_check(NoiseModel(charge_good_prob=1.0), rng) for _ in range(100))
+def reader(noise):
+    """single_shot_readout(psi, u) with the readout parameters of `noise`."""
+    eps = misassignment_probabilities(noise)
+    return lambda psi, u: single_shot_readout(psi, u, eps, noise.nuclear_flip_prob)
 
-    def test_never_keep(self):
-        rng = np.random.default_rng(1)
-        assert not any(charge_check(NoiseModel(charge_good_prob=0.0), rng) for _ in range(100))
 
-    def test_keep_fraction_ci(self):
-        rng = np.random.default_rng(2)
-        p = 0.7
-        n = 100_000
-        kept = sum(charge_check(NoiseModel(charge_good_prob=p), rng) for _ in range(n))
-        assert abs(kept / n - p) < 4.0 * math.sqrt(p * (1 - p) / n)
+read_ideal = reader(IDEAL)
+
+
+def readout_windows(seed, n):
+    return np.random.default_rng(seed).random((n, READOUT_UNIFORMS)).tolist()
 
 
 class TestSingleShotReadout:
     def test_deterministic_bright_limit(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            bit, post, count = single_shot_readout(KET_PLUS, IDEAL, rng)
+        for u in readout_windows(5, 200):
+            bit, post = read_ideal(KET_PLUS, u)
             assert bit == 1
             assert_allclose(post, KET_PLUS)
-            assert count > IDEAL.readout_threshold
 
     def test_deterministic_dark_limit(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            bit, post, count = single_shot_readout(KET_ZERO, IDEAL, rng)
+        for u in readout_windows(5, 200):
+            bit, post = read_ideal(KET_ZERO, u)
             assert bit == 0
             assert_allclose(post, KET_ZERO)
 
     def test_collapse_of_superposition(self):
-        rng = np.random.default_rng(11)
         psi0 = build_psi0()
         saw = {0: 0, 1: 0}
-        for _ in range(500):
-            bit, post, _ = single_shot_readout(psi0, IDEAL, rng)
+        for u in readout_windows(11, 500):
+            bit, post = read_ideal(psi0, u)
             saw[bit] += 1
             if bit == 1:
                 assert_allclose(post, KET_PLUS)
@@ -169,24 +164,24 @@ class TestSingleShotReadout:
         assert saw[0] > 0 and saw[1] > 0
 
     def test_born_statistics(self):
-        rng = np.random.default_rng(13)
         psi0 = build_psi0()
         n = 50_000
-        ones = sum(single_shot_readout(psi0, IDEAL, rng)[0] for _ in range(n))
+        ones = sum(read_ideal(psi0, u)[0] for u in readout_windows(13, n))
         p = 1 / SQRT5
         assert abs(ones / n - p) < 4.0 * math.sqrt(p * (1 - p) / n)
 
     @pytest.mark.parametrize("lam_b,lam_d,threshold", [(8.0, 1.2, 3), (10.5, 1.55, 4)])
     def test_misassignment_matches_poisson_tails(self, lam_b, lam_d, threshold):
         noise = NoiseModel(lambda_bright=lam_b, lambda_dark=lam_d, readout_threshold=threshold)
-        rng = np.random.default_rng(17)
+        read = reader(noise)
         n = 100_000
-        # true outcome 1 on |+1>: misassigned iff count fell at or below threshold
-        miss1 = sum(1 - single_shot_readout(KET_PLUS, noise, rng)[0] for _ in range(n)) / n
+        windows = readout_windows(17, 2 * n)
+        # true outcome 1 on |+1>: misassigned iff the count fell at or below threshold
+        miss1 = sum(1 - read(KET_PLUS, u)[0] for u in windows[:n]) / n
         expect1 = 1.0 - poisson_tail_above(threshold, lam_b)
         assert abs(miss1 - expect1) < 4.0 * math.sqrt(expect1 * (1 - expect1) / n) + 1e-9
-        # true outcome 0 on |0>: misassigned iff count exceeded threshold
-        miss0 = sum(single_shot_readout(KET_ZERO, noise, rng)[0] for _ in range(n)) / n
+        # true outcome 0 on |0>: misassigned iff the count exceeded threshold
+        miss0 = sum(read(KET_ZERO, u)[0] for u in windows[n:]) / n
         expect0 = poisson_tail_above(threshold, lam_d)
         assert abs(miss0 - expect0) < 4.0 * math.sqrt(expect0 * (1 - expect0) / n) + 1e-9
         # the analytic helper agrees with the brute-force sums
@@ -209,15 +204,15 @@ class TestSingleShotReadout:
             lambda_bright=100.0, lambda_dark=0.0, readout_threshold=10,
             bright_state_is_one=False,
         )
-        rng = np.random.default_rng(19)
-        assert all(single_shot_readout(KET_PLUS, noise, rng)[0] == 1 for _ in range(100))
-        assert all(single_shot_readout(KET_ZERO, noise, rng)[0] == 0 for _ in range(100))
+        read = reader(noise)
+        windows = readout_windows(19, 200)
+        assert all(read(KET_PLUS, u)[0] == 1 for u in windows[:100])
+        assert all(read(KET_ZERO, u)[0] == 0 for u in windows[100:])
 
     def test_nuclear_flip_randomizes_dark_subspace(self):
-        noise = NoiseModel(nuclear_flip_prob=1.0)
-        rng = np.random.default_rng(23)
+        read = reader(NoiseModel(nuclear_flip_prob=1.0))
         psi = np.array([0.0, 0.8, 0.6], dtype=complex)
-        posts = [single_shot_readout(psi, noise, rng)[1] for _ in range(50)]
+        posts = [read(psi, u)[1] for u in readout_windows(23, 50)]
         for post in posts:
             assert post[0] == 0
             assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
@@ -225,35 +220,73 @@ class TestSingleShotReadout:
         spread = np.std([abs(p[1]) for p in posts])
         assert spread > 0.1
 
+    def test_nuclear_flip_is_uniform_on_the_subspace(self):
+        # a uniformly random state of C^2 has |<0|post>|^2 ~ Uniform(0, 1)
+        read = reader(NoiseModel(nuclear_flip_prob=1.0))
+        n = 20_000
+        pops = [abs(read(KET_ZERO, u)[1][1]) ** 2 for u in readout_windows(29, n)]
+        assert abs(np.mean(pops) - 0.5) < 4.0 * math.sqrt(1 / 12 / n)
+        assert abs(np.mean(np.square(pops)) - 1 / 3) < 4.0 * math.sqrt(4 / 45 / n)
+
+    def test_exact_poisson_tail_at_any_scale(self):
+        lambdas = (0.0, 1e-300, 0.5, 1.55, 10.5, 100.0, 744.0, 745.0, 746.0, 900.0, 1000.0,
+                   1e4, 1e5, 1e6, 1e7, 1e8, LAMBDA_MAX)
+        for lam in lambdas:
+            tol = 1e-12 if lam <= 1e6 else 1e-9
+            for k in (0, 4, 950, 10**6, 10**12):
+                for bright_is_one in (True, False):
+                    noise = NoiseModel(lambda_bright=lam, lambda_dark=lam, readout_threshold=k,
+                                       bright_state_is_one=bright_is_one)
+                    eps0, eps1 = misassignment_probabilities(noise)
+                    above, below = poisson.sf(k, lam), poisson.cdf(k, lam)
+                    expected = (above, below) if bright_is_one else (below, above)
+                    assert (eps0, eps1) == pytest.approx(expected, abs=tol), (lam, k)
+
 
 class TestNoisyApply:
     def test_zero_noise_matches_exact_composition(self):
-        rng = np.random.default_rng(29)
         pulses = psi0_pulses() + swap_pulses()
+        u = np.random.default_rng(29).random(normal_uniforms(len(pulses))).tolist()
         mats = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
         expected = compose(mats) @ KET_PLUS
-        got = noisy_apply(pulses, IDEAL, rng, KET_PLUS)
+        got = noisy_apply(pulses, IDEAL, u, KET_PLUS)
         assert_allclose(got, expected, atol=1e-12)
 
     def test_swap_exchanges_populations(self):
-        rng = np.random.default_rng(31)
-        out = noisy_apply(swap_pulses(), IDEAL, rng, KET_PLUS)
+        u = np.random.default_rng(31).random(normal_uniforms(3)).tolist()
+        out = noisy_apply(swap_pulses(), IDEAL, u, KET_PLUS)
         assert abs(out[2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_decreases_with_angle_noise(self):
         pulses = psi0_pulses()
-        ideal = noisy_apply(pulses, IDEAL, np.random.default_rng(0), KET_PLUS)
+        width = normal_uniforms(len(pulses))
+        ideal = noisy_apply(pulses, IDEAL, [0.5] * width, KET_PLUS)
         means = []
         for std in (0.0, 0.01, 0.05):
             noise = NoiseModel(pulse_angle_error_std=std)
-            rng = np.random.default_rng(37)
-            fids = [
-                abs(np.vdot(ideal, noisy_apply(pulses, noise, rng, KET_PLUS))) ** 2
-                for _ in range(10_000)
-            ]
+            windows = np.random.default_rng(37).random((10_000, width)).tolist()
+            fids = [abs(np.vdot(ideal, noisy_apply(pulses, noise, u, KET_PLUS))) ** 2 for u in windows]
             means.append(np.mean(fids))
         assert means[0] == pytest.approx(1.0, abs=1e-12)
         assert means[0] > means[1] > means[2]
+
+    @pytest.mark.parametrize("second", [None, 0.3, -0.3])
+    def test_angle_errors_are_unit_normals(self, second):
+        # the executed angle of one pulse, or of two on the same axis, is
+        # read back from the state; one Box-Muller pair feeds both pulses
+        std, n = 0.5, 20_000
+        pulses = (("a", 0.4),) if second is None else (("a", 0.4), ("a", second))
+        nominal = sum(t for _, t in pulses)
+        noise = NoiseModel(pulse_angle_error_std=std)
+        errors = []
+        for u in np.random.default_rng(41).random((n, 2)).tolist():
+            a, b, _ = noisy_apply(pulses, noise, u, KET_PLUS)
+            executed = 2.0 * math.atan2(-b.real, a.real)
+            errors.append((executed - nominal) / std)
+        # a sum of angle errors t_k e_k has variance sum t_k^2 for independent unit normals
+        var = sum(t * t for _, t in pulses)
+        assert abs(np.mean(errors)) < 4.0 * math.sqrt(var / n)
+        assert abs(np.var(errors) / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
 
 class TestEstimateStats:
@@ -372,6 +405,19 @@ class TestRunProtocol:
         frac = res.discarded_shots / (res.kept_shots + res.discarded_shots)
         assert frac == pytest.approx(0.2, abs=0.02)
 
+    def test_charge_always_good_discards_nothing(self):
+        res = run_protocol(ideal_config(seed=9, shots=2000))
+        assert res.discarded_shots == 0
+        assert res.kept_shots == 6 * 2000
+
+    def test_discard_fraction_within_binomial_ci(self):
+        p = 0.8
+        data = load_preset("ideal")
+        data["noise"]["charge_good_prob"] = p
+        res = run_protocol(build_run_config(data, seed=2, shots=20_000))
+        n = res.kept_shots + res.discarded_shots
+        assert abs(res.kept_shots / n - p) < 4.0 * math.sqrt(p * (1 - p) / n)
+
     def test_charge_block_raises(self):
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = 0.0
@@ -391,27 +437,52 @@ class TestRunProtocol:
         assert res.inequality_stderr > 0
 
 
-class TestShotRng:
+class TestGroupRng:
     def test_reproducible(self):
-        a = shot_rng(42, 3, 17).random(5)
-        b = shot_rng(42, 3, 17).random(5)
+        a = group_rng(42, 3).random(5)
+        b = group_rng(42, 3).random(5)
         assert_allclose(a, b)
 
     def test_streams_distinct(self):
-        a = shot_rng(42, 0, 0).random(5)
-        b = shot_rng(42, 0, 1).random(5)
-        c = shot_rng(42, 1, 0).random(5)
-        d = shot_rng(43, 0, 0).random(5)
-        assert not np.allclose(a, b)
+        a = group_rng(42, 0).random(5)
+        c = group_rng(42, 1).random(5)
+        d = group_rng(43, 0).random(5)
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
 
     def test_order_free_derivation(self):
-        # deriving stream (g, s) never depends on other streams having
-        # been created first
-        later = shot_rng(7, 2, 1000).random(3)
-        for g in range(3):
-            for s in range(5):
-                shot_rng(7, g, s)
-        again = shot_rng(7, 2, 1000).random(3)
+        # deriving stream g never depends on other streams having been
+        # created or drawn from first
+        later = group_rng(7, 2).random(3)
+        for g in range(6):
+            group_rng(7, g).random(100)
+        again = group_rng(7, 2).random(3)
         assert_allclose(later, again)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_attempt_window_reached_by_advance(self, pair_order):
+        for prog in shot_programs(pair_order):
+            width = prog.layout[-1]
+            rows = group_rng(5, prog.group).random((300, width))
+            for i in (0, 1, 127, 128, 299):
+                rng = group_rng(5, prog.group)
+                rng.bit_generator.advance(i * width)
+                assert_allclose(rng.random(width), rows[i], rtol=0, atol=0)
+
+    def test_window_layout(self):
+        # init, charge, pre-pulse normals, readout 1, mid-pulse normals, readout 2
+        for prog in shot_programs("forward") + shot_programs("reverse"):
+            pre, first, mid, second, width = prog.layout
+            assert pre == 2
+            assert first - pre == normal_uniforms(len(prog.pre_pulses)) >= len(prog.pre_pulses)
+            assert mid - first == READOUT_UNIFORMS
+            assert second - mid == normal_uniforms(len(prog.mid_pulses)) >= len(prog.mid_pulses)
+            assert width - second == READOUT_UNIFORMS
+
+    def test_counts_do_not_depend_on_chunk(self, monkeypatch):
+        cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
+        default = run_protocol(cfg)
+        monkeypatch.setattr(experiment, "CHUNK", 7)
+        chunked = run_protocol(cfg)
+        assert chunked.successes == default.successes
+        assert chunked.discarded_shots == default.discarded_shots

@@ -1,0 +1,49 @@
+"""Smoke tests of the calibration tool behind the paper-2015 preset."""
+
+import ast
+import itertools
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+from kcbsim.config import load_preset
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "calibrate_paper_preset.py"
+GRID = runpy.run_path(str(TOOL))["GRID"]
+
+
+def run_tool(*args) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True,
+                          env=env, timeout=300, check=True)
+    return proc.stdout.splitlines()
+
+
+def test_scan_covers_the_grid_and_prints_the_preset_block():
+    lines = run_tool("--shots", "200", "--seeds", "1")
+    scanned = [ast.literal_eval(line[: line.index("}") + 1]) for line in lines if line.startswith("{")]
+    keys = sorted(GRID)
+    expected = [dict(zip(keys, combo)) for combo in itertools.product(*(GRID[k] for k in keys))]
+    assert len(expected) == 27 and scanned == expected
+    assert "=== top candidates ===" in lines
+    block = lines[lines.index("=== preset noise block (best candidate) ===") + 1:]
+    preset = load_preset("paper-2015")["noise"]
+    assert [line.split(":")[0].strip() for line in block] == list(preset)
+    for line in block:
+        key, value = (part.strip() for part in line.split(":"))
+        if key not in GRID:  # every value off the grid is the preset's
+            assert value == str(preset[key])
+
+
+def test_verify_runs_ten_seeds():
+    lines = run_tool("--verify", "--shots", "500")
+    rows = [line.split() for line in lines[1:] if line.strip() and line.split()[0].isdigit()]
+    assert [int(r[0]) for r in rows] == list(range(1, 11))
+    for _, value, stderr, sigma in rows:
+        assert 1.5 < float(value) < 2.5 and 0 < float(stderr) < 0.2
+    assert any(line.startswith("mean value") for line in lines)
