@@ -124,6 +124,16 @@ class TestInitialize:
         assert abs(zeros / 20_000 - 0.5) < 4.0 * math.sqrt(0.25 / 20_000)
 
 
+class TestChargeCheck:
+    def test_never_keep(self):
+        data = load_preset("ideal")
+        data["noise"]["charge_good_prob"] = 0.0
+        cfg = build_run_config(data, seed=1, shots=100)
+        assert cfg.attempt_budget() == 100
+        with pytest.raises(InsufficientData, match="only 0 of 100 shots kept"):
+            run_protocol(cfg)
+
+
 def reader(noise):
     """single_shot_readout(psi, u) with the readout parameters of `noise`."""
     eps = misassignment_probabilities(noise)
