@@ -18,20 +18,6 @@ from .errors import (
     ValidationFailed,
     ZeroVector,
 )
-from .experiment import (
-    ExperimentResult,
-    NoiseModel,
-    NvParameters,
-    RunConfig,
-    estimate_stats,
-    group_rng,
-    initialize,
-    misassignment_probabilities,
-    nmr_frequencies,
-    noisy_apply,
-    run_protocol,
-    single_shot_readout,
-)
 from .kcbs import (
     TERM_NAMES,
     TermSet,
@@ -63,3 +49,15 @@ from .qutrit import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+# The Monte Carlo stack (kcbsim.experiment, and kcbsim.config with PyYAML)
+# loads on first use, so that `kcbsim exact` and `validate` start without it.
+_LAZY_SUBMODULES = ("config", "experiment")
+
+
+def __getattr__(name):
+    if name in _LAZY_SUBMODULES:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,6 @@ machine-readable JSON record on stdout."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -13,9 +12,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import build_run_config, config_as_dict, load_config_file, load_preset
 from .errors import KcbsimError, ValidationFailed
-from .experiment import NvParameters, misassignment_probabilities, nmr_frequencies, run_protocol
 from .kcbs import (
     TERM_NAMES,
     exact_terms,
@@ -128,13 +125,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import experiment
+    from .config import build_run_config, config_as_dict, load_config_file, load_preset
+
     t0 = time.perf_counter()
     data = load_config_file(args.config) if args.config else load_preset(args.preset)
     config = build_run_config(
         data, seed=args.seed, shots=args.shots, pair_order=args.pair_order
     )
-    result = run_protocol(config)
-    eps0, eps1 = misassignment_probabilities(config.noise)
+    result = experiment.run_protocol(config)
+    eps0, eps1 = experiment.misassignment_probabilities(config.noise)
     record = {
         "command": "simulate",
         "preset": None if args.config else args.preset,
@@ -163,6 +163,8 @@ def cmd_simulate(args) -> int:
 
 
 def _write_csv(path: str, result) -> None:
+    import csv
+
     values = result.terms.as_dict()
     errors = result.stderrs.as_dict()
     with open(path, "w", newline="") as fh:
@@ -175,6 +177,8 @@ def _write_csv(path: str, result) -> None:
 
 
 def cmd_spectrum(args) -> int:
+    from .experiment import NvParameters, nmr_frequencies
+
     t0 = time.perf_counter()
     params = NvParameters(
         quadrupole_mhz=args.Q,

@@ -22,6 +22,9 @@ from .qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 LAMBDA_MAX = 1e9
 #: Most shot attempts a single shot group may be budgeted.
 MAX_ATTEMPTS = 1e8
+#: Largest accepted chance that a group falls short of its shots within its
+#: attempt budget.
+BUDGET_TAIL = 1e-12
 
 
 def _finite(v: Real) -> bool:
@@ -133,19 +136,24 @@ class RunConfig:
         self.attempt_budget()  # refuses a run too long to finish
 
     def attempt_budget(self) -> int:
-        """Shot attempts per group before the run gives up: 4 shots /
-        charge_good_prob + 100, or just the shots when none can be kept.
+        """Shot attempts per group before the run gives up, or just the
+        shots when none can be kept. The Chernoff bound on the lower tail
+        of Binomial(n, p) gives the budget n = (s + c + sqrt(c^2 + 2 s c)) / p
+        for s shots, p = charge_good_prob and c = ln(1 / BUDGET_TAIL), so a
+        group falls short with probability at most BUDGET_TAIL.
         Raises ConfigError above MAX_ATTEMPTS."""
         p = self.noise.charge_good_prob
+        s = self.shots_per_term
         if p == 0.0:
-            return self.shots_per_term
-        budget = 4.0 * self.shots_per_term / p
-        if not budget + 100 <= MAX_ATTEMPTS:
+            return s
+        c = -math.log(BUDGET_TAIL)
+        budget = (s + c + math.sqrt(c * c + 2.0 * s * c)) / p
+        if not budget <= MAX_ATTEMPTS:
             raise ConfigError(
-                f"charge_good_prob = {p!r} at {self.shots_per_term} shots per term "
-                f"needs {budget + 100:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
+                f"charge_good_prob = {p!r} at {s} shots per term "
+                f"needs {budget:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
             )
-        return int(budget) + 100
+        return math.ceil(budget)
 
 
 @dataclass(frozen=True)
@@ -422,8 +430,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     """
     noise = config.noise
     shots = config.shots_per_term
-    budget = config.attempt_budget()
     p_charge = noise.charge_good_prob
+    # with no attempt able to pass the charge check, fail before drawing one
+    budget = config.attempt_budget() if p_charge > 0.0 else 0
     flip = noise.nuclear_flip_prob
     eps = misassignment_probabilities(noise)
     successes = {name: 0 for name in TERM_NAMES}
@@ -435,10 +444,11 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
         kept = attempts = 0
         singles = pairs = 0
         while kept < shots and attempts < budget:
-            for u in rng.random((min(CHUNK, budget - attempts), width)).tolist():
-                attempts += 1
-                if not u[1] < p_charge:
-                    continue
+            block = rng.random((min(CHUNK, budget - attempts), width))
+            # only windows that pass the charge check become Python floats
+            good = np.flatnonzero(block[:, 1] < p_charge)
+            used = len(block)
+            for i, u in zip(good.tolist(), block[good].tolist()):
                 psi = initialize(noise, u[0])
                 psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
                 b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
@@ -448,7 +458,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
                 pairs += b1 & b2
                 kept += 1
                 if kept == shots:
+                    used = i + 1
                     break
+            attempts += used
         if kept < shots:
             raise InsufficientData(
                 f"group {prog.group}: only {kept} of {shots} shots kept "

@@ -197,7 +197,7 @@ class TestSimulate:
         def never(config):
             raise AssertionError("the shot loop was started")
 
-        monkeypatch.setattr("kcbsim.cli.run_protocol", never)
+        monkeypatch.setattr("kcbsim.experiment.run_protocol", never)
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)
         code, _ = run_cli("simulate", "--config", str(cfg))
@@ -234,6 +234,42 @@ class TestSimulate:
         assert code == 0
         assert rec["preset"] == "paper-2015"
         assert rec["discarded_shots"] > 0
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a fresh interpreter and return its stdout."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+
+
+class TestImports:
+    MONTE_CARLO_STACK = ("yaml", "csv", "kcbsim.config", "kcbsim.experiment")
+
+    def test_exact_and_validate_skip_the_monte_carlo_stack(self):
+        loaded = run_fresh(
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from kcbsim.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['exact']), main(['validate'])]\n"
+            f"print(json.dumps([codes, [m for m in {self.MONTE_CARLO_STACK!r} if m in sys.modules]]))\n"
+        )
+        assert json.loads(loaded) == [[0, 0], []]
+
+    def test_submodules_resolve_on_attribute_access(self):
+        out = run_fresh(
+            "import kcbsim\n"
+            "print(kcbsim.config.load_preset.__module__, kcbsim.experiment.run_protocol.__module__)\n"
+        )
+        assert out.split() == ["kcbsim.config", "kcbsim.experiment"]
+
+    def test_other_names_stay_missing(self):
+        import kcbsim
+
+        assert not hasattr(kcbsim, "run_protocol")
+        with pytest.raises(AttributeError, match="initialize"):
+            kcbsim.initialize
 
 
 class TestSpectrum:

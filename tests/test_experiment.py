@@ -1,15 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData, NonFinite
 from kcbsim.experiment import (
+    BUDGET_TAIL,
     LAMBDA_MAX,
+    MAX_ATTEMPTS,
     READOUT_UNIFORMS,
     NoiseModel,
     NvParameters,
@@ -132,6 +135,69 @@ class TestChargeCheck:
         assert cfg.attempt_budget() == 100
         with pytest.raises(InsufficientData, match="only 0 of 100 shots kept"):
             run_protocol(cfg)
+
+    def test_never_keep_fails_before_any_attempt(self):
+        cfg = RunConfig(seed=1, shots_per_term=10**8, noise=NoiseModel(charge_good_prob=0.0))
+        t0 = time.perf_counter()
+        with pytest.raises(InsufficientData, match="only 0 of 100000000 shots kept"):
+            run_protocol(cfg)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("p", [0.3, 0.97])
+    def test_attempts_end_at_the_last_kept_window(self, p):
+        # recount from the charge column of each group's stream: a group
+        # spends attempts up to and including its shots-th passing window
+        shots = 200
+        cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
+        res = run_protocol(cfg)
+        attempts = 0
+        for prog in shot_programs(cfg.pair_order):
+            charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), prog.layout[-1]))[:, 1]
+            attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
+        assert res.kept_shots == 6 * shots
+        assert res.kept_shots + res.discarded_shots == attempts
+
+
+def smallest_budget(shots, p):
+    """Smallest n with P(Binomial(n, p) < shots) <= BUDGET_TAIL, by bisection."""
+    lo, hi = shots, 10**12
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if binom.cdf(shots - 1, mid, p) <= BUDGET_TAIL:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestAttemptBudget:
+    @pytest.mark.parametrize("shots", [1, 2, 20, 300, 10_000, 10**6])
+    @pytest.mark.parametrize("p", [1.0, 0.9, 0.5, 0.1, 1e-3, 1e-5])
+    def test_shortfall_within_tail(self, shots, p):
+        exact = smallest_budget(shots, p)
+        noise = NoiseModel(charge_good_prob=p)
+        try:
+            n = RunConfig(seed=1, shots_per_term=shots, noise=noise).attempt_budget()
+        except ConfigError:
+            # refused only when even the exact budget is out of reach
+            assert exact > MAX_ATTEMPTS / 2.2
+            return
+        assert binom.cdf(shots - 1, n, p) <= BUDGET_TAIL
+        # the Chernoff form overshoots by at most about 2x at few shots,
+        # plus 2 ln(1 / BUDGET_TAIL) attempts when p is near 1
+        assert exact <= n <= 2.2 * exact + 60
+
+    def test_few_shots_at_rare_charge_do_not_fall_short(self):
+        # 4 shots / p + 100 attempts left about 10 % of such runs short
+        data = load_preset("ideal")
+        data["noise"]["charge_good_prob"] = 1e-5
+        for seed in (1, 2, 3):
+            res = run_protocol(build_run_config(data, seed=seed, shots=2))
+            assert res.kept_shots == 12
+
+    def test_refuses_above_max_attempts(self):
+        with pytest.raises(ConfigError, match="charge_good_prob = 1e-06 at 10000 shots"):
+            RunConfig(seed=1, shots_per_term=10_000, noise=NoiseModel(charge_good_prob=1e-6))
 
 
 def reader(noise):
