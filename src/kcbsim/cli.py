@@ -5,6 +5,7 @@ machine-readable JSON record on stdout."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -12,7 +13,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import KcbsimError, ValidationFailed
+from .errors import ConfigError, KcbsimError, ValidationFailed
 from .kcbs import (
     TERM_NAMES,
     exact_terms,
@@ -133,7 +134,10 @@ def cmd_simulate(args) -> int:
     config = build_run_config(
         data, seed=args.seed, shots=args.shots, pair_order=args.pair_order
     )
-    result = experiment.run_protocol(config)
+    with _open_csv(args.csv) as csv_file:
+        result = experiment.run_protocol(config)
+        if csv_file:
+            _write_csv(csv_file, result)
     eps0, eps1 = experiment.misassignment_probabilities(config.noise)
     record = {
         "command": "simulate",
@@ -156,24 +160,32 @@ def cmd_simulate(args) -> int:
         "readout_misassignment": {"assign1_given0": eps0, "assign0_given1": eps1},
         "wall_clock_seconds": time.perf_counter() - t0,
     }
-    if args.csv:
-        _write_csv(args.csv, result)
     _emit(record)
     return 0
 
 
-def _write_csv(path: str, result) -> None:
+def _open_csv(path: str | None):
+    """The --csv file opened for writing, or a null context without one.
+    It is opened before the run, so an unwritable path fails at once."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--csv {path}: cannot write ({exc.strerror})") from exc
+
+
+def _write_csv(fh, result) -> None:
     import csv
 
     values = result.terms.as_dict()
     errors = result.stderrs.as_dict()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "estimate", "stderr", "shots"])
-        for name in TERM_NAMES:
-            writer.writerow(
-                [name, repr(values[name]), repr(errors[name]), result.shots_per_term]
-            )
+    writer = csv.writer(fh)
+    writer.writerow(["term", "estimate", "stderr", "shots"])
+    for name in TERM_NAMES:
+        writer.writerow(
+            [name, repr(values[name]), repr(errors[name]), result.shots_per_term]
+        )
 
 
 def cmd_spectrum(args) -> int:

@@ -41,7 +41,11 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return _parse(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: cannot read as UTF-8 text ({exc})") from exc
+    return _parse(text, source=str(path))
 
 
 def _parse(text: str, source: str) -> dict:

@@ -188,9 +188,16 @@ _TWO_PI = 2.0 * math.pi
 #: Uniforms one readout consumes: Born, nuclear flip, assignment, and four
 #: for the complex Gaussian pair of the depolarised state.
 READOUT_UNIFORMS = 7
-#: Attempts whose windows are drawn in one call. Larger chunks save little
-#: time and hold more Python floats at once.
-CHUNK = 128
+#: Passing windows each array step of run_protocol aims to run: a draw holds
+#: ceil(CHUNK / charge_good_prob) windows. Counts do not depend on it.
+#: Larger values run faster (about 1.6x per doubling on paper-2015). It is
+#: 32 because perfbench's sweep-small workload holds about 2 KB per
+#: operation run, so a faster kernel raises its peak RSS; at 64 that rose
+#: more than 5 % above the scalar kernel's.
+CHUNK = 32
+#: Most uniforms one draw holds (1 MiB of float64), which bounds the draws
+#: at a low charge_good_prob.
+DRAW_UNIFORMS = 2**17
 _PLUS, _ZERO, _MINUS = (tuple(map(complex, k)) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
 
 
@@ -416,6 +423,81 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
     return programs
 
 
+def _noisy_apply_rows(pulses, std: float, u, psi):
+    """noisy_apply over many attempts at once, with the same arithmetic in
+    the same order. Column j of u holds attempt j's pulse uniforms, and
+    psi = (a, b, c) their amplitudes, each a (2, n) array of real and
+    imaginary rows."""
+    a, b, c = psi
+    t = np.array([t for _, t in pulses]).reshape(-1, 1, 1)
+    if std > 0.0:
+        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+        phi = _TWO_PI * u[1::2]
+        e = np.empty(u.shape)
+        e[0::2] = r * np.cos(phi)
+        e[1::2] = r * np.sin(phi)
+        # one row of angles per (re, im) row, so each product below pairs equal shapes
+        t = (t * (1.0 + std * e[: len(pulses), None])).repeat(2, axis=1)
+    ch = np.cos(0.5 * t)
+    sh = np.sin(0.5 * t)
+    minus_sh = -sh
+    for k, (axis, _) in enumerate(pulses):
+        if axis == "a":
+            a, b = ch[k] * a + sh[k] * b, minus_sh[k] * a + ch[k] * b
+        else:
+            b, c = ch[k] * b + sh[k] * c, minus_sh[k] * b + ch[k] * c
+    return a, b, c
+
+
+def _readout_rows(u, psi, misassignment: tuple[float, float]):
+    """The true outcomes (True for |+1>) and assigned bits that
+    single_shot_readout gives the attempts whose readout uniforms are the
+    columns of u."""
+    a = psi[0]
+    one = u[0] < a[0] * a[0] + a[1] * a[1]
+    return one, np.where(one, u[2] >= misassignment[1], u[2] < misassignment[0])
+
+
+def _collapse_rows(u, one, psi, flip_prob: float):
+    """The post-measurement states single_shot_readout gives the attempts
+    whose readout uniforms are the columns of u and true outcomes `one`."""
+    _, b, c = psi
+    dark = ~one
+    rest = np.sqrt(b[0] * b[0] + b[1] * b[1] + c[0] * c[0] + c[1] * c[1])
+    post = np.zeros((3,) + b.shape)
+    post[0, 0] = one
+    np.divide(b, rest, out=post[1], where=dark)
+    np.divide(c, rest, out=post[2], where=dark)
+    flipped = np.flatnonzero(dark & (u[1] < flip_prob))
+    if len(flipped):
+        # rows (r0, r1) and (phi0, phi1) of the normalised complex Gaussian pair
+        r = np.sqrt(-2.0 * np.log(1.0 - u[3::2, flipped]))
+        n = np.hypot(r[0], r[1])
+        phi = _TWO_PI * u[4::2, flipped]
+        post[1:, 0, flipped] = r * np.cos(phi) / n
+        post[1:, 1, flipped] = r * np.sin(phi) / n
+    return post
+
+
+def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
+    """Assigned bits (b1, b2) of the attempts whose windows are the columns
+    of u: initialize, noisy_apply and single_shot_readout in turn, each run
+    as array steps over all of them."""
+    pre, first, mid, second, _ = prog.layout
+    p = noise.init_error_prob
+    plus = u[0] < 1.0 - p
+    zero = ~plus & (u[0] < 1.0 - p / 2.0)
+    psi = np.zeros((3, 2, u.shape[1]))
+    psi[0, 0], psi[1, 0], psi[2, 0] = plus, zero, ~(plus | zero)
+    std = noise.pulse_angle_error_std
+    psi = _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], psi)
+    one, b1 = _readout_rows(u[first:mid], psi, eps)
+    psi = _collapse_rows(u[first:mid], one, psi, noise.nuclear_flip_prob)
+    psi = _noisy_apply_rows(prog.mid_pulses, std, u[mid:second], psi)
+    _, b2 = _readout_rows(u[second:], psi, eps)
+    return b1, b2
+
+
 def run_protocol(config: RunConfig) -> ExperimentResult:
     """Run the full sequential-measurement protocol.
 
@@ -424,43 +506,36 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     first readout -> noisy swap (or undo) pulses -> second readout.
     Attempts failing the charge check are counted and discarded. Attempt i
     of a group reads only its own window of the group's stream (see
-    group_rng), so results are independent of execution order and of the
-    CHUNK of windows drawn at once; identical configurations reproduce
-    identical counts.
+    group_rng), so results are independent of execution order and of how
+    many windows are drawn at once; identical configurations reproduce
+    identical counts. The windows that pass the charge check in each draw
+    run together as array steps (_run_rows), one per pulse and readout.
     """
     noise = config.noise
     shots = config.shots_per_term
     p_charge = noise.charge_good_prob
     # with no attempt able to pass the charge check, fail before drawing one
     budget = config.attempt_budget() if p_charge > 0.0 else 0
-    flip = noise.nuclear_flip_prob
     eps = misassignment_probabilities(noise)
     successes = {name: 0 for name in TERM_NAMES}
     kept_total = 0
     discarded_total = 0
     for prog in shot_programs(config.pair_order):
-        pre, first, mid, second, width = prog.layout
+        width = prog.layout[-1]
         rng = group_rng(config.seed, prog.group)
         kept = attempts = 0
         singles = pairs = 0
         while kept < shots and attempts < budget:
-            block = rng.random((min(CHUNK, budget - attempts), width))
-            # only windows that pass the charge check become Python floats
-            good = np.flatnonzero(block[:, 1] < p_charge)
-            used = len(block)
-            for i, u in zip(good.tolist(), block[good].tolist()):
-                psi = initialize(noise, u[0])
-                psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
-                b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
-                psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
-                b2, _ = single_shot_readout(psi, u[second:], eps, flip)
-                singles += b1 if prog.single_from_first else b2
-                pairs += b1 & b2
-                kept += 1
-                if kept == shots:
-                    used = i + 1
-                    break
-            attempts += used
+            windows = min(math.ceil(CHUNK / p_charge), DRAW_UNIFORMS // width, budget - attempts)
+            block = rng.random((windows, width))
+            good = np.flatnonzero(block[:, 1] < p_charge)[: shots - kept]
+            kept += len(good)
+            # the group ends at its shots-th passing window, which is counted
+            attempts += int(good[-1]) + 1 if kept == shots else windows
+            if len(good):
+                b1, b2 = _run_rows(prog, noise, eps, block[good].T)
+                singles += int(np.count_nonzero(b1 if prog.single_from_first else b2))
+                pairs += int(np.count_nonzero(b1 & b2))
         if kept < shots:
             raise InsufficientData(
                 f"group {prog.group}: only {kept} of {shots} shots kept "

@@ -30,6 +30,16 @@ def run_cli(*argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+@pytest.fixture
+def no_shot_loop(monkeypatch):
+    """Make any start of the shot loop fail the test."""
+
+    def never(config):
+        raise AssertionError("the shot loop was started")
+
+    monkeypatch.setattr("kcbsim.experiment.run_protocol", never)
+
+
 class TestExact:
     def test_values(self):
         code, rec = run_cli("exact")
@@ -204,6 +214,22 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert "ConfigError" in err and field in err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_csv_exits_2_before_the_run(self, tmp_path, capsys, no_shot_loop, where):
+        path = tmp_path / "missing" / "terms.csv" if where == "missing-directory" else tmp_path
+        code, rec = run_cli("simulate", "--shots", "20", "--csv", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and rec is None
+        assert "ConfigError" in err and "--csv" in err
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys, no_shot_loop):
+        cfg = tmp_path / "binary.yaml"
+        cfg.write_bytes(b"\xff\xfe\x00")
+        code, _ = run_cli("simulate", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "ConfigError" in err and str(cfg) in err
 
     def test_huge_threshold_is_fast(self, tmp_path):
         # the Poisson tails cost the same at any threshold

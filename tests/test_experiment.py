@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import binom, poisson
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData, NonFinite
+from kcbsim.kcbs import TERM_NAMES
 from kcbsim.experiment import (
     BUDGET_TAIL,
     LAMBDA_MAX,
@@ -562,3 +564,65 @@ class TestGroupRng:
         chunked = run_protocol(cfg)
         assert chunked.successes == default.successes
         assert chunked.discarded_shots == default.discarded_shots
+
+
+def scalar_counts(config):
+    """(successes, kept, discarded) of run_protocol, recomputed one attempt
+    at a time from initialize, noisy_apply and single_shot_readout, each
+    attempt reading its own window of the group's stream."""
+    noise = config.noise
+    shots = config.shots_per_term
+    eps = misassignment_probabilities(noise)
+    flip = noise.nuclear_flip_prob
+    successes = dict.fromkeys(TERM_NAMES, 0)
+    kept = attempts = 0
+    for prog in shot_programs(config.pair_order):
+        pre, first, mid, second, width = prog.layout
+        rng = group_rng(config.seed, prog.group)
+        group_kept = 0
+        while group_kept < shots:
+            u = rng.random(width).tolist()
+            attempts += 1
+            if not u[1] < noise.charge_good_prob:
+                continue
+            psi = initialize(noise, u[0])
+            psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
+            b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
+            psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
+            b2, _ = single_shot_readout(psi, u[second:], eps, flip)
+            successes[prog.single_term] += b1 if prog.single_from_first else b2
+            successes[prog.pair_term] += b1 & b2
+            group_kept += 1
+        kept += group_kept
+    return successes, kept, attempts - kept
+
+
+# every channel on and far from the presets: frequent init errors, flips
+# and discards, inverted polarity and wide angle noise
+STRESS = dict(pulse_angle_error_std=0.2, init_error_prob=0.3, nuclear_flip_prob=0.5,
+              charge_good_prob=0.3, bright_state_is_one=False, lambda_bright=10.5,
+              lambda_dark=1.55, readout_threshold=4)
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress"])
+    def test_counts_match_the_scalar_helpers(self, preset, seed, pair_order):
+        data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
+        cfg = build_run_config(data, seed=seed, shots=400, pair_order=pair_order)
+        res = run_protocol(cfg)
+        assert (res.successes, res.kept_shots, res.discarded_shots) == scalar_counts(cfg)
+
+    @pytest.mark.parametrize("shots, charge_good_prob", [(100_000, 1.0), (20, 1e-4)])
+    def test_memory_does_not_grow_with_shots_or_discards(self, shots, charge_good_prob):
+        data = load_preset("ideal")
+        data["noise"]["charge_good_prob"] = charge_good_prob
+        cfg = build_run_config(data, seed=3, shots=shots)
+        tracemalloc.start()
+        try:
+            run_protocol(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
