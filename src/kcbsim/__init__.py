@@ -12,9 +12,7 @@ from .errors import (
     InsufficientData,
     KcbsimError,
     NonFinite,
-    NotProjector,
     NotUnit,
-    NotUnitary,
     ValidationFailed,
     ZeroVector,
 )
@@ -37,12 +35,9 @@ from .pentagram import (
     gram,
 )
 from .qutrit import (
-    apply,
-    born,
     cartesian_embed,
     compose,
     make_state,
-    neutral_projector,
     rot_a,
     rot_b,
     spin_operators,

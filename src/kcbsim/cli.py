@@ -192,11 +192,13 @@ def cmd_spectrum(args) -> int:
     from .experiment import NvParameters, nmr_frequencies
 
     t0 = time.perf_counter()
-    params = NvParameters(
-        quadrupole_mhz=args.Q,
-        gyromagnetic_khz_per_gauss=args.gamma_n,
-        field_gauss=args.B,
-    )
+    given = {
+        "quadrupole_mhz": args.Q,
+        "gyromagnetic_khz_per_gauss": args.gamma_n,
+        "field_gauss": args.B,
+    }
+    # an option left out takes its NvParameters default
+    params = NvParameters(**{k: v for k, v in given.items() if v is not None})
     low, high = nmr_frequencies(params)
     record = {
         "command": "spectrum",
@@ -242,12 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_spec = sub.add_parser("spectrum", help="nuclear transition frequencies")
-    p_spec.add_argument("--Q", type=float, default=4.95, help="quadrupole splitting in MHz")
+    p_spec.add_argument("--Q", type=float, help="quadrupole splitting in MHz")
     p_spec.add_argument(
-        "--gamma-n", dest="gamma_n", type=float, default=0.3077,
-        help="gyromagnetic ratio in kHz per gauss",
+        "--gamma-n", dest="gamma_n", type=float, help="gyromagnetic ratio in kHz per gauss"
     )
-    p_spec.add_argument("--B", type=float, default=5636.0, help="magnetic field in gauss")
+    p_spec.add_argument("--B", type=float, help="magnetic field in gauss")
     p_spec.set_defaults(func=cmd_spectrum)
     return parser
 

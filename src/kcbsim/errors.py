@@ -13,14 +13,6 @@ class NonFinite(KcbsimError):
     """A NaN or infinite value was passed where a finite number is required."""
 
 
-class NotUnitary(KcbsimError):
-    """An operator failed the unitarity check."""
-
-
-class NotProjector(KcbsimError):
-    """An operator failed the projector check (P^2 = P, P = P^dagger)."""
-
-
 class NotUnit(KcbsimError):
     """A direction vector is not unit length."""
 

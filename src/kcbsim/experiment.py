@@ -54,10 +54,13 @@ class NvParameters:
 
 def nmr_frequencies(p: NvParameters) -> tuple[float, float]:
     """The two nuclear transition frequencies |E(+-1) - E(0)| in MHz,
-    sorted ascending. The Zeeman term gn*Bz is converted from kHz to MHz."""
+    sorted ascending. The Zeeman term gn*Bz is converted from kHz to MHz.
+    Raises NonFinite when finite inputs overflow to an infinite frequency."""
     zeeman_mhz = p.gyromagnetic_khz_per_gauss * p.field_gauss * 1e-3
     f1 = abs(p.quadrupole_mhz - zeeman_mhz)
     f2 = abs(p.quadrupole_mhz + zeeman_mhz)
+    if not (math.isfinite(f1) and math.isfinite(f2)):
+        raise NonFinite(f"transition frequencies overflow (Zeeman term {zeeman_mhz!r} MHz)")
     return (f1, f2) if f1 <= f2 else (f2, f1)
 
 

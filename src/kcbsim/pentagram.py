@@ -42,12 +42,10 @@ class PentagramAngles:
 class Quintuplet:
     """Ordered basis cycle l1..l6 with l6 closing back onto l1.
 
-    Adjacent states are orthogonal within 1e-10 and |<l6|l1>| = 1 within
-    1e-10. `source` tags which construction produced it.
+    Adjacent states are orthogonal and |<l6|l1>| = 1, both within 1e-10.
     """
 
     states: tuple
-    source: str
 
     def __post_init__(self):
         if len(self.states) != 6:
@@ -124,7 +122,7 @@ def pulse_cycle(gamma: float | None = None) -> Quintuplet:
     states = {}
     for k, state in _slot_states(gamma):
         states.setdefault(k, state)
-    return Quintuplet(states=tuple(states[k] for k in range(1, 7)), source="pulse")
+    return Quintuplet(states=tuple(states[k] for k in range(1, 7)))
 
 
 def slot_defect(q: Quintuplet) -> float:
@@ -179,7 +177,7 @@ def build_cartesian_quintuplet() -> tuple[list[np.ndarray], Quintuplet]:
     dirs = pentagram_directions()
     states = [qutrit.cartesian_embed(n) for n in dirs]
     states.append(states[0])
-    return dirs, Quintuplet(states=tuple(states), source="cartesian")
+    return dirs, Quintuplet(states=tuple(states))
 
 
 def psi0_pulses() -> tuple[tuple[str, float], ...]:

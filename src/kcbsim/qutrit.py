@@ -12,21 +12,11 @@ import math
 
 import numpy as np
 
-from .errors import (
-    EmptySequence,
-    NonFinite,
-    NotProjector,
-    NotUnit,
-    NotUnitary,
-    ZeroVector,
-)
+from .errors import EmptySequence, NonFinite, NotUnit, ZeroVector
 
 # Tolerances: algebraic identities at 1e-12, constructed geometry at 1e-10.
 ATOL = 1e-12
 GEOMETRY_ATOL = 1e-10
-
-#: Basis ordering used everywhere: index 0 = |+1>, 1 = |0>, 2 = |-1>.
-BASIS_LABELS = ("+1", "0", "-1")
 
 KET_PLUS = np.array([1.0, 0.0, 0.0], dtype=complex)
 KET_ZERO = np.array([0.0, 1.0, 0.0], dtype=complex)
@@ -86,35 +76,6 @@ def dagger(op: np.ndarray) -> np.ndarray:
     return np.asarray(op).conj().T
 
 
-def is_unitary(op: np.ndarray, tol: float = ATOL) -> bool:
-    """Check ||U^dag U - I||_max < tol."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (3, 3):
-        return False
-    return bool(np.max(np.abs(dagger(op) @ op - IDENTITY)) < tol)
-
-
-def is_projector(op: np.ndarray, tol: float = ATOL) -> bool:
-    """Check P^2 = P and P = P^dag within tol."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (3, 3):
-        return False
-    idempotent = np.max(np.abs(op @ op - op)) < tol
-    hermitian = np.max(np.abs(op - dagger(op))) < tol
-    return bool(idempotent and hermitian)
-
-
-def apply(u: np.ndarray, psi: np.ndarray, check: bool = True) -> np.ndarray:
-    """Apply a unitary to a state, returning U|psi>.
-
-    With check=True (default) a NotUnitary error is raised when U fails
-    the unitarity test; norm is then preserved automatically.
-    """
-    if check and not is_unitary(u):
-        raise NotUnitary("operator is not unitary within tolerance")
-    return np.asarray(u, dtype=complex) @ np.asarray(psi, dtype=complex)
-
-
 def compose(ops) -> np.ndarray:
     """Compose operators given in application order (first entry acts first).
 
@@ -127,31 +88,6 @@ def compose(ops) -> np.ndarray:
     for op in ops[1:]:
         total = np.asarray(op, dtype=complex) @ total
     return total
-
-
-def projector(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi|."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
-
-
-def born(psi: np.ndarray, p: np.ndarray) -> float:
-    """Born probability <psi|P|psi> for a projector P.
-
-    The result is clamped to [0, 1] only when it lies within 1e-12 of a
-    boundary (numerical round-off); genuinely out-of-range values are a
-    bug and are returned as-is.
-    """
-    p = np.asarray(p, dtype=complex)
-    if not is_projector(p):
-        raise NotProjector("measurement operator is not a projector")
-    psi = np.asarray(psi, dtype=complex)
-    value = float(np.real(np.vdot(psi, p @ psi)))
-    if -ATOL < value < 0.0:
-        return 0.0
-    if 1.0 < value < 1.0 + ATOL:
-        return 1.0
-    return value
 
 
 def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,14 +128,6 @@ def cartesian_embed(n) -> np.ndarray:
         dtype=complex,
     )
     return fix_phase(psi)
-
-
-def neutral_projector(n) -> np.ndarray:
-    """Projector I - (n . S)^2 onto the m = 0 state along direction n."""
-    nx, ny, nz = as_direction(n)
-    sx, sy, sz = spin_operators()
-    sn = nx * sx + ny * sy + nz * sz
-    return IDENTITY - sn @ sn
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:

@@ -15,19 +15,24 @@ from hypothesis import strategies as st
 
 from kcbsim import errors
 from kcbsim.cli import main
-from kcbsim.experiment import NoiseModel
+from kcbsim.experiment import NoiseModel, NvParameters
 from kcbsim.kcbs import TERM_NAMES
 
 SQRT5 = math.sqrt(5.0)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_cli(*argv):
-    """Invoke the CLI in-process, returning (exit_code, parsed_json)."""
+    """Invoke the CLI in-process, returning (exit_code, parsed_json). The
+    record must be strict JSON: NaN and Infinity fail the parse."""
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
     out = buf.getvalue()
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None)
 
 
 @pytest.fixture
@@ -304,6 +309,10 @@ class TestSpectrum:
         assert code == 0
         assert rec["f_low_mhz"] == pytest.approx(3.2158, abs=1e-3)
         assert rec["f_high_mhz"] == pytest.approx(6.6842, abs=1e-3)
+        defaults = NvParameters()
+        assert rec["quadrupole_mhz"] == defaults.quadrupole_mhz
+        assert rec["gyromagnetic_khz_per_gauss"] == defaults.gyromagnetic_khz_per_gauss
+        assert rec["field_gauss"] == defaults.field_gauss
 
     def test_zero_field(self):
         _, rec = run_cli("spectrum", "--B", "0")
@@ -316,6 +325,11 @@ class TestSpectrum:
     def test_nonfinite_rejected(self, capsys):
         code, _ = run_cli("spectrum", "--Q", "nan")
         assert code != 0
+
+    def test_overflowing_frequency_exits_2(self, capsys):
+        code, rec = run_cli("spectrum", "--gamma-n", "1e308", "--B", "1e308")
+        assert code == 2 and rec is None
+        assert "NonFinite" in capsys.readouterr().err
 
 
 # Any YAML scalar or list the schema might meet: numbers of every size and

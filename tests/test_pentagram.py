@@ -107,8 +107,7 @@ class TestReadoutSlots:
         q = build_pulse_quintuplet()
         assert slot_defect(q) < 1e-10
         shuffled = Quintuplet(
-            states=(q.states[0], q.states[1], q.states[3], q.states[2], q.states[4], q.states[5]),
-            source="pulse",
+            states=(q.states[0], q.states[1], q.states[3], q.states[2], q.states[4], q.states[5])
         )
         assert slot_defect(shuffled) > 0.1
 

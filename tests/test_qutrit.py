@@ -6,27 +6,15 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from kcbsim import qutrit
-from kcbsim.errors import (
-    EmptySequence,
-    NonFinite,
-    NotProjector,
-    NotUnit,
-    NotUnitary,
-    ZeroVector,
-)
+from kcbsim.errors import EmptySequence, NonFinite, NotUnit, ZeroVector
 from kcbsim.qutrit import (
     KET_MINUS,
     KET_PLUS,
     KET_ZERO,
-    apply,
-    born,
     cartesian_embed,
     compose,
     dagger,
     make_state,
-    neutral_projector,
-    projector,
     rot_a,
     rot_b,
     spin_operators,
@@ -121,21 +109,15 @@ class TestRotations:
 class TestApplyCompose:
     def test_identity_apply(self):
         psi = make_state(0.3, 0.4j, 0.5)
-        assert_allclose(apply(np.eye(3), psi), psi)
+        assert_allclose(np.eye(3) @ psi, psi)
 
     def test_pi_pulse_apply(self):
-        assert states_equal_up_to_phase(apply(rot_a(math.pi), KET_PLUS), KET_ZERO)
+        assert states_equal_up_to_phase(rot_a(math.pi) @ KET_PLUS, KET_ZERO)
 
     def test_swap_sends_plus_to_minus(self):
         u_swap = compose([rot_b(math.pi), rot_a(math.pi), rot_b(math.pi)])
-        assert states_equal_up_to_phase(apply(u_swap, KET_PLUS), KET_MINUS)
-        assert states_equal_up_to_phase(apply(u_swap, KET_MINUS), KET_PLUS)
-
-    def test_apply_rejects_nonunitary(self):
-        with pytest.raises(NotUnitary):
-            apply(np.diag([2.0, 1.0, 1.0]), KET_PLUS)
-        # the check can be disabled
-        apply(np.diag([2.0, 1.0, 1.0]), KET_PLUS, check=False)
+        assert states_equal_up_to_phase(u_swap @ KET_PLUS, KET_MINUS)
+        assert states_equal_up_to_phase(u_swap @ KET_MINUS, KET_PLUS)
 
     def test_compose_identities(self):
         assert_allclose(compose([np.eye(3), np.eye(3)]), np.eye(3))
@@ -150,28 +132,6 @@ class TestApplyCompose:
     def test_compose_empty_rejected(self):
         with pytest.raises(EmptySequence):
             compose([])
-
-
-class TestBorn:
-    def test_certain_outcome(self):
-        assert born(KET_PLUS, projector(KET_PLUS)) == 1.0
-
-    def test_symmetry_axis_overlap(self):
-        psi0 = make_state(5**-0.25, math.sqrt(1 - 2 / SQRT5), 5**-0.25)
-        assert_allclose(born(psi0, projector(KET_PLUS)), 1 / SQRT5, atol=1e-12)
-
-    def test_orthogonal_outcome(self):
-        assert born(KET_ZERO, projector(KET_PLUS)) == 0.0
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(NotProjector):
-            born(KET_PLUS, np.diag([1.0, 2.0, 0.0]))
-
-    def test_clamps_only_roundoff(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = born(haar_state(rng), projector(haar_state(rng)))
-            assert 0.0 <= p <= 1.0
 
 
 class TestSpinOperators:
@@ -227,25 +187,3 @@ class TestCartesianEmbed:
             got = abs(np.vdot(cartesian_embed(n), cartesian_embed(m)))
             assert got == pytest.approx(abs(float(n @ m)), abs=1e-12)
 
-
-class TestNeutralProjector:
-    def test_equals_embedding_projector(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            n = random_direction(rng)
-            diff = np.max(np.abs(neutral_projector(n) - projector(cartesian_embed(n))))
-            assert diff < 1e-12
-
-    def test_orthogonal_directions_commute(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            n = random_direction(rng)
-            v = rng.standard_normal(3)
-            m = v - (v @ n) * n
-            m /= np.linalg.norm(m)
-            ln, lm = neutral_projector(n), neutral_projector(m)
-            assert np.max(np.abs(ln @ lm - lm @ ln)) < 1e-12
-
-    def test_is_projector(self):
-        n = random_direction(np.random.default_rng(23))
-        assert qutrit.is_projector(neutral_projector(n))

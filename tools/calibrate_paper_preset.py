@@ -22,7 +22,7 @@ import argparse
 import itertools
 import statistics
 
-from kcbsim.config import build_run_config, load_preset
+from kcbsim.config import load_preset
 from kcbsim.experiment import NoiseModel, RunConfig, run_protocol
 
 TARGET_VALUE = 2.117
@@ -37,18 +37,19 @@ GRID = dict(
 
 
 def evaluate(noise: NoiseModel, shots: int, seeds) -> dict:
-    values, stderrs, sigmas = [], [], []
+    """Forward-order runs of one noise model, one per seed: the across-seed
+    means and the per-seed rows (seed, value, stderr, sigma)."""
+    rows = []
     for seed in seeds:
         res = run_protocol(RunConfig(seed=seed, shots_per_term=shots, noise=noise))
-        values.append(res.inequality_value)
-        stderrs.append(res.inequality_stderr)
-        sigmas.append(res.violation_sigma)
+        rows.append((seed, res.inequality_value, res.inequality_stderr, res.violation_sigma))
+    _, values, stderrs, sigmas = zip(*rows)
     return {
         "value": statistics.mean(values),
         "value_spread": statistics.pstdev(values),
         "stderr": statistics.mean(stderrs),
         "sigma": statistics.mean(sigmas),
-        "per_seed_values": values,
+        "per_seed": rows,
     }
 
 
@@ -88,20 +89,14 @@ def scan(shots: int, seeds) -> None:
 
 def verify(shots: int | None) -> None:
     data = load_preset("paper-2015")
-    seeds = range(1, 11)
+    assert data["pair_order"] == "forward"  # the order evaluate runs
+    summary = evaluate(NoiseModel(**data["noise"]), shots or data["shots_per_term"], range(1, 11))
     print("seed  value    stderr   sigma")
-    values, stderrs, sigmas = [], [], []
-    for seed in seeds:
-        config = build_run_config(data, seed=seed, shots=shots)
-        res = run_protocol(config)
-        values.append(res.inequality_value)
-        stderrs.append(res.inequality_stderr)
-        sigmas.append(res.violation_sigma)
-        print(f"{seed:4d}  {res.inequality_value:.4f}  {res.inequality_stderr:.4f}  "
-              f"{res.violation_sigma:.2f}")
-    print(f"\nmean value  = {statistics.mean(values):.4f}  (target {TARGET_VALUE})")
-    print(f"mean stderr = {statistics.mean(stderrs):.4f}  (target {TARGET_STDERR})")
-    print(f"mean sigma  = {statistics.mean(sigmas):.2f}  (target {TARGET_SIGMA})")
+    for seed, value, stderr, sigma in summary["per_seed"]:
+        print(f"{seed:4d}  {value:.4f}  {stderr:.4f}  {sigma:.2f}")
+    print(f"\nmean value  = {summary['value']:.4f}  (target {TARGET_VALUE})")
+    print(f"mean stderr = {summary['stderr']:.4f}  (target {TARGET_STDERR})")
+    print(f"mean sigma  = {summary['sigma']:.2f}  (target {TARGET_SIGMA})")
 
 
 def main() -> None:
