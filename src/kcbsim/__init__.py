@@ -8,12 +8,10 @@ from .errors import (
     ClosureFailure,
     ConfigError,
     ConventionMismatch,
-    EmptySequence,
     InsufficientData,
     KcbsimError,
     NonFinite,
     NotUnit,
-    ValidationFailed,
     ZeroVector,
 )
 from .kcbs import (

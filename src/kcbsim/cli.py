@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -13,7 +14,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, KcbsimError, ValidationFailed
+from .errors import ConfigError, KcbsimError
 from .kcbs import (
     TERM_NAMES,
     exact_terms,
@@ -32,31 +33,22 @@ from .pentagram import (
     gram,
     slot_defect,
 )
-from .qutrit import spin_operators
+from .qutrit import ATOL, GEOMETRY_ATOL, spin_operators
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, indent=2, sort_keys=True))
-
-
-def cmd_exact(args) -> int:
-    t0 = time.perf_counter()
+def cmd_exact(args) -> dict:
     q = build_pulse_quintuplet()
     psi0 = build_psi0()
     terms = exact_terms(psi0, q)
     bound, maximizers = nchv_bound()
-    record = {
-        "command": "exact",
+    return {
         "terms": terms.as_dict(),
         "kcbs_value": kcbs_value(terms),
         "modified_kcbs_value": modified_kcbs_value(terms),
         "nchv_bound": bound,
         "nchv_bound_modified": nchv_bound_modified(),
         "nchv_maximizer_count": len(maximizers),
-        "wall_clock_seconds": time.perf_counter() - t0,
     }
-    _emit(record)
-    return 0
 
 
 def _validation_checks(gamma_override=None):
@@ -67,27 +59,24 @@ def _validation_checks(gamma_override=None):
     yield ("phi_identity", abs(np.cos(ang.phi) - (1 - np.sqrt(5)) / 2), 1e-15)
 
     q = build_pulse_quintuplet(gamma=gamma_override)  # raises ClosureFailure on a bad angle
-    yield ("pulse_adjacent_orthogonality", adjacency_defect(q), 1e-10)
-    yield ("pulse_closure", closure_defect(q), 1e-10)
+    yield ("pulse_adjacent_orthogonality", adjacency_defect(q), GEOMETRY_ATOL)
+    yield ("pulse_closure", closure_defect(q), GEOMETRY_ATOL)
 
     dirs, qc = build_cartesian_quintuplet()
-    yield ("cartesian_adjacent_orthogonality", adjacency_defect(qc), 1e-10)
+    yield ("cartesian_adjacent_orthogonality", adjacency_defect(qc), GEOMETRY_ATOL)
     axis = np.array([0.0, 0.0, 1.0])
-    yield (
-        "cartesian_axis_overlap",
-        max(abs(float(n @ axis) - 5**-0.25) for n in dirs),
-        1e-12,
-    )
+    axis_overlap = max(abs(float(n @ axis) - 5**-0.25) for n in dirs)
+    yield ("cartesian_axis_overlap", axis_overlap, ATOL)
     g_pulse = gram(q.states[:5])
     g_cart = gram(qc.states[:5])
-    yield ("gram_equivalence", float(np.max(np.abs(g_pulse - g_cart))), 1e-10)
+    yield ("gram_equivalence", float(np.max(np.abs(g_pulse - g_cart))), GEOMETRY_ATOL)
 
     psi0 = build_psi0()  # raises ConventionMismatch if the two forms split
     terms = exact_terms(psi0, q)
-    yield ("psi0_singles", float(np.max(np.abs(terms.singles - 5**-0.5))), 1e-10)
-    yield ("psi0_pairs", float(np.max(np.abs(terms.pairs))), 1e-10)
+    yield ("psi0_singles", float(np.max(np.abs(terms.singles - 5**-0.5))), GEOMETRY_ATOL)
+    yield ("psi0_pairs", float(np.max(np.abs(terms.pairs))), GEOMETRY_ATOL)
 
-    yield ("readout_slots", slot_defect(q), 1e-10)
+    yield ("readout_slots", slot_defect(q), GEOMETRY_ATOL)
 
     sx, sy, sz = spin_operators()
     comm = sx @ sy - sy @ sx - 1j * sz
@@ -96,40 +85,27 @@ def _validation_checks(gamma_override=None):
     yield ("spin_casimir", float(np.max(np.abs(casimir))), 1e-14)
 
 
-def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_validate(args) -> dict:
+    """Run the checks in order, stopping at the first that fails: a defect
+    over its tolerance, or a construction that raises."""
     checks = []
+    record = {"status": "ok", "checks": checks}
     try:
         for name, defect, tol in _validation_checks(gamma_override=args.gamma):
             checks.append({"check": name, "defect": defect, "tolerance": tol})
             if not defect < tol:
-                raise ValidationFailed(name, f"defect {defect:.3e} exceeds {tol:.0e}")
+                error = f"{name}: defect {defect:.3e} exceeds {tol:.0e}"
+                record.update(status="failed", failed_check=name, error=error)
+                break
     except KcbsimError as exc:
-        record = {
-            "command": "validate",
-            "status": "failed",
-            "failed_check": getattr(exc, "check", type(exc).__name__),
-            "error": str(exc),
-            "checks": checks,
-            "wall_clock_seconds": time.perf_counter() - t0,
-        }
-        _emit(record)
-        return 1
-    record = {
-        "command": "validate",
-        "status": "ok",
-        "checks": checks,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    _emit(record)
-    return 0
+        record.update(status="failed", failed_check=type(exc).__name__, error=str(exc))
+    return record
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     from . import experiment
-    from .config import build_run_config, config_as_dict, load_config_file, load_preset
+    from .config import build_run_config, load_config_file, load_preset
 
-    t0 = time.perf_counter()
     data = load_config_file(args.config) if args.config else load_preset(args.preset)
     config = build_run_config(
         data, seed=args.seed, shots=args.shots, pair_order=args.pair_order
@@ -139,11 +115,10 @@ def cmd_simulate(args) -> int:
         if csv_file:
             _write_csv(csv_file, result)
     eps0, eps1 = experiment.misassignment_probabilities(config.noise)
-    record = {
-        "command": "simulate",
+    return {
         "preset": None if args.config else args.preset,
         "config_file": args.config,
-        "config": config_as_dict(config),
+        "config": dataclasses.asdict(config),
         "seed": config.seed,
         "terms": result.terms.as_dict(),
         "stderrs": result.stderrs.as_dict(),
@@ -158,19 +133,20 @@ def cmd_simulate(args) -> int:
         "nchv_bound": nchv_bound()[0],
         "nchv_bound_modified": nchv_bound_modified(),
         "readout_misassignment": {"assign1_given0": eps0, "assign0_given1": eps1},
-        "wall_clock_seconds": time.perf_counter() - t0,
     }
-    _emit(record)
-    return 0
 
 
+@contextlib.contextmanager
 def _open_csv(path: str | None):
-    """The --csv file opened for writing, or a null context without one.
-    It is opened before the run, so an unwritable path fails at once."""
+    """The --csv file open for writing, or None without one. It is opened
+    before the run, so an unwritable path fails at once; a failed write,
+    flush or close gives the same ConfigError."""
     if path is None:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w", newline="")
+        with open(path, "w", newline="") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"--csv {path}: cannot write ({exc.strerror})") from exc
 
@@ -188,10 +164,9 @@ def _write_csv(fh, result) -> None:
         )
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     from .experiment import NvParameters, nmr_frequencies
 
-    t0 = time.perf_counter()
     given = {
         "quadrupole_mhz": args.Q,
         "gyromagnetic_khz_per_gauss": args.gamma_n,
@@ -200,17 +175,7 @@ def cmd_spectrum(args) -> int:
     # an option left out takes its NvParameters default
     params = NvParameters(**{k: v for k, v in given.items() if v is not None})
     low, high = nmr_frequencies(params)
-    record = {
-        "command": "spectrum",
-        "quadrupole_mhz": params.quadrupole_mhz,
-        "gyromagnetic_khz_per_gauss": params.gyromagnetic_khz_per_gauss,
-        "field_gauss": params.field_gauss,
-        "f_low_mhz": low,
-        "f_high_mhz": high,
-        "wall_clock_seconds": time.perf_counter() - t0,
-    }
-    _emit(record)
-    return 0
+    return {**dataclasses.asdict(params), "f_low_mhz": low, "f_high_mhz": high}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,14 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its JSON record, stamped with the command
+    and its wall time. Exit 0, 1 on a failed validation, 2 on an error."""
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        record = args.func(args)
     except KcbsimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    record.update(command=args.command, wall_clock_seconds=time.perf_counter() - t0)
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 1 if record.get("status") == "failed" else 0

@@ -17,10 +17,7 @@ from .errors import ConfigError
 from .experiment import NoiseModel, RunConfig
 
 _NOISE_FIELDS = {f.name for f in dataclasses.fields(NoiseModel)}
-_TOP_FIELDS = {"shots_per_term", "pair_order", "seed", "noise"}
-
-DEFAULT_SHOTS = 10_000
-DEFAULT_SEED = 0
+_TOP_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def available_presets() -> list[str]:
@@ -74,27 +71,12 @@ def build_run_config(
     pair_order: str | None = None,
 ) -> RunConfig:
     """Turn a parsed configuration document into a RunConfig, applying
-    overrides. Field-level errors surface as ConfigError naming the field."""
+    overrides; a field that neither gives takes its RunConfig default.
+    Field-level errors surface as ConfigError naming the field."""
     try:
         noise = NoiseModel(**data.get("noise", {}))
     except TypeError as exc:
         raise ConfigError(f"invalid noise configuration: {exc}") from exc
-    resolved_seed = seed if seed is not None else data.get("seed", DEFAULT_SEED)
-    resolved_shots = shots if shots is not None else data.get("shots_per_term", DEFAULT_SHOTS)
-    resolved_order = pair_order if pair_order is not None else data.get("pair_order", "forward")
-    return RunConfig(
-        seed=resolved_seed,
-        shots_per_term=resolved_shots,
-        noise=noise,
-        pair_order=resolved_order,
-    )
-
-
-def config_as_dict(config: RunConfig) -> dict:
-    """Round-trippable plain-dict form of a RunConfig."""
-    return {
-        "seed": config.seed,
-        "shots_per_term": config.shots_per_term,
-        "pair_order": config.pair_order,
-        "noise": dataclasses.asdict(config.noise),
-    }
+    given = {"seed": seed, "shots_per_term": shots, "pair_order": pair_order}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    return RunConfig(**{**data, **overrides, "noise": noise})

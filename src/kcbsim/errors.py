@@ -17,10 +17,6 @@ class NotUnit(KcbsimError):
     """A direction vector is not unit length."""
 
 
-class EmptySequence(KcbsimError):
-    """An operator sequence to compose was empty."""
-
-
 class ClosureFailure(KcbsimError):
     """The constructed basis cycle does not close back onto its first state."""
 
@@ -35,11 +31,3 @@ class InsufficientData(KcbsimError):
 
 class ConfigError(KcbsimError):
     """A configuration value is missing, malformed, or out of range."""
-
-
-class ValidationFailed(KcbsimError):
-    """A named self-consistency check failed."""
-
-    def __init__(self, check: str, message: str):
-        self.check = check
-        super().__init__(f"{check}: {message}")

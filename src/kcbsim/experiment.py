@@ -120,8 +120,8 @@ class NoiseModel:
 class RunConfig:
     """Full description of one protocol run."""
 
-    seed: int
-    shots_per_term: int
+    seed: int = 0
+    shots_per_term: int = 10_000
     noise: NoiseModel = field(default_factory=NoiseModel)
     pair_order: str = "forward"
 

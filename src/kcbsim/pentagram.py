@@ -15,7 +15,6 @@ from . import qutrit
 from .errors import ClosureFailure, ConventionMismatch
 from .qutrit import (
     GEOMETRY_ATOL,
-    IDENTITY,
     KET_MINUS,
     KET_PLUS,
     compose,
@@ -95,7 +94,7 @@ def swap_pulses() -> tuple[tuple[str, float], ...]:
 def pulse_unitary(pulses) -> np.ndarray:
     """Matrix of a pulse string given in application order."""
     ops = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
-    return compose(ops) if ops else IDENTITY.copy()
+    return compose(ops)
 
 
 def inverse(pulses) -> tuple[tuple[str, float], ...]:

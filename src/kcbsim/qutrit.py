@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptySequence, NonFinite, NotUnit, ZeroVector
+from .errors import NonFinite, NotUnit, ZeroVector
 
 # Tolerances: algebraic identities at 1e-12, constructed geometry at 1e-10.
 ATOL = 1e-12
@@ -79,11 +79,12 @@ def dagger(op: np.ndarray) -> np.ndarray:
 def compose(ops) -> np.ndarray:
     """Compose operators given in application order (first entry acts first).
 
-    compose([A, B, C]) returns the matrix C @ B @ A.
+    compose([A, B, C]) returns the matrix C @ B @ A, and compose([]) a fresh
+    identity, the empty product.
     """
     ops = list(ops)
     if not ops:
-        raise EmptySequence("cannot compose an empty operator sequence")
+        return IDENTITY.copy()
     total = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         total = np.asarray(op, dtype=complex) @ total

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -86,9 +88,27 @@ class TestValidate:
 
     def test_injected_wrong_gamma_fails(self):
         code, rec = run_cli("validate", "--gamma", str(math.acos(-0.5)))
-        assert code != 0
+        assert code == 1
         assert rec["status"] == "failed"
         assert rec["failed_check"] == "ClosureFailure"
+
+    def test_defect_over_tolerance_fails(self, monkeypatch):
+        from kcbsim import cli
+
+        checks = cli._validation_checks
+
+        def tightened(gamma_override=None):
+            for name, defect, tol in checks(gamma_override):
+                yield name, defect, 0.0 if name == "pulse_closure" else tol
+
+        monkeypatch.setattr(cli, "_validation_checks", tightened)
+        code, rec = run_cli("validate")
+        assert code == 1
+        assert rec["status"] == "failed"
+        assert rec["failed_check"] == "pulse_closure"
+        last = rec["checks"][-1]
+        assert last["check"] == "pulse_closure" and last["tolerance"] == 0.0
+        assert rec["error"] == f"pulse_closure: defect {last['defect']:.3e} exceeds 0e+00"
 
 
 class TestSimulate:
@@ -228,6 +248,20 @@ class TestSimulate:
         assert code == 2 and rec is None
         assert "ConfigError" in err and "--csv" in err
 
+    def test_failed_csv_write_exits_2(self, capsys, monkeypatch):
+        path = "/dev/full"  # every write fails with ENOSPC
+        if not os.path.exists(path):
+
+            class Full(io.StringIO):
+                def write(self, text):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            monkeypatch.setattr("kcbsim.cli.open", lambda *a, **k: Full(), raising=False)
+        code, rec = run_cli("simulate", "--shots", "10", "--csv", path)
+        err = capsys.readouterr().err
+        assert code == 2 and rec is None
+        assert f"ConfigError: --csv {path}: cannot write (" in err
+
     def test_config_not_utf8_exits_2(self, tmp_path, capsys, no_shot_loop):
         cfg = tmp_path / "binary.yaml"
         cfg.write_bytes(b"\xff\xfe\x00")
@@ -272,6 +306,18 @@ def run_fresh(code: str) -> str:
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exact"], ["validate"], ["simulate", "--shots", "200"], ["spectrum"]],
+    ids=lambda argv: argv[0],
+)
+def test_record_names_command_and_wall_clock(argv):
+    code, rec = run_cli(*argv)
+    assert code == 0
+    assert rec["command"] == argv[0]
+    assert math.isfinite(rec["wall_clock_seconds"]) and rec["wall_clock_seconds"] >= 0
 
 
 class TestImports:

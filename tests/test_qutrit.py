@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
-from kcbsim.errors import EmptySequence, NonFinite, NotUnit, ZeroVector
+from kcbsim.errors import NonFinite, NotUnit, ZeroVector
 from kcbsim.qutrit import (
     KET_MINUS,
     KET_PLUS,
@@ -129,9 +129,13 @@ class TestApplyCompose:
         a, b = rot_a(0.7), rot_b(1.1)
         assert_allclose(compose([a, b]), b @ a, atol=1e-15)
 
-    def test_compose_empty_rejected(self):
-        with pytest.raises(EmptySequence):
-            compose([])
+    def test_compose_empty_is_identity(self):
+        # the empty product, as a fresh array each call
+        first, second = compose([]), compose([])
+        assert_array_equal(first, np.eye(3))
+        assert first.dtype == complex and first is not second
+        first[0, 0] = 2.0
+        assert_array_equal(compose([]), np.eye(3))
 
 
 class TestSpinOperators:

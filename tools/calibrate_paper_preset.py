@@ -87,10 +87,10 @@ def scan(shots: int, seeds) -> None:
         print(f"  {k}: {best[k]}")
 
 
-def verify(shots: int | None) -> None:
+def verify(shots: int) -> None:
     data = load_preset("paper-2015")
     assert data["pair_order"] == "forward"  # the order evaluate runs
-    summary = evaluate(NoiseModel(**data["noise"]), shots or data["shots_per_term"], range(1, 11))
+    summary = evaluate(NoiseModel(**data["noise"]), shots, range(1, 11))
     print("seed  value    stderr   sigma")
     for seed, value, stderr, sigma in summary["per_seed"]:
         print(f"{seed:4d}  {value:.4f}  {stderr:.4f}  {sigma:.2f}")
@@ -101,15 +101,17 @@ def verify(shots: int | None) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shots", type=int, default=8000)
+    parser.add_argument("--shots", type=int, default=None,
+                        help="kept shots per term (default: the preset's shots_per_term)")
     parser.add_argument("--seeds", type=int, default=6, help="seeds per candidate in the scan")
     parser.add_argument("--verify", action="store_true",
                         help="run the shipped preset across seeds 1..10 instead of scanning")
     args = parser.parse_args()
+    shots = load_preset("paper-2015")["shots_per_term"] if args.shots is None else args.shots
     if args.verify:
-        verify(None if args.shots == 8000 else args.shots)
+        verify(shots)
     else:
-        scan(args.shots, range(1, args.seeds + 1))
+        scan(shots, range(1, args.seeds + 1))
 
 
 if __name__ == "__main__":
