@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ConfigError, InsufficientData, NonFinite
 from .kcbs import TERM_NAMES, TermSet, kcbs_value, modified_kcbs_value
 from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_pulses
-from .qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 
 #: Largest accepted mean photon count; it bounds the Poisson window that
 #: misassignment_probabilities sums (about 7.6e5 terms).
@@ -192,88 +191,21 @@ _TWO_PI = 2.0 * math.pi
 #: for the complex Gaussian pair of the depolarised state.
 READOUT_UNIFORMS = 7
 #: Passing windows each array step of run_protocol aims to run: a draw holds
-#: ceil(CHUNK / charge_good_prob) windows. Counts do not depend on it.
-#: Larger values run faster (about 1.6x per doubling on paper-2015). It is
-#: 32 because perfbench's sweep-small workload holds about 2 KB per
-#: operation run, so a faster kernel raises its peak RSS; at 64 that rose
-#: more than 5 % above the scalar kernel's.
-CHUNK = 32
+#: ceil(CHUNK / charge_good_prob) windows. Counts do not depend on it. What
+#: bounds it is the kernel's own working set, which grows with it and which
+#: test_memory_does_not_grow_with_shots_or_discards holds under 4 MiB of
+#: tracemalloc peak, not the benchmark harness's per-operation samples. The
+#: peak is 0.61 MiB at 512 on paper-2015; 1024 ran about 14 % faster there
+#: but doubled the peak to 1.21 MiB.
+CHUNK = 512
 #: Most uniforms one draw holds (1 MiB of float64), which bounds the draws
 #: at a low charge_good_prob.
 DRAW_UNIFORMS = 2**17
-_PLUS, _ZERO, _MINUS = (tuple(map(complex, k)) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
-
-
-def initialize(noise: NoiseModel, u: float) -> tuple[complex, complex, complex]:
-    """Prepared state from one uniform: |+1> with probability
-    1 - init_error_prob, else |0> or |-1> with equal probability."""
-    p = noise.init_error_prob
-    if u < 1.0 - p:
-        return _PLUS
-    if u < 1.0 - p / 2.0:
-        return _ZERO
-    return _MINUS
 
 
 def normal_uniforms(n: int) -> int:
     """Uniforms that n Box-Muller normals consume: one pair per two."""
     return 2 * ((n + 1) // 2)
-
-
-def noisy_apply(pulses, noise: NoiseModel, u, psi):
-    """Apply a pulse string (application order) with multiplicative angle
-    noise: pulse k runs at angle * (1 + std * e_k), the normals e_k coming
-    in Box-Muller pairs from the uniforms u (normal_uniforms(len(pulses))
-    of them, read only when the noise is on)."""
-    a, b, c = psi
-    std = noise.pulse_angle_error_std
-    for k, (axis, t) in enumerate(pulses):
-        if std > 0.0:
-            if k % 2 == 0:
-                r = math.sqrt(-2.0 * math.log(1.0 - u[k]))
-                phi = _TWO_PI * u[k + 1]
-                e = r * math.cos(phi)
-            else:
-                e = r * math.sin(phi)
-            t *= 1.0 + std * e
-        ch = math.cos(0.5 * t)
-        sh = math.sin(0.5 * t)
-        if axis == "a":
-            a, b = ch * a + sh * b, -sh * a + ch * b
-        else:
-            b, c = ch * b + sh * c, -sh * b + ch * c
-    return a, b, c
-
-
-def single_shot_readout(psi, u, misassignment: tuple[float, float], flip_prob: float):
-    """One readout of the |+1> population from READOUT_UNIFORMS uniforms.
-
-    Returns (assigned_bit, post_state). u[0] draws the true outcome from
-    the Born probability and sets the collapse. On the |0>, |-1> outcome,
-    u[1] < flip_prob replaces the post-measurement state by a uniformly
-    random state of that subspace, built from u[3:7]. u[2] misassigns the
-    bit with the Poisson tail probabilities `misassignment` =
-    (P(assign 1 | true 0), P(assign 0 | true 1)) of the photon count, as
-    misassignment_probabilities gives them.
-    """
-    a, b, c = psi
-    if u[0] < a.real * a.real + a.imag * a.imag:
-        return (0 if u[2] < misassignment[1] else 1), _PLUS
-    if u[1] < flip_prob:
-        # a normalised complex Gaussian pair r_j e^(i phi_j)
-        r0 = math.sqrt(-2.0 * math.log(1.0 - u[3]))
-        r1 = math.sqrt(-2.0 * math.log(1.0 - u[5]))
-        n = math.hypot(r0, r1)
-        phi0, phi1 = _TWO_PI * u[4], _TWO_PI * u[6]
-        post = (
-            0j,
-            complex(r0 * math.cos(phi0), r0 * math.sin(phi0)) / n,
-            complex(r1 * math.cos(phi1), r1 * math.sin(phi1)) / n,
-        )
-    else:
-        rest = math.sqrt(b.real * b.real + b.imag * b.imag + c.real * c.real + c.imag * c.imag)
-        post = (0j, b / rest, c / rest)
-    return (1 if u[2] < misassignment[0] else 0), post
 
 
 def misassignment_probabilities(noise: NoiseModel) -> tuple[float, float]:
@@ -427,10 +359,14 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
 
 
 def _noisy_apply_rows(pulses, std: float, u, psi):
-    """noisy_apply over many attempts at once, with the same arithmetic in
-    the same order. Column j of u holds attempt j's pulse uniforms, and
-    psi = (a, b, c) their amplitudes, each a (2, n) array of real and
-    imaginary rows."""
+    """Apply a pulse string (application order) to many attempts at once.
+
+    psi = (a, b, c) holds the amplitudes, each a (2, n) array of real and
+    imaginary rows, one column per attempt. A pulse of angle t on axis "a"
+    (or "b") maps (a, b) (or (b, c)) to (ch*a + sh*b, (-sh)*a + ch*b), with
+    ch, sh = cos(t/2), sin(t/2). With angle noise on, pulse k runs at
+    t * (1 + std * e_k), the normals e_k coming in Box-Muller pairs from
+    column j of u, attempt j's normal_uniforms(len(pulses)) uniforms."""
     a, b, c = psi
     t = np.array([t for _, t in pulses]).reshape(-1, 1, 1)
     if std > 0.0:
@@ -439,8 +375,8 @@ def _noisy_apply_rows(pulses, std: float, u, psi):
         e = np.empty(u.shape)
         e[0::2] = r * np.cos(phi)
         e[1::2] = r * np.sin(phi)
-        # one row of angles per (re, im) row, so each product below pairs equal shapes
-        t = (t * (1.0 + std * e[: len(pulses), None])).repeat(2, axis=1)
+        # (K, 1, n): pulse k's angles broadcast over the (re, im) rows
+        t = t * (1.0 + std * e[: len(pulses), None])
     ch = np.cos(0.5 * t)
     sh = np.sin(0.5 * t)
     minus_sh = -sh
@@ -453,17 +389,24 @@ def _noisy_apply_rows(pulses, std: float, u, psi):
 
 
 def _readout_rows(u, psi, misassignment: tuple[float, float]):
-    """The true outcomes (True for |+1>) and assigned bits that
-    single_shot_readout gives the attempts whose readout uniforms are the
-    columns of u."""
+    """True outcomes (True for |+1>) and assigned bits of one readout of
+    the attempts whose READOUT_UNIFORMS readout uniforms are the columns of
+    u. u[0] below |a|^2 = re^2 + im^2 gives the |+1> outcome; u[2] then
+    misassigns it with the Poisson tail probabilities `misassignment` =
+    (P(assign 1 | true 0), P(assign 0 | true 1)) that
+    misassignment_probabilities gives."""
     a = psi[0]
     one = u[0] < a[0] * a[0] + a[1] * a[1]
     return one, np.where(one, u[2] >= misassignment[1], u[2] < misassignment[0])
 
 
 def _collapse_rows(u, one, psi, flip_prob: float):
-    """The post-measurement states single_shot_readout gives the attempts
-    whose readout uniforms are the columns of u and true outcomes `one`."""
+    """Post-measurement states of the readout whose uniforms are the
+    columns of u and whose true outcomes are `one`: |+1> on that outcome,
+    else (0, b, c) / sqrt(|b|^2 + |c|^2). A dark outcome with
+    u[1] < flip_prob is replaced by a uniformly random state of that
+    subspace: the normalised complex Gaussian pair r_j e^(i phi_j) with
+    r_j = sqrt(-2 log(1 - u[3 + 2j])) and phi_j = 2 pi u[4 + 2j]."""
     _, b, c = psi
     dark = ~one
     rest = np.sqrt(b[0] * b[0] + b[1] * b[1] + c[0] * c[0] + c[1] * c[1])
@@ -483,9 +426,11 @@ def _collapse_rows(u, one, psi, flip_prob: float):
 
 
 def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
-    """Assigned bits (b1, b2) of the attempts whose windows are the columns
-    of u: initialize, noisy_apply and single_shot_readout in turn, each run
-    as array steps over all of them."""
+    """Assigned bits (b1, b2) of the attempts whose windows (prog.layout)
+    are the columns of u, run as array steps over all of them. u[0] sets
+    the prepared state: |+1> below 1 - init_error_prob, else |0> below
+    1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1,
+    the mid pulses and readout 2 follow, each on its own uniforms."""
     pre, first, mid, second, _ = prog.layout
     p = noise.init_error_prob
     plus = u[0] < 1.0 - p

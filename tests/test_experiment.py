@@ -13,6 +13,8 @@ from kcbsim.errors import ConfigError, InsufficientData, NonFinite
 from kcbsim.kcbs import TERM_NAMES
 from kcbsim.experiment import (
     BUDGET_TAIL,
+    CHUNK,
+    DRAW_UNIFORMS,
     LAMBDA_MAX,
     MAX_ATTEMPTS,
     READOUT_UNIFORMS,
@@ -21,17 +23,15 @@ from kcbsim.experiment import (
     RunConfig,
     estimate_stats,
     group_rng,
-    initialize,
     misassignment_probabilities,
     nmr_frequencies,
-    noisy_apply,
     normal_uniforms,
     run_protocol,
     shot_programs,
-    single_shot_readout,
 )
 from kcbsim.pentagram import build_psi0, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
+from scalar_reference import initialize, noisy_apply, single_shot_readout
 
 SQRT5 = math.sqrt(5.0)
 
@@ -146,18 +146,21 @@ class TestChargeCheck:
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("p", [0.3, 0.97])
-    def test_attempts_end_at_the_last_kept_window(self, p):
+    def test_attempts_end_at_the_last_kept_window(self, p, monkeypatch):
         # recount from the charge column of each group's stream: a group
         # spends attempts up to and including its shots-th passing window
         shots = 200
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
-        res = run_protocol(cfg)
         attempts = 0
         for prog in shot_programs(cfg.pair_order):
             charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), prog.layout[-1]))[:, 1]
             attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
-        assert res.kept_shots == 6 * shots
-        assert res.kept_shots + res.discarded_shots == attempts
+        # at CHUNK 7 each group takes dozens of draws and ends inside the last
+        for chunk in (CHUNK, 7):
+            monkeypatch.setattr(experiment, "CHUNK", chunk)
+            res = run_protocol(cfg)
+            assert res.kept_shots == 6 * shots
+            assert res.kept_shots + res.discarded_shots == attempts
 
 
 def smallest_budget(shots, p):
@@ -564,6 +567,22 @@ class TestGroupRng:
         chunked = run_protocol(cfg)
         assert chunked.successes == default.successes
         assert chunked.discarded_shots == default.discarded_shots
+        # every channel on, in both pair orders, and a charge_good_prob so
+        # low that DRAW_UNIFORMS caps the draws of the default CHUNK
+        low_charge = dict(STRESS, charge_good_prob=0.02)
+        runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 100, "forward")]
+        width = min(prog.layout[-1] for prog in shot_programs())
+        assert math.ceil(CHUNK / 0.02) > DRAW_UNIFORMS // width
+        for noise, shots, pair_order in runs:
+            cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
+            monkeypatch.setattr(experiment, "CHUNK", CHUNK)
+            default = run_protocol(cfg)
+            for chunk in (1, 7, 4096):
+                monkeypatch.setattr(experiment, "CHUNK", chunk)
+                res = run_protocol(cfg)
+                assert (res.successes, res.kept_shots, res.discarded_shots) == (
+                    default.successes, default.kept_shots, default.discarded_shots
+                ), (pair_order, shots, chunk)
 
 
 def scalar_counts(config):
@@ -608,21 +627,36 @@ class TestArrayKernel:
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress"])
-    def test_counts_match_the_scalar_helpers(self, preset, seed, pair_order):
+    def test_counts_match_the_scalar_helpers(self, preset, seed, pair_order, monkeypatch):
         data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
         cfg = build_run_config(data, seed=seed, shots=400, pair_order=pair_order)
-        res = run_protocol(cfg)
-        assert (res.successes, res.kept_shots, res.discarded_shots) == scalar_counts(cfg)
+        expected = scalar_counts(cfg)
+        # at the default CHUNK a group fits in one draw; at 7 it takes dozens,
+        # so counts carried across draws and the cut in the last are checked
+        for chunk in (CHUNK, 7):
+            monkeypatch.setattr(experiment, "CHUNK", chunk)
+            res = run_protocol(cfg)
+            assert (res.successes, res.kept_shots, res.discarded_shots) == expected, chunk
 
     @pytest.mark.parametrize("shots, charge_good_prob", [(100_000, 1.0), (20, 1e-4)])
     def test_memory_does_not_grow_with_shots_or_discards(self, shots, charge_good_prob):
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = charge_good_prob
         cfg = build_run_config(data, seed=3, shots=shots)
-        tracemalloc.start()
-        try:
-            run_protocol(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert traced_peak(cfg) < 4 * 2**20
+
+    def test_memory_bound_holds_with_every_channel_on(self):
+        # noisy angles, Box-Muller normals and flips grow with CHUNK too
+        cfg = build_run_config(load_preset("paper-2015"), seed=3)
+        assert cfg.shots_per_term == 8000
+        assert traced_peak(cfg) < 4 * 2**20
+
+
+def traced_peak(config):
+    """Peak traced Python allocation of one run_protocol call, in bytes."""
+    tracemalloc.start()
+    try:
+        run_protocol(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
