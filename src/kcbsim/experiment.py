@@ -191,13 +191,14 @@ _TWO_PI = 2.0 * math.pi
 #: for the complex Gaussian pair of the depolarised state.
 READOUT_UNIFORMS = 7
 #: Passing windows each array step of run_protocol aims to run: a draw holds
-#: ceil(CHUNK / charge_good_prob) windows. Counts do not depend on it. What
-#: bounds it is the kernel's own working set, which grows with it and which
-#: test_memory_does_not_grow_with_shots_or_discards holds under 4 MiB of
-#: tracemalloc peak, not the benchmark harness's per-operation samples. The
-#: peak is 0.61 MiB at 512 on paper-2015; 1024 ran about 14 % faster there
-#: but doubled the peak to 1.21 MiB.
-CHUNK = 512
+#: ceil(CHUNK / charge_good_prob) windows, fewer when a group needs fewer
+#: shots. Counts do not depend on it. What bounds it is the kernel's own
+#: working set, which grows with it and which the memory tests hold under
+#: 4 MiB of tracemalloc peak, not the benchmark harness's per-operation
+#: samples. On paper-2015 at 8000 shots (2-core VM, medians of 15
+#: interleaved rounds) a run took 47-51 / 36-40 / 36-39 ms at 512 / 1024 /
+#: 2048, with peaks of 0.57 / 1.13 / 2.24 MiB: past 1024 only the peak grows.
+CHUNK = 1024
 #: Most uniforms one draw holds (1 MiB of float64), which bounds the draws
 #: at a low charge_good_prob.
 DRAW_UNIFORMS = 2**17
@@ -358,27 +359,40 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
     return programs
 
 
+def _cos_sin(x):
+    """cos(x) and sin(x) from one tangent: with tau = tan(x / 2),
+    cos = (1 - tau^2) / (1 + tau^2) and sin = 2 tau / (1 + tau^2). numpy
+    may run float64 tan as a vector loop where cos and sin run scalar
+    libm; the pair stays within about 1e-16 of libm's, and finite at the
+    tangent's poles, where tau is large but finite."""
+    tau = np.tan(0.5 * x)
+    tau2 = tau * tau
+    d = 1.0 + tau2
+    return (1.0 - tau2) / d, (tau + tau) / d
+
+
 def _noisy_apply_rows(pulses, std: float, u, psi):
     """Apply a pulse string (application order) to many attempts at once.
 
-    psi = (a, b, c) holds the amplitudes, each a (2, n) array of real and
-    imaginary rows, one column per attempt. A pulse of angle t on axis "a"
-    (or "b") maps (a, b) (or (b, c)) to (ch*a + sh*b, (-sh)*a + ch*b), with
-    ch, sh = cos(t/2), sin(t/2). With angle noise on, pulse k runs at
-    t * (1 + std * e_k), the normals e_k coming in Box-Muller pairs from
-    column j of u, attempt j's normal_uniforms(len(pulses)) uniforms."""
+    psi = (a, b, c) holds real amplitude rows, one column per attempt; a
+    column may instead hold the imaginary parts of an attempt, which every
+    pulse maps the same way, since a pulse is a real rotation. A pulse of
+    angle t on axis "a" (or "b") maps (a, b) (or (b, c)) to
+    (ch*a + sh*b, (-sh)*a + ch*b), with ch, sh = _cos_sin(t / 2). With
+    angle noise on, pulse k runs at t * (1 + std * e_k), the normals e_k
+    coming in Box-Muller pairs r * (cos, sin)(2 pi u') from column j of u,
+    the normal_uniforms(len(pulses)) uniforms of column j's attempt."""
     a, b, c = psi
-    t = np.array([t for _, t in pulses]).reshape(-1, 1, 1)
+    t = np.array([t for _, t in pulses])[:, None]
     if std > 0.0:
         r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-        phi = _TWO_PI * u[1::2]
+        cos, sin = _cos_sin(_TWO_PI * u[1::2])
         e = np.empty(u.shape)
-        e[0::2] = r * np.cos(phi)
-        e[1::2] = r * np.sin(phi)
-        # (K, 1, n): pulse k's angles broadcast over the (re, im) rows
-        t = t * (1.0 + std * e[: len(pulses), None])
-    ch = np.cos(0.5 * t)
-    sh = np.sin(0.5 * t)
+        e[0::2] = r * cos
+        e[1::2] = r * sin
+        # (K, n): pulse k's angle in every column
+        t = t * (1.0 + std * e[: len(pulses)])
+    ch, sh = _cos_sin(0.5 * t)
     minus_sh = -sh
     for k, (axis, _) in enumerate(pulses):
         if axis == "a":
@@ -388,41 +402,46 @@ def _noisy_apply_rows(pulses, std: float, u, psi):
     return a, b, c
 
 
-def _readout_rows(u, psi, misassignment: tuple[float, float]):
+def _readout_rows(u, population, misassignment: tuple[float, float]):
     """True outcomes (True for |+1>) and assigned bits of one readout of
     the attempts whose READOUT_UNIFORMS readout uniforms are the columns of
-    u. u[0] below |a|^2 = re^2 + im^2 gives the |+1> outcome; u[2] then
-    misassigns it with the Poisson tail probabilities `misassignment` =
-    (P(assign 1 | true 0), P(assign 0 | true 1)) that
+    u. u[0] below the |+1> population |a|^2 = re^2 + im^2 gives the |+1>
+    outcome; u[2] then misassigns it with the Poisson tail probabilities
+    `misassignment` = (P(assign 1 | true 0), P(assign 0 | true 1)) that
     misassignment_probabilities gives."""
-    a = psi[0]
-    one = u[0] < a[0] * a[0] + a[1] * a[1]
+    one = u[0] < population
     return one, np.where(one, u[2] >= misassignment[1], u[2] < misassignment[0])
 
 
-def _collapse_rows(u, one, psi, flip_prob: float):
+def _collapse_rows(u, one, b, c, flip_prob: float):
     """Post-measurement states of the readout whose uniforms are the
-    columns of u and whose true outcomes are `one`: |+1> on that outcome,
-    else (0, b, c) / sqrt(|b|^2 + |c|^2). A dark outcome with
-    u[1] < flip_prob is replaced by a uniformly random state of that
-    subspace: the normalised complex Gaussian pair r_j e^(i phi_j) with
-    r_j = sqrt(-2 log(1 - u[3 + 2j])) and phi_j = 2 pi u[4 + 2j]."""
-    _, b, c = psi
+    columns of u, whose true outcomes are `one` and whose real |0>, |-1>
+    amplitude rows are b and c: |+1> on that outcome, else
+    (0, b, c) / sqrt(b^2 + c^2). A dark outcome with u[1] < flip_prob is
+    replaced by a uniformly random state of that subspace: the normalised
+    complex Gaussian pair r_j e^(i phi_j) with
+    r_j = sqrt(-2 log(1 - u[3 + 2j])) and phi_j = 2 pi u[4 + 2j].
+
+    Returns (post, flipped). post is a (3, n + m) array of real rows: its
+    first n columns are the real parts of the n attempts, and its last m
+    hold the imaginary parts of the m flipped attempts, the columns
+    `flipped`, in that order. Every other imaginary part is 0."""
+    n = len(one)
     dark = ~one
-    rest = np.sqrt(b[0] * b[0] + b[1] * b[1] + c[0] * c[0] + c[1] * c[1])
-    post = np.zeros((3,) + b.shape)
-    post[0, 0] = one
-    np.divide(b, rest, out=post[1], where=dark)
-    np.divide(c, rest, out=post[2], where=dark)
     flipped = np.flatnonzero(dark & (u[1] < flip_prob))
+    rest = np.sqrt(b * b + c * c)
+    post = np.zeros((3, n + len(flipped)))
+    post[0, :n] = one
+    np.divide(b, rest, out=post[1, :n], where=dark)
+    np.divide(c, rest, out=post[2, :n], where=dark)
     if len(flipped):
         # rows (r0, r1) and (phi0, phi1) of the normalised complex Gaussian pair
         r = np.sqrt(-2.0 * np.log(1.0 - u[3::2, flipped]))
-        n = np.hypot(r[0], r[1])
-        phi = _TWO_PI * u[4::2, flipped]
-        post[1:, 0, flipped] = r * np.cos(phi) / n
-        post[1:, 1, flipped] = r * np.sin(phi) / n
-    return post
+        norm = np.hypot(r[0], r[1])
+        cos, sin = _cos_sin(_TWO_PI * u[4::2, flipped])
+        post[1:, flipped] = r * cos / norm
+        post[1:, n:] = r * sin / norm
+    return post, flipped
 
 
 def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
@@ -430,19 +449,32 @@ def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
     are the columns of u, run as array steps over all of them. u[0] sets
     the prepared state: |+1> below 1 - init_error_prob, else |0> below
     1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1,
-    the mid pulses and readout 2 follow, each on its own uniforms."""
+    the mid pulses and readout 2 follow, each on its own uniforms.
+
+    The prepared states are real and every pulse is a real rotation, so
+    amplitudes are held as real (3, n) rows: an imaginary part is exactly
+    0 until a nuclear flip at readout 1 makes it nonzero. The imaginary
+    parts of the flipped attempts ride through the mid pulses as extra
+    columns (see _collapse_rows), each with its own attempt's uniforms, and
+    readout 2 adds im^2 to re^2 at those attempts only."""
     pre, first, mid, second, _ = prog.layout
+    n = u.shape[1]
     p = noise.init_error_prob
     plus = u[0] < 1.0 - p
     zero = ~plus & (u[0] < 1.0 - p / 2.0)
-    psi = np.zeros((3, 2, u.shape[1]))
-    psi[0, 0], psi[1, 0], psi[2, 0] = plus, zero, ~(plus | zero)
+    psi = np.zeros((3, n))
+    psi[0], psi[1], psi[2] = plus, zero, ~(plus | zero)
     std = noise.pulse_angle_error_std
-    psi = _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], psi)
-    one, b1 = _readout_rows(u[first:mid], psi, eps)
-    psi = _collapse_rows(u[first:mid], one, psi, noise.nuclear_flip_prob)
-    psi = _noisy_apply_rows(prog.mid_pulses, std, u[mid:second], psi)
-    _, b2 = _readout_rows(u[second:], psi, eps)
+    a, b, c = _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], psi)
+    one, b1 = _readout_rows(u[first:mid], a * a, eps)
+    psi, flipped = _collapse_rows(u[first:mid], one, b, c, noise.nuclear_flip_prob)
+    normals = u[mid:second]
+    a, _, _ = _noisy_apply_rows(
+        prog.mid_pulses, std, np.concatenate((normals, normals[:, flipped]), axis=1), psi
+    )
+    population = a[:n] * a[:n]
+    population[flipped] += a[n:] * a[n:]
+    _, b2 = _readout_rows(u[second:], population, eps)
     return b1, b2
 
 
@@ -474,14 +506,19 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
         kept = attempts = 0
         singles = pairs = 0
         while kept < shots and attempts < budget:
-            windows = min(math.ceil(CHUNK / p_charge), DRAW_UNIFORMS // width, budget - attempts)
-            block = rng.random((windows, width))
-            good = np.flatnonzero(block[:, 1] < p_charge)[: shots - kept]
+            # aim at CHUNK passing windows, or at the shots still needed plus
+            # a margin of about four standard deviations
+            need = shots - kept
+            aim = min(CHUNK, need + 4.0 * math.sqrt(need) + 8.0)
+            windows = min(math.ceil(aim / p_charge), DRAW_UNIFORMS // width, budget - attempts)
+            u = rng.random((windows, width))
+            good = np.flatnonzero(u[:, 1] < p_charge)[:need]
             kept += len(good)
             # the group ends at its shots-th passing window, which is counted
             attempts += int(good[-1]) + 1 if kept == shots else windows
             if len(good):
-                b1, b2 = _run_rows(prog, noise, eps, block[good].T)
+                u = u[good].T  # drops the draw before the kernel runs
+                b1, b2 = _run_rows(prog, noise, eps, u)
                 singles += int(np.count_nonzero(b1 if prog.single_from_first else b2))
                 pairs += int(np.count_nonzero(b1 & b2))
         if kept < shots:

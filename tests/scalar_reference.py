@@ -1,7 +1,11 @@
 """The protocol one attempt at a time in plain Python floats: the reference
 that the array kernel of kcbsim.experiment is checked against, count for
 count. Each helper reads the same uniforms of an attempt's window as the
-kernel and does the same arithmetic in the same order."""
+kernel and makes the same decisions. The arithmetic differs in one place:
+the kernel gets each cosine and sine from one tangent (experiment._cos_sin),
+while these helpers call math.cos and math.sin. The two agree to about
+1e-16, so the count-for-count tests check the tangent route against libm
+trigonometry as well as the kernel's bookkeeping."""
 
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from kcbsim.experiment import (
     run_protocol,
     shot_programs,
 )
+from kcbsim.experiment import _TWO_PI, _cos_sin
 from kcbsim.pentagram import build_psi0, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
 from scalar_reference import initialize, noisy_apply, single_shot_readout
@@ -370,6 +372,20 @@ class TestNoisyApply:
         assert abs(np.var(errors) / var - 1.0) < 4.0 * math.sqrt(2.0 / n)
 
 
+class TestCosSin:
+    def test_matches_libm_trigonometry(self):
+        # bound fixed beforehand: a few ulp of 1, with the nearest doubles to
+        # the tangent's poles at x = (2k + 1) pi included
+        pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+        poles = np.array([float(k * pi) for k in (1, -1, 3, -3, 5)])
+        rng = np.random.default_rng(43)
+        for x in (rng.uniform(-40.0, 40.0, 10**6), rng.uniform(0.0, _TWO_PI, 10**6), poles):
+            cos, sin = _cos_sin(x)
+            assert np.isfinite(cos).all() and np.isfinite(sin).all()
+            assert np.max(np.abs(cos - np.cos(x))) <= 1e-15
+            assert np.max(np.abs(sin - np.sin(x))) <= 1e-15
+
+
 class TestEstimateStats:
     def test_degenerate_count_keeps_nonzero_stderr(self):
         means, stderrs, _ = estimate_stats([10], [10])
@@ -630,13 +646,19 @@ class TestArrayKernel:
     def test_counts_match_the_scalar_helpers(self, preset, seed, pair_order, monkeypatch):
         data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
         cfg = build_run_config(data, seed=seed, shots=400, pair_order=pair_order)
-        expected = scalar_counts(cfg)
-        # at the default CHUNK a group fits in one draw; at 7 it takes dozens,
-        # so counts carried across draws and the cut in the last are checked
-        for chunk in (CHUNK, 7):
-            monkeypatch.setattr(experiment, "CHUNK", chunk)
-            res = run_protocol(cfg)
-            assert (res.successes, res.kept_shots, res.discarded_shots) == expected, chunk
+        assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    @pytest.mark.parametrize(
+        "edge",
+        [dict(nuclear_flip_prob=0.0), dict(nuclear_flip_prob=1.0), dict(pulse_angle_error_std=1.0)],
+        ids=["no-flip", "every-dark-outcome-flips", "angles-across-tangent-poles"],
+    )
+    def test_counts_match_the_scalar_helpers_at_the_edges(self, edge, pair_order, monkeypatch):
+        # no flipped column at all, a flipped column for every dark outcome,
+        # and noisy angles spread across the poles of tan(t / 4)
+        cfg = build_run_config({"noise": dict(STRESS, **edge)}, seed=5, shots=400, pair_order=pair_order)
+        assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
 
     @pytest.mark.parametrize("shots, charge_good_prob", [(100_000, 1.0), (20, 1e-4)])
     def test_memory_does_not_grow_with_shots_or_discards(self, shots, charge_good_prob):
@@ -650,6 +672,16 @@ class TestArrayKernel:
         cfg = build_run_config(load_preset("paper-2015"), seed=3)
         assert cfg.shots_per_term == 8000
         assert traced_peak(cfg) < 4 * 2**20
+
+
+def assert_counts_match_the_scalar_helpers(config, monkeypatch):
+    expected = scalar_counts(config)
+    # at the default CHUNK a group fits in one draw; at 7 it takes dozens,
+    # so counts carried across draws and the cut in the last are checked
+    for chunk in (CHUNK, 7):
+        monkeypatch.setattr(experiment, "CHUNK", chunk)
+        res = run_protocol(config)
+        assert (res.successes, res.kept_shots, res.discarded_shots) == expected, chunk
 
 
 def traced_peak(config):
