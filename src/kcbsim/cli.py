@@ -51,14 +51,14 @@ def cmd_exact(args) -> dict:
     }
 
 
-def _validation_checks(gamma_override=None):
+def _validation_checks():
     """Yield (name, defect, tolerance) triples, worst first on failure."""
     ang = angles()
     yield ("gamma_identity", abs(np.cos(ang.gamma) - (2 - np.sqrt(5))), 1e-15)
     yield ("theta_identity", abs(np.cos(ang.theta) - (1 - 2 / np.sqrt(5))), 1e-15)
     yield ("phi_identity", abs(np.cos(ang.phi) - (1 - np.sqrt(5)) / 2), 1e-15)
 
-    q = build_pulse_quintuplet(gamma=gamma_override)  # raises ClosureFailure on a bad angle
+    q = build_pulse_quintuplet()  # raises ClosureFailure on a bad angle
     yield ("pulse_adjacent_orthogonality", adjacency_defect(q), GEOMETRY_ATOL)
     yield ("pulse_closure", closure_defect(q), GEOMETRY_ATOL)
 
@@ -91,7 +91,7 @@ def cmd_validate(args) -> dict:
     checks = []
     record = {"status": "ok", "checks": checks}
     try:
-        for name, defect, tol in _validation_checks(gamma_override=args.gamma):
+        for name, defect, tol in _validation_checks():
             checks.append({"check": name, "defect": defect, "tolerance": tol})
             if not defect < tol:
                 error = f"{name}: defect {defect:.3e} exceeds {tol:.0e}"
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.set_defaults(func=cmd_exact)
 
     p_val = sub.add_parser("validate", help="self-consistency checks of the construction")
-    p_val.add_argument("--gamma", type=float, default=None, help=argparse.SUPPRESS)
     p_val.set_defaults(func=cmd_validate)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo run of the full protocol")

@@ -52,15 +52,6 @@ def _parse(text: str, source: str) -> dict:
         raise ConfigError(f"{source}: not valid YAML ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
-    unknown = set(data) - _TOP_FIELDS
-    if unknown:
-        raise ConfigError(f"{source}: unknown keys {sorted(unknown, key=repr)}")
-    noise = data.get("noise", {})
-    if not isinstance(noise, dict):
-        raise ConfigError(f"{source}: 'noise' must be a mapping")
-    bad = set(noise) - _NOISE_FIELDS
-    if bad:
-        raise ConfigError(f"{source}: unknown noise keys {sorted(bad, key=repr)}")
     return data
 
 
@@ -72,11 +63,18 @@ def build_run_config(
 ) -> RunConfig:
     """Turn a parsed configuration document into a RunConfig, applying
     overrides; a field that neither gives takes its RunConfig default.
-    Field-level errors surface as ConfigError naming the field."""
-    try:
-        noise = NoiseModel(**data.get("noise", {}))
-    except TypeError as exc:
-        raise ConfigError(f"invalid noise configuration: {exc}") from exc
+    Unknown keys and field-level errors surface as ConfigError naming the
+    key or field."""
+    unknown = set(data) - _TOP_FIELDS
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown, key=repr)}")
+    noise = data.get("noise", {})
+    if not isinstance(noise, dict):
+        raise ConfigError("'noise' must be a mapping")
+    bad = set(noise) - _NOISE_FIELDS
+    if bad:
+        raise ConfigError(f"unknown noise keys {sorted(bad, key=repr)}")
+    noise = NoiseModel(**noise)
     given = {"seed": seed, "shots_per_term": shots, "pair_order": pair_order}
     overrides = {k: v for k, v in given.items() if v is not None}
     return RunConfig(**{**data, **overrides, "noise": noise})

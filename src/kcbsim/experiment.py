@@ -190,18 +190,11 @@ _TWO_PI = 2.0 * math.pi
 #: Uniforms one readout consumes: Born, nuclear flip, assignment, and four
 #: for the complex Gaussian pair of the depolarised state.
 READOUT_UNIFORMS = 7
-#: Passing windows each array step of run_protocol aims to run: a draw holds
-#: ceil(CHUNK / charge_good_prob) windows, fewer when a group needs fewer
-#: shots. Counts do not depend on it. What bounds it is the kernel's own
-#: working set, which grows with it and which the memory tests hold under
-#: 4 MiB of tracemalloc peak, not the benchmark harness's per-operation
-#: samples. On paper-2015 at 8000 shots (2-core VM, medians of 15
-#: interleaved rounds) a run took 47-51 / 36-40 / 36-39 ms at 512 / 1024 /
-#: 2048, with peaks of 0.57 / 1.13 / 2.24 MiB: past 1024 only the peak grows.
-CHUNK = 1024
-#: Most uniforms one draw holds (1 MiB of float64), which bounds the draws
-#: at a low charge_good_prob.
-DRAW_UNIFORMS = 2**17
+#: Most uniforms one draw of run_protocol holds (256 KiB of float64), and so
+#: the most columns of one array step: 963-1365 windows of 24-34 uniforms.
+#: Counts do not depend on it. It bounds the kernel's working set, which
+#: the memory tests hold under 4 MiB of tracemalloc peak.
+DRAW_UNIFORMS = 2**15
 
 
 def normal_uniforms(n: int) -> int:
@@ -213,16 +206,10 @@ def misassignment_probabilities(noise: NoiseModel) -> tuple[float, float]:
     """Readout confusion (P(assign 1 | true 0), P(assign 0 | true 1)): the
     Poisson tail masses of each outcome's photon count on the wrong side of
     the threshold. Counts strictly above it assign the bright outcome."""
+    k = noise.readout_threshold
+    eps = _poisson_split(k, noise.lambda_dark)[1], _poisson_split(k, noise.lambda_bright)[0]
     # the true |+1> outcome is the bright one unless the polarity is inverted
-    if noise.bright_state_is_one:
-        lam_one, lam_zero = noise.lambda_bright, noise.lambda_dark
-    else:
-        lam_one, lam_zero = noise.lambda_dark, noise.lambda_bright
-    below_zero, above_zero = _poisson_split(noise.readout_threshold, lam_zero)
-    below_one, above_one = _poisson_split(noise.readout_threshold, lam_one)
-    if noise.bright_state_is_one:
-        return above_zero, below_one
-    return below_zero, above_one
+    return eps if noise.bright_state_is_one else eps[::-1]
 
 
 def _poisson_split(k: int, lam: float) -> tuple[float, float]:
@@ -371,6 +358,14 @@ def _cos_sin(x):
     return (1.0 - tau2) / d, (tau + tau) / d
 
 
+def _box_muller(u):
+    """(r, cos, sin) of the Box-Muller pairs of the rows of u: the normals
+    r * cos and r * sin, with r = sqrt(-2 log(1 - u[0::2])) and the angle
+    2 pi u[1::2]."""
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    return (r, *_cos_sin(_TWO_PI * u[1::2]))
+
+
 def _noisy_apply_rows(pulses, std: float, u, psi):
     """Apply a pulse string (application order) to many attempts at once.
 
@@ -385,8 +380,7 @@ def _noisy_apply_rows(pulses, std: float, u, psi):
     a, b, c = psi
     t = np.array([t for _, t in pulses])[:, None]
     if std > 0.0:
-        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-        cos, sin = _cos_sin(_TWO_PI * u[1::2])
+        r, cos, sin = _box_muller(u)
         e = np.empty(u.shape)
         e[0::2] = r * cos
         e[1::2] = r * sin
@@ -436,9 +430,8 @@ def _collapse_rows(u, one, b, c, flip_prob: float):
     np.divide(c, rest, out=post[2, :n], where=dark)
     if len(flipped):
         # rows (r0, r1) and (phi0, phi1) of the normalised complex Gaussian pair
-        r = np.sqrt(-2.0 * np.log(1.0 - u[3::2, flipped]))
+        r, cos, sin = _box_muller(u[3:, flipped])
         norm = np.hypot(r[0], r[1])
-        cos, sin = _cos_sin(_TWO_PI * u[4::2, flipped])
         post[1:, flipped] = r * cos / norm
         post[1:, n:] = r * sin / norm
     return post, flipped
@@ -506,11 +499,11 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
         kept = attempts = 0
         singles = pairs = 0
         while kept < shots and attempts < budget:
-            # aim at CHUNK passing windows, or at the shots still needed plus
-            # a margin of about four standard deviations
+            # aim at the shots still needed plus a margin of about four
+            # standard deviations
             need = shots - kept
-            aim = min(CHUNK, need + 4.0 * math.sqrt(need) + 8.0)
-            windows = min(math.ceil(aim / p_charge), DRAW_UNIFORMS // width, budget - attempts)
+            aim = math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / p_charge)
+            windows = min(aim, DRAW_UNIFORMS // width, budget - attempts)
             u = rng.random((windows, width))
             good = np.flatnonzero(u[:, 1] < p_charge)[:need]
             kept += len(good)

@@ -86,19 +86,29 @@ class TestValidate:
         slots = next(c for c in rec["checks"] if c["check"] == "readout_slots")
         assert slots["defect"] < 1e-10
 
-    def test_injected_wrong_gamma_fails(self):
-        code, rec = run_cli("validate", "--gamma", str(math.acos(-0.5)))
+    def test_injected_wrong_gamma_fails(self, monkeypatch):
+        from kcbsim import cli
+
+        build = cli.build_pulse_quintuplet
+        monkeypatch.setattr(cli, "build_pulse_quintuplet", lambda: build(gamma=math.acos(-0.5)))
+        code, rec = run_cli("validate")
         assert code == 1
         assert rec["status"] == "failed"
         assert rec["failed_check"] == "ClosureFailure"
+
+    def test_gamma_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--gamma", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gamma" in capsys.readouterr().err
 
     def test_defect_over_tolerance_fails(self, monkeypatch):
         from kcbsim import cli
 
         checks = cli._validation_checks
 
-        def tightened(gamma_override=None):
-            for name, defect, tol in checks(gamma_override):
+        def tightened():
+            for name, defect, tol in checks():
                 yield name, defect, 0.0 if name == "pulse_closure" else tol
 
         monkeypatch.setattr(cli, "_validation_checks", tightened)

@@ -14,7 +14,6 @@ from kcbsim.errors import ConfigError, InsufficientData, NonFinite
 from kcbsim.kcbs import TERM_NAMES
 from kcbsim.experiment import (
     BUDGET_TAIL,
-    CHUNK,
     DRAW_UNIFORMS,
     LAMBDA_MAX,
     MAX_ATTEMPTS,
@@ -38,6 +37,10 @@ from scalar_reference import initialize, noisy_apply, single_shot_readout
 SQRT5 = math.sqrt(5.0)
 
 IDEAL = NoiseModel()  # defaults are the noise-free model
+#: Uniforms of the widest attempt window, the forward correction group's:
+#: DRAW_UNIFORMS = WIDEST draws one window at a time, and anything smaller
+#: draws no window of that group at all.
+WIDEST = max(p.layout[-1] for o in ("forward", "reverse") for p in shot_programs(o))
 
 
 def poisson_tail_above(threshold, lam):
@@ -103,6 +106,11 @@ class TestNoiseModelValidation:
         with pytest.raises(ConfigError):
             RunConfig(seed=1, shots_per_term=10, pair_order="sideways")
 
+    @pytest.mark.parametrize("data, key", [({"foo": 1}, "foo"), ({"noise": {"bogus": 1}}, "bogus")])
+    def test_build_run_config_rejects_unknown_keys(self, data, key):
+        with pytest.raises(ConfigError, match=key):
+            build_run_config(data)
+
 
 class TestInitialize:
     def test_no_error_always_plus(self):
@@ -157,9 +165,10 @@ class TestChargeCheck:
         for prog in shot_programs(cfg.pair_order):
             charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), prog.layout[-1]))[:, 1]
             attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
-        # at CHUNK 7 each group takes dozens of draws and ends inside the last
-        for chunk in (CHUNK, 7):
-            monkeypatch.setattr(experiment, "CHUNK", chunk)
+        # at 7 widest windows a draw each group takes dozens of draws and
+        # ends inside the last
+        for draw in (DRAW_UNIFORMS, 7 * WIDEST):
+            monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
             res = run_protocol(cfg)
             assert res.kept_shots == 6 * shots
             assert res.kept_shots + res.discarded_shots == attempts
@@ -280,7 +289,7 @@ class TestSingleShotReadout:
         )
         eps0_b, eps1_b = misassignment_probabilities(bright)
         eps0_d, eps1_d = misassignment_probabilities(dark)
-        assert (eps0_d, eps1_d) == pytest.approx((eps1_b, eps0_b))
+        assert (eps0_d, eps1_d) == (eps1_b, eps0_b)
 
     def test_reverse_polarity_statistics(self):
         noise = NoiseModel(
@@ -579,26 +588,27 @@ class TestGroupRng:
     def test_counts_do_not_depend_on_chunk(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
         default = run_protocol(cfg)
-        monkeypatch.setattr(experiment, "CHUNK", 7)
+        monkeypatch.setattr(experiment, "DRAW_UNIFORMS", 7 * WIDEST)
         chunked = run_protocol(cfg)
         assert chunked.successes == default.successes
         assert chunked.discarded_shots == default.discarded_shots
         # every channel on, in both pair orders, and a charge_good_prob so
-        # low that DRAW_UNIFORMS caps the draws of the default CHUNK
+        # low that the default DRAW_UNIFORMS caps its draws
         low_charge = dict(STRESS, charge_good_prob=0.02)
         runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 100, "forward")]
         width = min(prog.layout[-1] for prog in shot_programs())
-        assert math.ceil(CHUNK / 0.02) > DRAW_UNIFORMS // width
+        assert math.ceil((100 + 4.0 * math.sqrt(100) + 8.0) / 0.02) > DRAW_UNIFORMS // width
         for noise, shots, pair_order in runs:
             cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
-            monkeypatch.setattr(experiment, "CHUNK", CHUNK)
+            monkeypatch.setattr(experiment, "DRAW_UNIFORMS", DRAW_UNIFORMS)
             default = run_protocol(cfg)
-            for chunk in (1, 7, 4096):
-                monkeypatch.setattr(experiment, "CHUNK", chunk)
+            # one window a draw, dozens of draws, and four times the default
+            for draw in (WIDEST, 7 * WIDEST, 4 * DRAW_UNIFORMS):
+                monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
                 res = run_protocol(cfg)
                 assert (res.successes, res.kept_shots, res.discarded_shots) == (
                     default.successes, default.kept_shots, default.discarded_shots
-                ), (pair_order, shots, chunk)
+                ), (pair_order, shots, draw)
 
 
 def scalar_counts(config):
@@ -668,7 +678,7 @@ class TestArrayKernel:
         assert traced_peak(cfg) < 4 * 2**20
 
     def test_memory_bound_holds_with_every_channel_on(self):
-        # noisy angles, Box-Muller normals and flips grow with CHUNK too
+        # noisy angles, Box-Muller normals and flips grow with the draw too
         cfg = build_run_config(load_preset("paper-2015"), seed=3)
         assert cfg.shots_per_term == 8000
         assert traced_peak(cfg) < 4 * 2**20
@@ -676,12 +686,13 @@ class TestArrayKernel:
 
 def assert_counts_match_the_scalar_helpers(config, monkeypatch):
     expected = scalar_counts(config)
-    # at the default CHUNK a group fits in one draw; at 7 it takes dozens,
-    # so counts carried across draws and the cut in the last are checked
-    for chunk in (CHUNK, 7):
-        monkeypatch.setattr(experiment, "CHUNK", chunk)
+    # at the default DRAW_UNIFORMS a group takes one or two draws; at 7
+    # widest windows it takes dozens, so counts carried across draws and the
+    # cut in the last are checked
+    for draw in (DRAW_UNIFORMS, 7 * WIDEST):
+        monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
         res = run_protocol(config)
-        assert (res.successes, res.kept_shots, res.discarded_shots) == expected, chunk
+        assert (res.successes, res.kept_shots, res.discarded_shots) == expected, draw
 
 
 def traced_peak(config):
