@@ -75,9 +75,11 @@ class NoiseModel:
     lambda_bright / lambda_dark: mean photon counts of the two readout
         outcomes, each in [0, LAMBDA_MAX].
     readout_threshold: counts strictly above it assign the bright outcome.
-    nuclear_flip_prob: probability per readout that the post-measurement
-        state is replaced by a uniformly random state of the subspace it
-        collapsed into.
+    nuclear_flip_prob: probability per dark readout outcome that the
+        post-measurement state is replaced by a uniformly random state of
+        the |0>, |-1> subspace. Only a later readout's Born probability sees
+        that state, so it is carried as the mixture it averages to,
+        (|0><0| + |-1><-1|) / 2.
     charge_good_prob: probability a shot passes the charge-state check.
     bright_state_is_one: polarity flag; when False the |+1> outcome is the
         dark one and the threshold decision is inverted.
@@ -165,6 +167,7 @@ class ExperimentResult:
     terms: TermSet
     stderrs: TermSet
     successes: dict[str, int]  # raw per-term success counts
+    tables: np.ndarray  # (6, 2, 2) counts of assigned (b1, b2), shot_programs order
     shots_per_term: int
     kept_shots: int
     discarded_shots: int
@@ -179,7 +182,7 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 
     Attempt i of the group owns the window of uniforms
     [i * W, (i + 1) * W) of this stream, W being the width in its shot
-    program's `layout`.
+    program's `layout(noise)`.
     `Generator.random` takes exactly one 64-bit output per double, so
     `bit_generator.advance(i * W)` reaches any attempt's window directly:
     results do not depend on the order in which attempts or groups run."""
@@ -187,11 +190,10 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 
 
 _TWO_PI = 2.0 * math.pi
-#: Uniforms one readout consumes: Born, nuclear flip, assignment, and four
-#: for the complex Gaussian pair of the depolarised state.
-READOUT_UNIFORMS = 7
+#: Uniforms one readout consumes: Born, nuclear flip, assignment.
+READOUT_UNIFORMS = 3
 #: Most uniforms one draw of run_protocol holds (256 KiB of float64), and so
-#: the most columns of one array step: 963-1365 windows of 24-34 uniforms.
+#: the most columns of one array step: 1260-4096 windows of 8-26 uniforms.
 #: Counts do not depend on it. It bounds the kernel's working set, which
 #: the memory tests hold under 4 MiB of tracemalloc peak.
 DRAW_UNIFORMS = 2**15
@@ -279,17 +281,18 @@ class _ShotProgram:
     single_from_first: bool  # record the single from b1 (else from b2)
     pair_term: str
 
-    @property
-    def layout(self) -> tuple[int, int, int, int, int]:
+    def layout(self, noise: NoiseModel) -> tuple[int, int, int, int, int]:
         """Offsets of (pre-pulse normals, readout 1, mid-pulse normals,
         readout 2) in an attempt's window of uniforms, and the window width
         W. The window opens with the initialization and charge-check
-        uniforms. Uniforms of a branch not taken are skipped, never reused,
-        so W depends on the pulse schedule alone."""
+        uniforms. Pulse normals are drawn only when the pulse angles are
+        noisy. Uniforms of a branch not taken are skipped, never reused, so
+        W depends on the pulse schedule and the noise model alone."""
+        noisy = noise.pulse_angle_error_std > 0.0
         pre = 2
-        first = pre + normal_uniforms(len(self.pre_pulses))
+        first = pre + noisy * normal_uniforms(len(self.pre_pulses))
         mid = first + READOUT_UNIFORMS
-        second = mid + normal_uniforms(len(self.mid_pulses))
+        second = mid + noisy * normal_uniforms(len(self.mid_pulses))
         return pre, first, mid, second, second + READOUT_UNIFORMS
 
 
@@ -346,6 +349,73 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
     return programs
 
 
+def recorded_terms(programs, tables) -> dict[str, float]:
+    """The twelve recorded terms of 2x2 tables over the assigned bits
+    (b1, b2), one table per shot program: a group's single is its b1 = 1
+    row or its b2 = 1 column, its pair the (1, 1) cell. Count tables give
+    the success counts, probability tables the expected terms."""
+    terms = {}
+    for prog, table in zip(programs, tables):
+        single = table[1] if prog.single_from_first else table[:, 1]
+        terms[prog.single_term] = single.sum().item()
+        terms[prog.pair_term] = table[1, 1].item()
+    return {name: terms[name] for name in TERM_NAMES}
+
+
+def _pulse_channel(rho, axis: str, t: float, std: float):
+    """E[R rho R^T] for one pulse of angle t on a real density matrix, the
+    mean over its angle noise. R = P + c A + s B, where P keeps the level
+    the pulse leaves alone, A is the identity on the rotated block and B
+    the block's generator, and (c, s) = (cos, sin)(t' / 2) at the executed
+    angle t' = t (1 + std e), e ~ N(0, 1). The moments come from
+    E[cos k t'] = exp(-(k t std)^2 / 2) cos k t, and the same for sin."""
+    i, j = (0, 1) if axis == "a" else (1, 2)
+    P = np.zeros((3, 3))
+    P[3 - i - j, 3 - i - j] = 1.0
+    A = np.eye(3) - P
+    B = np.zeros((3, 3))
+    B[i, j], B[j, i] = 1.0, -1.0
+    half = math.exp(-((0.5 * t * std) ** 2) / 2.0)  # k = 1/2
+    full = math.exp(-((t * std) ** 2) / 2.0)  # k = 1
+    c, s = half * math.cos(0.5 * t), half * math.sin(0.5 * t)
+    cc, ss = 0.5 * (1.0 + full * math.cos(t)), 0.5 * (1.0 - full * math.cos(t))
+    cs = 0.5 * full * math.sin(t)
+    cross = (c * A + s * B) @ rho @ P + cs * (A @ rho @ B.T)
+    return P @ rho @ P + cc * (A @ rho @ A) + ss * (B @ rho @ B.T) + cross + cross.T
+
+
+def exact_tables(noise: NoiseModel, pair_order: str = "forward") -> np.ndarray:
+    """Exact probabilities P(b1, b2) of the assigned bits of a kept shot,
+    a (6, 2, 2) array in shot_programs order: the protocol's expectation,
+    followed with real 3x3 density matrices. The prepared state is
+    diag(1 - p, p / 2, p / 2); each pulse is _pulse_channel. A readout
+    leaves P1 rho P1 on the |+1> outcome and, on the dark one,
+    (1 - f) P0 rho P0 + f tr(P0 rho P0) P0 / 2, P0 being the projector on
+    |0>, |-1> and f the nuclear flip probability. The table of true
+    outcomes T then becomes C T C^T, with C[b, o] = P(assign b | true o).
+    The charge check drops out: it does not depend on the state."""
+    p, f, std = noise.init_error_prob, noise.nuclear_flip_prob, noise.pulse_angle_error_std
+    eps0, eps1 = misassignment_probabilities(noise)
+    confusion = np.array([[1.0 - eps0, eps1], [eps0, 1.0 - eps1]])
+    dark = np.diag([0.0, 1.0, 1.0])
+
+    def pulsed(pulses, rho):
+        for axis, t in pulses:
+            rho = _pulse_channel(rho, axis, t, std)
+        return rho
+
+    tables = []
+    for prog in shot_programs(pair_order):
+        rho = pulsed(prog.pre_pulses, np.diag([1.0 - p, p / 2.0, p / 2.0]))
+        kept = dark @ rho @ dark
+        # the states after a dark (0) and a |+1> (1) first outcome
+        posts = ((1.0 - f) * kept + 0.5 * f * np.trace(kept) * dark, np.diag([rho[0, 0], 0.0, 0.0]))
+        ends = [pulsed(prog.mid_pulses, q) for q in posts]
+        true = np.array([(r[1, 1] + r[2, 2], r[0, 0]) for r in ends])
+        tables.append(confusion @ true @ confusion.T)
+    return np.array(tables)
+
+
 def _cos_sin(x):
     """cos(x) and sin(x) from one tangent: with tau = tan(x / 2),
     cos = (1 - tau^2) / (1 + tau^2) and sin = 2 tau / (1 + tau^2). numpy
@@ -358,29 +428,21 @@ def _cos_sin(x):
     return (1.0 - tau2) / d, (tau + tau) / d
 
 
-def _box_muller(u):
-    """(r, cos, sin) of the Box-Muller pairs of the rows of u: the normals
-    r * cos and r * sin, with r = sqrt(-2 log(1 - u[0::2])) and the angle
-    2 pi u[1::2]."""
-    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-    return (r, *_cos_sin(_TWO_PI * u[1::2]))
-
-
 def _noisy_apply_rows(pulses, std: float, u, psi):
     """Apply a pulse string (application order) to many attempts at once.
 
-    psi = (a, b, c) holds real amplitude rows, one column per attempt; a
-    column may instead hold the imaginary parts of an attempt, which every
-    pulse maps the same way, since a pulse is a real rotation. A pulse of
-    angle t on axis "a" (or "b") maps (a, b) (or (b, c)) to
+    psi = (a, b, c) holds real amplitude rows, one column per state. A
+    pulse of angle t on axis "a" (or "b") maps (a, b) (or (b, c)) to
     (ch*a + sh*b, (-sh)*a + ch*b), with ch, sh = _cos_sin(t / 2). With
     angle noise on, pulse k runs at t * (1 + std * e_k), the normals e_k
-    coming in Box-Muller pairs r * (cos, sin)(2 pi u') from column j of u,
-    the normal_uniforms(len(pulses)) uniforms of column j's attempt."""
+    coming in Box-Muller pairs r * (cos, sin)(2 pi u'), with
+    r = sqrt(-2 log(1 - u)), from column j of u: the
+    normal_uniforms(len(pulses)) uniforms of column j's attempt."""
     a, b, c = psi
     t = np.array([t for _, t in pulses])[:, None]
     if std > 0.0:
-        r, cos, sin = _box_muller(u)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+        cos, sin = _cos_sin(_TWO_PI * u[1::2])
         e = np.empty(u.shape)
         e[0::2] = r * cos
         e[1::2] = r * sin
@@ -399,9 +461,9 @@ def _noisy_apply_rows(pulses, std: float, u, psi):
 def _readout_rows(u, population, misassignment: tuple[float, float]):
     """True outcomes (True for |+1>) and assigned bits of one readout of
     the attempts whose READOUT_UNIFORMS readout uniforms are the columns of
-    u. u[0] below the |+1> population |a|^2 = re^2 + im^2 gives the |+1>
-    outcome; u[2] then misassigns it with the Poisson tail probabilities
-    `misassignment` = (P(assign 1 | true 0), P(assign 0 | true 1)) that
+    u. u[0] below the |+1> population gives the |+1> outcome; u[2] then
+    misassigns it with the Poisson tail probabilities `misassignment` =
+    (P(assign 1 | true 0), P(assign 0 | true 1)) that
     misassignment_probabilities gives."""
     one = u[0] < population
     return one, np.where(one, u[2] >= misassignment[1], u[2] < misassignment[0])
@@ -409,17 +471,15 @@ def _readout_rows(u, population, misassignment: tuple[float, float]):
 
 def _collapse_rows(u, one, b, c, flip_prob: float):
     """Post-measurement states of the readout whose uniforms are the
-    columns of u, whose true outcomes are `one` and whose real |0>, |-1>
+    columns of u, whose true outcomes are `one` and whose |0>, |-1>
     amplitude rows are b and c: |+1> on that outcome, else
-    (0, b, c) / sqrt(b^2 + c^2). A dark outcome with u[1] < flip_prob is
-    replaced by a uniformly random state of that subspace: the normalised
-    complex Gaussian pair r_j e^(i phi_j) with
-    r_j = sqrt(-2 log(1 - u[3 + 2j])) and phi_j = 2 pi u[4 + 2j].
+    (0, b, c) / sqrt(b^2 + c^2). A dark outcome with u[1] < flip_prob
+    becomes the equal mixture of |0> and |-1>.
 
     Returns (post, flipped). post is a (3, n + m) array of real rows: its
-    first n columns are the real parts of the n attempts, and its last m
-    hold the imaginary parts of the m flipped attempts, the columns
-    `flipped`, in that order. Every other imaginary part is 0."""
+    first n columns are the post states of the n attempts, |0> at the m
+    flipped attempts, the columns `flipped`, and its last m columns hold
+    |-1>, the other state of their mixtures, in the same order."""
     n = len(one)
     dark = ~one
     flipped = np.flatnonzero(dark & (u[1] < flip_prob))
@@ -428,29 +488,24 @@ def _collapse_rows(u, one, b, c, flip_prob: float):
     post[0, :n] = one
     np.divide(b, rest, out=post[1, :n], where=dark)
     np.divide(c, rest, out=post[2, :n], where=dark)
-    if len(flipped):
-        # rows (r0, r1) and (phi0, phi1) of the normalised complex Gaussian pair
-        r, cos, sin = _box_muller(u[3:, flipped])
-        norm = np.hypot(r[0], r[1])
-        post[1:, flipped] = r * cos / norm
-        post[1:, n:] = r * sin / norm
+    post[1:, flipped] = [[1.0], [0.0]]  # |0>
+    post[2, n:] = 1.0  # |-1>
     return post, flipped
 
 
 def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
-    """Assigned bits (b1, b2) of the attempts whose windows (prog.layout)
-    are the columns of u, run as array steps over all of them. u[0] sets
-    the prepared state: |+1> below 1 - init_error_prob, else |0> below
+    """Assigned bits (b1, b2) of the attempts whose windows
+    (prog.layout(noise)) are the columns of u, run as array steps over all
+    of them. u[0] sets the prepared state: |+1> below 1 - init_error_prob, else |0> below
     1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1,
     the mid pulses and readout 2 follow, each on its own uniforms.
 
     The prepared states are real and every pulse is a real rotation, so
-    amplitudes are held as real (3, n) rows: an imaginary part is exactly
-    0 until a nuclear flip at readout 1 makes it nonzero. The imaginary
-    parts of the flipped attempts ride through the mid pulses as extra
-    columns (see _collapse_rows), each with its own attempt's uniforms, and
-    readout 2 adds im^2 to re^2 at those attempts only."""
-    pre, first, mid, second, _ = prog.layout
+    amplitudes are held as real (3, n) rows. The second state of each
+    nuclear flip's mixture rides through the mid pulses as an extra column
+    (see _collapse_rows), with its own attempt's uniforms, and readout 2
+    takes the mean of the mixture's two |+1> populations."""
+    pre, first, mid, second, _ = prog.layout(noise)
     n = u.shape[1]
     p = noise.init_error_prob
     plus = u[0] < 1.0 - p
@@ -466,7 +521,7 @@ def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
         prog.mid_pulses, std, np.concatenate((normals, normals[:, flipped]), axis=1), psi
     )
     population = a[:n] * a[:n]
-    population[flipped] += a[n:] * a[n:]
+    population[flipped] = 0.5 * (population[flipped] + a[n:] * a[n:])
     _, b2 = _readout_rows(u[second:], population, eps)
     return b1, b2
 
@@ -490,14 +545,14 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     # with no attempt able to pass the charge check, fail before drawing one
     budget = config.attempt_budget() if p_charge > 0.0 else 0
     eps = misassignment_probabilities(noise)
-    successes = {name: 0 for name in TERM_NAMES}
+    programs = shot_programs(config.pair_order)
+    tables = np.zeros((len(programs), 4), dtype=np.int64)
     kept_total = 0
     discarded_total = 0
-    for prog in shot_programs(config.pair_order):
-        width = prog.layout[-1]
+    for prog, table in zip(programs, tables):
+        width = prog.layout(noise)[-1]
         rng = group_rng(config.seed, prog.group)
         kept = attempts = 0
-        singles = pairs = 0
         while kept < shots and attempts < budget:
             # aim at the shots still needed plus a margin of about four
             # standard deviations
@@ -512,17 +567,16 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
             if len(good):
                 u = u[good].T  # drops the draw before the kernel runs
                 b1, b2 = _run_rows(prog, noise, eps, u)
-                singles += int(np.count_nonzero(b1 if prog.single_from_first else b2))
-                pairs += int(np.count_nonzero(b1 & b2))
+                table += np.bincount(2 * b1 + b2, minlength=4)
         if kept < shots:
             raise InsufficientData(
                 f"group {prog.group}: only {kept} of {shots} shots kept "
                 f"(charge_good_prob = {p_charge})"
             )
-        successes[prog.single_term] += singles
-        successes[prog.pair_term] += pairs
         kept_total += kept
         discarded_total += attempts - kept
+    tables = tables.reshape(-1, 2, 2)
+    successes = recorded_terms(programs, tables)
     counts = np.array([successes[name] for name in TERM_NAMES], dtype=float)
     trials = np.full(len(TERM_NAMES), shots, dtype=float)
     means, errs, combined = estimate_stats(counts, trials)
@@ -532,7 +586,8 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     return ExperimentResult(
         terms=terms,
         stderrs=TermSet.from_vector(errs),
-        successes=dict(successes),
+        successes=successes,
+        tables=tables,
         shots_per_term=shots,
         kept_shots=kept_total,
         discarded_shots=discarded_total,

@@ -15,10 +15,10 @@ from kcbsim.experiment import NoiseModel
 from kcbsim.qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 
 _TWO_PI = 2.0 * math.pi
-_PLUS, _ZERO, _MINUS = (tuple(map(complex, k)) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
+_PLUS, _ZERO, _MINUS = (tuple(map(float, k.real)) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
 
 
-def initialize(noise: NoiseModel, u: float) -> tuple[complex, complex, complex]:
+def initialize(noise: NoiseModel, u: float) -> tuple[float, float, float]:
     """Prepared state from one uniform: |+1> with probability
     1 - init_error_prob, else |0> or |-1> with equal probability."""
     p = noise.init_error_prob
@@ -30,10 +30,10 @@ def initialize(noise: NoiseModel, u: float) -> tuple[complex, complex, complex]:
 
 
 def noisy_apply(pulses, noise: NoiseModel, u, psi):
-    """Apply a pulse string (application order) with multiplicative angle
-    noise: pulse k runs at angle * (1 + std * e_k), the normals e_k coming
-    in Box-Muller pairs from the uniforms u (normal_uniforms(len(pulses))
-    of them, read only when the noise is on)."""
+    """Apply a pulse string (application order) to a real state with
+    multiplicative angle noise: pulse k runs at angle * (1 + std * e_k),
+    the normals e_k coming in Box-Muller pairs from the uniforms u
+    (normal_uniforms(len(pulses)) of them, drawn only when the noise is on)."""
     a, b, c = psi
     std = noise.pulse_angle_error_std
     for k, (axis, t) in enumerate(pulses):
@@ -54,32 +54,28 @@ def noisy_apply(pulses, noise: NoiseModel, u, psi):
     return a, b, c
 
 
-def single_shot_readout(psi, u, misassignment: tuple[float, float], flip_prob: float):
+def single_shot_readout(states, u, misassignment: tuple[float, float], flip_prob: float):
     """One readout of the |+1> population from READOUT_UNIFORMS uniforms.
 
-    Returns (assigned_bit, post_state). u[0] draws the true outcome from
-    the Born probability and sets the collapse. On the |0>, |-1> outcome,
-    u[1] < flip_prob replaces the post-measurement state by a uniformly
-    random state of that subspace, built from u[3:7]. u[2] misassigns the
-    bit with the Poisson tail probabilities `misassignment` =
-    (P(assign 1 | true 0), P(assign 0 | true 1)) of the photon count, as
+    `states` holds one real state, or the two states of a flip mixture,
+    whose |+1> population is the mean of theirs. Returns (assigned_bit,
+    post_states). u[0] draws the true outcome from the Born probability
+    and sets the collapse: |+1>, or on the |0>, |-1> outcome the state
+    projected there and normalised. There, u[1] < flip_prob gives instead
+    the equal mixture of |0> and |-1>. The dark collapse of a mixture,
+    which no later readout reads, is left out: post_states is empty. u[2]
+    misassigns the bit with the Poisson tail probabilities `misassignment`
+    = (P(assign 1 | true 0), P(assign 0 | true 1)) of the photon count, as
     misassignment_probabilities gives them.
     """
-    a, b, c = psi
-    if u[0] < a.real * a.real + a.imag * a.imag:
-        return (0 if u[2] < misassignment[1] else 1), _PLUS
+    if u[0] < sum(a * a for a, _, _ in states) / len(states):
+        return (0 if u[2] < misassignment[1] else 1), (_PLUS,)
     if u[1] < flip_prob:
-        # a normalised complex Gaussian pair r_j e^(i phi_j)
-        r0 = math.sqrt(-2.0 * math.log(1.0 - u[3]))
-        r1 = math.sqrt(-2.0 * math.log(1.0 - u[5]))
-        n = math.hypot(r0, r1)
-        phi0, phi1 = _TWO_PI * u[4], _TWO_PI * u[6]
-        post = (
-            0j,
-            complex(r0 * math.cos(phi0), r0 * math.sin(phi0)) / n,
-            complex(r1 * math.cos(phi1), r1 * math.sin(phi1)) / n,
-        )
+        posts = (_ZERO, _MINUS)
+    elif len(states) == 1:
+        _, b, c = states[0]
+        rest = math.sqrt(b * b + c * c)
+        posts = ((0.0, b / rest, c / rest),)
     else:
-        rest = math.sqrt(b.real * b.real + b.imag * b.imag + c.real * c.real + c.imag * c.imag)
-        post = (0j, b / rest, c / rest)
-    return (1 if u[2] < misassignment[0] else 0), post
+        posts = ()
+    return (1 if u[2] < misassignment[0] else 0), posts

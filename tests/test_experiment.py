@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 import tracemalloc
@@ -6,12 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import binom, poisson
+from numpy.polynomial.hermite_e import hermegauss
+from scipy.stats import binom, chi2, poisson
 
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData, NonFinite
-from kcbsim.kcbs import TERM_NAMES
+from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms, modified_kcbs_value
 from kcbsim.experiment import (
     BUDGET_TAIL,
     DRAW_UNIFORMS,
@@ -22,25 +24,28 @@ from kcbsim.experiment import (
     NvParameters,
     RunConfig,
     estimate_stats,
+    exact_tables,
     group_rng,
     misassignment_probabilities,
     nmr_frequencies,
     normal_uniforms,
+    recorded_terms,
     run_protocol,
     shot_programs,
 )
-from kcbsim.experiment import _TWO_PI, _cos_sin
-from kcbsim.pentagram import build_psi0, psi0_pulses, swap_pulses
+from kcbsim.experiment import _TWO_PI, _cos_sin, _pulse_channel
+from kcbsim.pentagram import build_psi0, build_pulse_quintuplet, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
 from scalar_reference import initialize, noisy_apply, single_shot_readout
 
 SQRT5 = math.sqrt(5.0)
 
 IDEAL = NoiseModel()  # defaults are the noise-free model
-#: Uniforms of the widest attempt window, the forward correction group's:
-#: DRAW_UNIFORMS = WIDEST draws one window at a time, and anything smaller
-#: draws no window of that group at all.
-WIDEST = max(p.layout[-1] for o in ("forward", "reverse") for p in shot_programs(o))
+PULSE_NOISE = NoiseModel(pulse_angle_error_std=0.02)
+#: Uniforms of the widest attempt window, the forward correction group's
+#: with pulse noise on: DRAW_UNIFORMS = WIDEST draws one window at a time,
+#: and anything smaller draws no window of that group at all.
+WIDEST = max(p.layout(PULSE_NOISE)[-1] for o in ("forward", "reverse") for p in shot_programs(o))
 
 
 def poisson_tail_above(threshold, lam):
@@ -163,7 +168,8 @@ class TestChargeCheck:
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
         attempts = 0
         for prog in shot_programs(cfg.pair_order):
-            charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), prog.layout[-1]))[:, 1]
+            width = prog.layout(cfg.noise)[-1]
+            charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), width))[:, 1]
             attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
         # at 7 widest windows a draw each group takes dozens of draws and
         # ends inside the last
@@ -217,9 +223,11 @@ class TestAttemptBudget:
 
 
 def reader(noise):
-    """single_shot_readout(psi, u) with the readout parameters of `noise`."""
+    """single_shot_readout of the one state psi from the uniforms u, with
+    the readout parameters of `noise`."""
     eps = misassignment_probabilities(noise)
-    return lambda psi, u: single_shot_readout(psi, u, eps, noise.nuclear_flip_prob)
+    flip = noise.nuclear_flip_prob
+    return lambda psi, u: single_shot_readout((tuple(map(float, np.real(psi))),), u, eps, flip)
 
 
 read_ideal = reader(IDEAL)
@@ -232,13 +240,13 @@ def readout_windows(seed, n):
 class TestSingleShotReadout:
     def test_deterministic_bright_limit(self):
         for u in readout_windows(5, 200):
-            bit, post = read_ideal(KET_PLUS, u)
+            bit, (post,) = read_ideal(KET_PLUS, u)
             assert bit == 1
             assert_allclose(post, KET_PLUS)
 
     def test_deterministic_dark_limit(self):
         for u in readout_windows(5, 200):
-            bit, post = read_ideal(KET_ZERO, u)
+            bit, (post,) = read_ideal(KET_ZERO, u)
             assert bit == 0
             assert_allclose(post, KET_ZERO)
 
@@ -246,7 +254,7 @@ class TestSingleShotReadout:
         psi0 = build_psi0()
         saw = {0: 0, 1: 0}
         for u in readout_windows(11, 500):
-            bit, post = read_ideal(psi0, u)
+            bit, (post,) = read_ideal(psi0, u)
             saw[bit] += 1
             if bit == 1:
                 assert_allclose(post, KET_PLUS)
@@ -301,24 +309,23 @@ class TestSingleShotReadout:
         assert all(read(KET_PLUS, u)[0] == 1 for u in windows[:100])
         assert all(read(KET_ZERO, u)[0] == 0 for u in windows[100:])
 
-    def test_nuclear_flip_randomizes_dark_subspace(self):
-        read = reader(NoiseModel(nuclear_flip_prob=1.0))
-        psi = np.array([0.0, 0.8, 0.6], dtype=complex)
-        posts = [read(psi, u)[1] for u in readout_windows(23, 50)]
-        for post in posts:
-            assert post[0] == 0
-            assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
-        # the collapsed states genuinely vary
-        spread = np.std([abs(p[1]) for p in posts])
-        assert spread > 0.1
-
-    def test_nuclear_flip_is_uniform_on_the_subspace(self):
-        # a uniformly random state of C^2 has |<0|post>|^2 ~ Uniform(0, 1)
-        read = reader(NoiseModel(nuclear_flip_prob=1.0))
+    def test_flip_mixture_matches_a_haar_random_flip(self):
+        # a flip leaves the equal mixture of |0> and |-1> in place of a
+        # uniformly random state of that subspace: after any pulse string,
+        # the |+1> population of the mixture is the random state's mean
+        _, posts = reader(NoiseModel(nuclear_flip_prob=1.0))(KET_ZERO, [0.5, 0.0, 0.5])
+        rng = np.random.default_rng(29)
         n = 20_000
-        pops = [abs(read(KET_ZERO, u)[1][1]) ** 2 for u in readout_windows(29, n)]
-        assert abs(np.mean(pops) - 0.5) < 4.0 * math.sqrt(1 / 12 / n)
-        assert abs(np.mean(np.square(pops)) - 1 / 3) < 4.0 * math.sqrt(4 / 45 / n)
+        for _ in range(4):
+            axes, angles = rng.choice(["a", "b"], 6).tolist(), rng.uniform(-7.0, 7.0, 6).tolist()
+            pulses = tuple(zip(axes, angles))
+            mixture = np.mean([noisy_apply(pulses, IDEAL, [], s)[0] ** 2 for s in posts])
+            # Haar states of C^2: normalised pairs of complex Gaussians
+            z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+            haar = np.column_stack([np.zeros(n), z / np.linalg.norm(z, axis=1, keepdims=True)])
+            unitary = compose([rot_a(t) if axis == "a" else rot_b(t) for axis, t in pulses])
+            pops = np.abs(haar @ unitary[0]) ** 2
+            assert abs(pops.mean() - mixture) < 4.0 * pops.std() / math.sqrt(n)
 
     def test_exact_poisson_tail_at_any_scale(self):
         lambdas = (0.0, 1e-300, 0.5, 1.55, 10.5, 100.0, 744.0, 745.0, 746.0, 900.0, 1000.0,
@@ -543,6 +550,85 @@ class TestRunProtocol:
         assert res.inequality_stderr > 0
 
 
+def exact_terms_of(noise, pair_order):
+    """The twelve terms of exact_tables, by name."""
+    return recorded_terms(shot_programs(pair_order), exact_tables(noise, pair_order))
+
+
+class TestExactTables:
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_noise_off_matches_the_geometric_terms(self, pair_order):
+        expected = exact_terms(build_psi0(), build_pulse_quintuplet()).as_dict()
+        got = exact_terms_of(IDEAL, pair_order)
+        for name in TERM_NAMES:
+            assert abs(got[name] - expected[name]) < 1e-12, name
+
+    @pytest.mark.parametrize("pair_order, value", [("forward", 2.114681), ("reverse", 2.110771)])
+    def test_paper_preset_modified_value(self, pair_order, value):
+        noise = build_run_config(load_preset("paper-2015")).noise
+        terms = np.array(list(exact_terms_of(noise, pair_order).values()))
+        assert abs(modified_kcbs_value(TermSet.from_vector(terms)) - value) < 1e-6
+
+    @pytest.mark.parametrize("std", [0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_pulse_channel_matches_gauss_hermite_average(self, axis, std):
+        # the mean of R rho R^T over the executed angle t (1 + std e), by an
+        # 80-node Gauss-Hermite rule for the weight exp(-e^2 / 2)
+        nodes, weights = hermegauss(80)
+        weights = weights / weights.sum()
+        rot = rot_a if axis == "a" else rot_b
+        rng = np.random.default_rng(47)
+        for t in (0.3, 1.9, 3.1, -2.2):
+            m = rng.normal(size=(3, 3))
+            rho = m @ m.T / np.trace(m @ m.T)
+            expected = sum(w * (r @ rho @ r.T) for w, e in zip(weights, nodes)
+                           for r in [rot(t * (1.0 + std * e)).real])
+            assert np.max(np.abs(_pulse_channel(rho, axis, t, std) - expected)) < 1e-12
+
+
+@functools.cache
+def monte_carlo_and_exact(preset, pair_order, seed):
+    """(run_protocol result, exact tables) of one preset at 8000 shots."""
+    cfg = build_run_config(load_preset(preset), seed=seed, shots=8000, pair_order=pair_order)
+    return run_protocol(cfg), exact_tables(cfg.noise, pair_order)
+
+
+#: Exact probabilities at or below this are zero up to rounding.
+IMPOSSIBLE = 1e-15
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("preset", ["ideal", "paper-2015"])
+class TestAgainstExactTables:
+    def test_terms_within_five_sigma(self, preset, pair_order, seed):
+        res, tables = monte_carlo_and_exact(preset, pair_order, seed)
+        n = res.shots_per_term
+        for name, p in recorded_terms(shot_programs(pair_order), tables).items():
+            k = res.successes[name]
+            if p <= IMPOSSIBLE:
+                assert k == 0, name
+            else:
+                assert abs(k / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n), name
+
+    def test_tables_pass_a_g_test(self, preset, pair_order, seed):
+        # every group's table of assigned (b1, b2) against its exact
+        # probabilities, the b2 marginal of the groups that record b1 too;
+        # the bound is the 1 - 1e-4 quantile of chi^2, fixed beforehand
+        res, tables = monte_carlo_and_exact(preset, pair_order, seed)
+        counts = res.tables
+        assert (counts.sum(axis=(1, 2)) == res.shots_per_term).all()
+        possible = tables > IMPOSSIBLE
+        assert not counts[~possible].any()
+        observed = counts[possible]
+        expected = (res.shots_per_term * tables)[possible]
+        seen = observed > 0
+        g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+        dof = int(possible.sum()) - len(counts)
+        assert dof == {"ideal": 11, "paper-2015": 18}[preset]
+        assert g < chi2.isf(1e-4, dof), g
+
+
 class TestGroupRng:
     def test_reproducible(self):
         a = group_rng(42, 3).random(5)
@@ -568,7 +654,7 @@ class TestGroupRng:
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_attempt_window_reached_by_advance(self, pair_order):
         for prog in shot_programs(pair_order):
-            width = prog.layout[-1]
+            width = prog.layout(PULSE_NOISE)[-1]
             rows = group_rng(5, prog.group).random((300, width))
             for i in (0, 1, 127, 128, 299):
                 rng = group_rng(5, prog.group)
@@ -576,14 +662,22 @@ class TestGroupRng:
                 assert_allclose(rng.random(width), rows[i], rtol=0, atol=0)
 
     def test_window_layout(self):
-        # init, charge, pre-pulse normals, readout 1, mid-pulse normals, readout 2
-        for prog in shot_programs("forward") + shot_programs("reverse"):
-            pre, first, mid, second, width = prog.layout
-            assert pre == 2
-            assert first - pre == normal_uniforms(len(prog.pre_pulses)) >= len(prog.pre_pulses)
-            assert mid - first == READOUT_UNIFORMS
-            assert second - mid == normal_uniforms(len(prog.mid_pulses)) >= len(prog.mid_pulses)
-            assert width - second == READOUT_UNIFORMS
+        # init, charge, pre-pulse normals, readout 1, mid-pulse normals,
+        # readout 2; no normals at all without pulse noise
+        assert READOUT_UNIFORMS == 3
+        widths = {}
+        for noise in (IDEAL, PULSE_NOISE):
+            noisy = noise.pulse_angle_error_std > 0.0
+            for prog in shot_programs("forward") + shot_programs("reverse"):
+                pre, first, mid, second, width = prog.layout(noise)
+                assert pre == 2
+                assert first - pre == noisy * normal_uniforms(len(prog.pre_pulses))
+                assert mid - first == READOUT_UNIFORMS
+                assert second - mid == noisy * normal_uniforms(len(prog.mid_pulses))
+                assert width - second == READOUT_UNIFORMS
+                widths.setdefault(noisy, set()).add(width)
+        assert widths[False] == {8}
+        assert (min(widths[True]), max(widths[True])) == (16, 26) == (16, WIDEST)
 
     def test_counts_do_not_depend_on_chunk(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
@@ -596,7 +690,7 @@ class TestGroupRng:
         # low that the default DRAW_UNIFORMS caps its draws
         low_charge = dict(STRESS, charge_good_prob=0.02)
         runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 100, "forward")]
-        width = min(prog.layout[-1] for prog in shot_programs())
+        width = min(prog.layout(NoiseModel(**STRESS))[-1] for prog in shot_programs())
         assert math.ceil((100 + 4.0 * math.sqrt(100) + 8.0) / 0.02) > DRAW_UNIFORMS // width
         for noise, shots, pair_order in runs:
             cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
@@ -614,7 +708,9 @@ class TestGroupRng:
 def scalar_counts(config):
     """(successes, kept, discarded) of run_protocol, recomputed one attempt
     at a time from initialize, noisy_apply and single_shot_readout, each
-    attempt reading its own window of the group's stream."""
+    attempt reading its own window of the group's stream. The mid pulses
+    run on each post state of the first readout, both states of a flip
+    mixture with the same uniforms."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
@@ -622,7 +718,7 @@ def scalar_counts(config):
     successes = dict.fromkeys(TERM_NAMES, 0)
     kept = attempts = 0
     for prog in shot_programs(config.pair_order):
-        pre, first, mid, second, width = prog.layout
+        pre, first, mid, second, width = prog.layout(noise)
         rng = group_rng(config.seed, prog.group)
         group_kept = 0
         while group_kept < shots:
@@ -632,9 +728,9 @@ def scalar_counts(config):
                 continue
             psi = initialize(noise, u[0])
             psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
-            b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
-            psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
-            b2, _ = single_shot_readout(psi, u[second:], eps, flip)
+            b1, posts = single_shot_readout((psi,), u[first:mid], eps, flip)
+            posts = tuple(noisy_apply(prog.mid_pulses, noise, u[mid:second], s) for s in posts)
+            b2, _ = single_shot_readout(posts, u[second:], eps, flip)
             successes[prog.single_term] += b1 if prog.single_from_first else b2
             successes[prog.pair_term] += b1 & b2
             group_kept += 1
@@ -696,7 +792,11 @@ def assert_counts_match_the_scalar_helpers(config, monkeypatch):
 
 
 def traced_peak(config):
-    """Peak traced Python allocation of one run_protocol call, in bytes."""
+    """Peak traced Python allocation of one run_protocol call, in bytes.
+    numpy imports numpy.random lazily on the first default_rng call of a
+    process, about 0.6 MiB of importlib allocations; that happens first,
+    untraced."""
+    np.random.default_rng()
     tracemalloc.start()
     try:
         run_protocol(config)
