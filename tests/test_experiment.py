@@ -588,8 +588,10 @@ class TestExactTables:
 
 @functools.cache
 def monte_carlo_and_exact(preset, pair_order, seed):
-    """(run_protocol result, exact tables) of one preset at 8000 shots."""
-    cfg = build_run_config(load_preset(preset), seed=seed, shots=8000, pair_order=pair_order)
+    """(run_protocol result, exact tables) of one preset, or STRESS, at 8000
+    shots."""
+    data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
+    cfg = build_run_config(data, seed=seed, shots=8000, pair_order=pair_order)
     return run_protocol(cfg), exact_tables(cfg.noise, pair_order)
 
 
@@ -599,7 +601,7 @@ IMPOSSIBLE = 1e-15
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
-@pytest.mark.parametrize("preset", ["ideal", "paper-2015"])
+@pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress"])
 class TestAgainstExactTables:
     def test_terms_within_five_sigma(self, preset, pair_order, seed):
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
@@ -625,7 +627,7 @@ class TestAgainstExactTables:
         seen = observed > 0
         g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
         dof = int(possible.sum()) - len(counts)
-        assert dof == {"ideal": 11, "paper-2015": 18}[preset]
+        assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18}[preset]
         assert g < chi2.isf(1e-4, dof), g
 
 
