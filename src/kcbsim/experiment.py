@@ -78,8 +78,9 @@ class NoiseModel:
     nuclear_flip_prob: probability per dark readout outcome that the
         post-measurement state is replaced by a uniformly random state of
         the |0>, |-1> subspace. Only a later readout's Born probability sees
-        that state, so it is carried as the mixture it averages to,
-        (|0><0| + |-1><-1|) / 2.
+        that state, and it is linear in the state's density matrix, whose
+        mean is (|0><0| + |-1><-1|) / 2. So the flip picks |0> or |-1> with
+        equal chances: every later outcome keeps its distribution.
     charge_good_prob: probability a shot passes the charge-state check.
     bright_state_is_one: polarity flag; when False the |+1> outcome is the
         dark one and the threshold decision is inverted.
@@ -140,8 +141,8 @@ class RunConfig:
         self.attempt_budget()  # refuses a run too long to finish
 
     def attempt_budget(self) -> int:
-        """Shot attempts per group before the run gives up, or just the
-        shots when none can be kept. The Chernoff bound on the lower tail
+        """Shot attempts per group before the run gives up, or 0 when no
+        attempt can pass the charge check. The Chernoff bound on the lower tail
         of Binomial(n, p) gives the budget n = (s + c + sqrt(c^2 + 2 s c)) / p
         for s shots, p = charge_good_prob and c = ln(1 / BUDGET_TAIL), so a
         group falls short with probability at most BUDGET_TAIL.
@@ -149,7 +150,7 @@ class RunConfig:
         p = self.noise.charge_good_prob
         s = self.shots_per_term
         if p == 0.0:
-            return s
+            return 0
         c = -math.log(BUDGET_TAIL)
         budget = (s + c + math.sqrt(c * c + 2.0 * s * c)) / p
         if not budget <= MAX_ATTEMPTS:
@@ -470,27 +471,24 @@ def _readout_rows(u, population, misassignment: tuple[float, float]):
 
 
 def _collapse_rows(u, one, b, c, flip_prob: float):
-    """Post-measurement states of the readout whose uniforms are the
-    columns of u, whose true outcomes are `one` and whose |0>, |-1>
-    amplitude rows are b and c: |+1> on that outcome, else
-    (0, b, c) / sqrt(b^2 + c^2). A dark outcome with u[1] < flip_prob
-    becomes the equal mixture of |0> and |-1>.
-
-    Returns (post, flipped). post is a (3, n + m) array of real rows: its
-    first n columns are the post states of the n attempts, |0> at the m
-    flipped attempts, the columns `flipped`, and its last m columns hold
-    |-1>, the other state of their mixtures, in the same order."""
-    n = len(one)
+    """Post-measurement states, a (3, n) array of real rows, of the readout
+    whose uniforms are the columns of u, whose true outcomes are `one` and
+    whose |0>, |-1> amplitude rows are b and c: |+1> on that outcome, else
+    (0, b, c) / sqrt(b^2 + c^2). A dark outcome with u[1] < flip_prob is a
+    nuclear flip instead: |0> where u[1] < flip_prob / 2, else |-1>. Given
+    the flip, u[1] / flip_prob is uniform on [0, 1), so the pick is fair."""
     dark = ~one
-    flipped = np.flatnonzero(dark & (u[1] < flip_prob))
+    flip = dark & (u[1] < flip_prob)
+    zero = flip & (u[1] < 0.5 * flip_prob)
+    collapse = dark & ~flip
     rest = np.sqrt(b * b + c * c)
-    post = np.zeros((3, n + len(flipped)))
-    post[0, :n] = one
-    np.divide(b, rest, out=post[1, :n], where=dark)
-    np.divide(c, rest, out=post[2, :n], where=dark)
-    post[1:, flipped] = [[1.0], [0.0]]  # |0>
-    post[2, n:] = 1.0  # |-1>
-    return post, flipped
+    post = np.zeros((3, len(one)))
+    post[0] = one
+    np.divide(b, rest, out=post[1], where=collapse)
+    np.divide(c, rest, out=post[2], where=collapse)
+    post[1, zero] = 1.0  # |0>
+    post[2, flip & ~zero] = 1.0  # |-1>
+    return post
 
 
 def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
@@ -501,10 +499,7 @@ def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
     the mid pulses and readout 2 follow, each on its own uniforms.
 
     The prepared states are real and every pulse is a real rotation, so
-    amplitudes are held as real (3, n) rows. The second state of each
-    nuclear flip's mixture rides through the mid pulses as an extra column
-    (see _collapse_rows), with its own attempt's uniforms, and readout 2
-    takes the mean of the mixture's two |+1> populations."""
+    amplitudes are held as real (3, n) rows, one column per attempt."""
     pre, first, mid, second, _ = prog.layout(noise)
     n = u.shape[1]
     p = noise.init_error_prob
@@ -515,14 +510,9 @@ def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
     std = noise.pulse_angle_error_std
     a, b, c = _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], psi)
     one, b1 = _readout_rows(u[first:mid], a * a, eps)
-    psi, flipped = _collapse_rows(u[first:mid], one, b, c, noise.nuclear_flip_prob)
-    normals = u[mid:second]
-    a, _, _ = _noisy_apply_rows(
-        prog.mid_pulses, std, np.concatenate((normals, normals[:, flipped]), axis=1), psi
-    )
-    population = a[:n] * a[:n]
-    population[flipped] = 0.5 * (population[flipped] + a[n:] * a[n:])
-    _, b2 = _readout_rows(u[second:], population, eps)
+    psi = _collapse_rows(u[first:mid], one, b, c, noise.nuclear_flip_prob)
+    a, _, _ = _noisy_apply_rows(prog.mid_pulses, std, u[mid:second], psi)
+    _, b2 = _readout_rows(u[second:], a * a, eps)
     return b1, b2
 
 
@@ -542,8 +532,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     noise = config.noise
     shots = config.shots_per_term
     p_charge = noise.charge_good_prob
-    # with no attempt able to pass the charge check, fail before drawing one
-    budget = config.attempt_budget() if p_charge > 0.0 else 0
+    budget = config.attempt_budget()
     eps = misassignment_probabilities(noise)
     programs = shot_programs(config.pair_order)
     tables = np.zeros((len(programs), 4), dtype=np.int64)

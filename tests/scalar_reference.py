@@ -54,28 +54,23 @@ def noisy_apply(pulses, noise: NoiseModel, u, psi):
     return a, b, c
 
 
-def single_shot_readout(states, u, misassignment: tuple[float, float], flip_prob: float):
-    """One readout of the |+1> population from READOUT_UNIFORMS uniforms.
+def single_shot_readout(psi, u, misassignment: tuple[float, float], flip_prob: float):
+    """One readout of the |+1> population of the real state psi from
+    READOUT_UNIFORMS uniforms. Returns (assigned_bit, post_state).
 
-    `states` holds one real state, or the two states of a flip mixture,
-    whose |+1> population is the mean of theirs. Returns (assigned_bit,
-    post_states). u[0] draws the true outcome from the Born probability
-    and sets the collapse: |+1>, or on the |0>, |-1> outcome the state
-    projected there and normalised. There, u[1] < flip_prob gives instead
-    the equal mixture of |0> and |-1>. The dark collapse of a mixture,
-    which no later readout reads, is left out: post_states is empty. u[2]
-    misassigns the bit with the Poisson tail probabilities `misassignment`
-    = (P(assign 1 | true 0), P(assign 0 | true 1)) of the photon count, as
+    u[0] draws the true outcome from the Born probability and sets the
+    collapse: |+1>, or on the |0>, |-1> outcome the state projected there
+    and normalised. There, u[1] < flip_prob gives instead a nuclear flip:
+    |0> where u[1] < flip_prob / 2, else |-1>. u[2] misassigns the bit with
+    the Poisson tail probabilities `misassignment` = (P(assign 1 | true 0),
+    P(assign 0 | true 1)) of the photon count, as
     misassignment_probabilities gives them.
     """
-    if u[0] < sum(a * a for a, _, _ in states) / len(states):
-        return (0 if u[2] < misassignment[1] else 1), (_PLUS,)
+    a, b, c = psi
+    if u[0] < a * a:
+        return (0 if u[2] < misassignment[1] else 1), _PLUS
+    bit = 1 if u[2] < misassignment[0] else 0
     if u[1] < flip_prob:
-        posts = (_ZERO, _MINUS)
-    elif len(states) == 1:
-        _, b, c = states[0]
-        rest = math.sqrt(b * b + c * c)
-        posts = ((0.0, b / rest, c / rest),)
-    else:
-        posts = ()
-    return (1 if u[2] < misassignment[0] else 0), posts
+        return bit, (_ZERO if u[1] < 0.5 * flip_prob else _MINUS)
+    rest = math.sqrt(b * b + c * c)
+    return bit, (0.0, b / rest, c / rest)

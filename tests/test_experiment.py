@@ -149,7 +149,7 @@ class TestChargeCheck:
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = 0.0
         cfg = build_run_config(data, seed=1, shots=100)
-        assert cfg.attempt_budget() == 100
+        assert cfg.attempt_budget() == 0
         with pytest.raises(InsufficientData, match="only 0 of 100 shots kept"):
             run_protocol(cfg)
 
@@ -227,7 +227,7 @@ def reader(noise):
     the readout parameters of `noise`."""
     eps = misassignment_probabilities(noise)
     flip = noise.nuclear_flip_prob
-    return lambda psi, u: single_shot_readout((tuple(map(float, np.real(psi))),), u, eps, flip)
+    return lambda psi, u: single_shot_readout(tuple(map(float, np.real(psi))), u, eps, flip)
 
 
 read_ideal = reader(IDEAL)
@@ -240,13 +240,13 @@ def readout_windows(seed, n):
 class TestSingleShotReadout:
     def test_deterministic_bright_limit(self):
         for u in readout_windows(5, 200):
-            bit, (post,) = read_ideal(KET_PLUS, u)
+            bit, post = read_ideal(KET_PLUS, u)
             assert bit == 1
             assert_allclose(post, KET_PLUS)
 
     def test_deterministic_dark_limit(self):
         for u in readout_windows(5, 200):
-            bit, (post,) = read_ideal(KET_ZERO, u)
+            bit, post = read_ideal(KET_ZERO, u)
             assert bit == 0
             assert_allclose(post, KET_ZERO)
 
@@ -254,7 +254,7 @@ class TestSingleShotReadout:
         psi0 = build_psi0()
         saw = {0: 0, 1: 0}
         for u in readout_windows(11, 500):
-            bit, (post,) = read_ideal(psi0, u)
+            bit, post = read_ideal(psi0, u)
             saw[bit] += 1
             if bit == 1:
                 assert_allclose(post, KET_PLUS)
@@ -309,23 +309,26 @@ class TestSingleShotReadout:
         assert all(read(KET_PLUS, u)[0] == 1 for u in windows[:100])
         assert all(read(KET_ZERO, u)[0] == 0 for u in windows[100:])
 
-    def test_flip_mixture_matches_a_haar_random_flip(self):
-        # a flip leaves the equal mixture of |0> and |-1> in place of a
+    def test_flip_matches_a_haar_random_flip(self):
+        # a flip picks |0> or |-1> from its own uniform in place of a
         # uniformly random state of that subspace: after any pulse string,
-        # the |+1> population of the mixture is the random state's mean
-        _, posts = reader(NoiseModel(nuclear_flip_prob=1.0))(KET_ZERO, [0.5, 0.0, 0.5])
-        rng = np.random.default_rng(29)
+        # the mean |+1> population of the picked states is the random
+        # state's, within 4 standard errors of the two means combined
         n = 20_000
+        read = reader(NoiseModel(nuclear_flip_prob=1.0))
+        posts = np.array([read(KET_ZERO, u)[1] for u in readout_windows(37, n)])
+        rng = np.random.default_rng(29)
         for _ in range(4):
             axes, angles = rng.choice(["a", "b"], 6).tolist(), rng.uniform(-7.0, 7.0, 6).tolist()
-            pulses = tuple(zip(axes, angles))
-            mixture = np.mean([noisy_apply(pulses, IDEAL, [], s)[0] ** 2 for s in posts])
+            pulses = zip(axes, angles)
+            unitary = compose([rot_a(t) if axis == "a" else rot_b(t) for axis, t in pulses])
+            picked = np.abs(posts @ unitary[0]) ** 2
             # Haar states of C^2: normalised pairs of complex Gaussians
             z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
             haar = np.column_stack([np.zeros(n), z / np.linalg.norm(z, axis=1, keepdims=True)])
-            unitary = compose([rot_a(t) if axis == "a" else rot_b(t) for axis, t in pulses])
             pops = np.abs(haar @ unitary[0]) ** 2
-            assert abs(pops.mean() - mixture) < 4.0 * pops.std() / math.sqrt(n)
+            spread = math.sqrt((picked.var() + pops.var()) / n)
+            assert abs(pops.mean() - picked.mean()) < 4.0 * spread
 
     def test_exact_poisson_tail_at_any_scale(self):
         lambdas = (0.0, 1e-300, 0.5, 1.55, 10.5, 100.0, 744.0, 745.0, 746.0, 900.0, 1000.0,
@@ -681,13 +684,13 @@ class TestGroupRng:
         assert widths[False] == {8}
         assert (min(widths[True]), max(widths[True])) == (16, 26) == (16, WIDEST)
 
-    def test_counts_do_not_depend_on_chunk(self, monkeypatch):
+    def test_counts_do_not_depend_on_the_draw_size(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
         default = run_protocol(cfg)
         monkeypatch.setattr(experiment, "DRAW_UNIFORMS", 7 * WIDEST)
-        chunked = run_protocol(cfg)
-        assert chunked.successes == default.successes
-        assert chunked.discarded_shots == default.discarded_shots
+        small_draws = run_protocol(cfg)
+        assert small_draws.successes == default.successes
+        assert small_draws.discarded_shots == default.discarded_shots
         # every channel on, in both pair orders, and a charge_good_prob so
         # low that the default DRAW_UNIFORMS caps its draws
         low_charge = dict(STRESS, charge_good_prob=0.02)
@@ -710,9 +713,7 @@ class TestGroupRng:
 def scalar_counts(config):
     """(successes, kept, discarded) of run_protocol, recomputed one attempt
     at a time from initialize, noisy_apply and single_shot_readout, each
-    attempt reading its own window of the group's stream. The mid pulses
-    run on each post state of the first readout, both states of a flip
-    mixture with the same uniforms."""
+    attempt reading its own window of the group's stream."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
@@ -730,9 +731,9 @@ def scalar_counts(config):
                 continue
             psi = initialize(noise, u[0])
             psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
-            b1, posts = single_shot_readout((psi,), u[first:mid], eps, flip)
-            posts = tuple(noisy_apply(prog.mid_pulses, noise, u[mid:second], s) for s in posts)
-            b2, _ = single_shot_readout(posts, u[second:], eps, flip)
+            b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
+            psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
+            b2, _ = single_shot_readout(psi, u[second:], eps, flip)
             successes[prog.single_term] += b1 if prog.single_from_first else b2
             successes[prog.pair_term] += b1 & b2
             group_kept += 1
@@ -763,8 +764,8 @@ class TestArrayKernel:
         ids=["no-flip", "every-dark-outcome-flips", "angles-across-tangent-poles"],
     )
     def test_counts_match_the_scalar_helpers_at_the_edges(self, edge, pair_order, monkeypatch):
-        # no flipped column at all, a flipped column for every dark outcome,
-        # and noisy angles spread across the poles of tan(t / 4)
+        # no flip at all, a flip on every dark outcome, and noisy angles
+        # spread across the poles of tan(t / 4)
         cfg = build_run_config({"noise": dict(STRESS, **edge)}, seed=5, shots=400, pair_order=pair_order)
         assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
 
