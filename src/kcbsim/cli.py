@@ -52,7 +52,8 @@ def cmd_exact(args) -> dict:
 
 
 def _validation_checks():
-    """Yield (name, defect, tolerance) triples, worst first on failure."""
+    """Yield (name, defect, tolerance) triples in one fixed order;
+    cmd_validate stops at the first that fails."""
     ang = angles()
     yield ("gamma_identity", abs(np.cos(ang.gamma) - (2 - np.sqrt(5))), 1e-15)
     yield ("theta_identity", abs(np.cos(ang.theta) - (1 - 2 / np.sqrt(5))), 1e-15)

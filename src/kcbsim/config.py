@@ -26,11 +26,11 @@ def available_presets() -> list[str]:
 
 
 def load_preset(name: str) -> dict:
+    """A shipped preset's parsed YAML; any other name, a path too, is a ConfigError."""
+    shipped = available_presets()
+    if name not in shipped:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(shipped)}")
     pkg = resources.files("kcbsim") / "presets" / f"{name}.yaml"
-    if not pkg.is_file():
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(available_presets())}"
-        )
     return _parse(pkg.read_text(), source=f"preset {name!r}")
 
 

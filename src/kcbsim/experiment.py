@@ -250,23 +250,19 @@ def _poisson_split(k: int, lam: float) -> tuple[float, float]:
     return below / (below + above), above / (below + above)
 
 
-def estimate_stats(successes, trials) -> tuple[np.ndarray, np.ndarray, float]:
-    """Binomial means and standard errors per term, plus the quadrature
-    combination across terms.
+def estimate_stats(successes, shots: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Binomial means and standard errors per term, each of n = `shots`
+    kept shots, plus the quadrature combination across terms.
 
     For the standard error only, the success fraction is clamped to
     [1/(2n), 1 - 1/(2n)] so that degenerate counts still carry a nonzero
     uncertainty. Raises InsufficientData below two kept shots.
     """
-    k = np.asarray(successes, dtype=float)
-    n = np.asarray(trials, dtype=float)
-    if k.shape != n.shape:
-        raise ValueError("successes and trials must align")
-    if np.any(n < 2):
+    if shots < 2:
         raise InsufficientData("need at least 2 kept shots per term")
-    means = k / n
-    p_err = np.clip(means, 1.0 / (2.0 * n), 1.0 - 1.0 / (2.0 * n))
-    stderrs = np.sqrt(p_err * (1.0 - p_err) / n)
+    means = np.asarray(successes, dtype=float) / shots
+    p_err = np.clip(means, 1.0 / (2.0 * shots), 1.0 - 1.0 / (2.0 * shots))
+    stderrs = np.sqrt(p_err * (1.0 - p_err) / shots)
     combined = float(np.sqrt(np.sum(stderrs**2)))
     return means, stderrs, combined
 
@@ -567,8 +563,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     tables = tables.reshape(-1, 2, 2)
     successes = recorded_terms(programs, tables)
     counts = np.array([successes[name] for name in TERM_NAMES], dtype=float)
-    trials = np.full(len(TERM_NAMES), shots, dtype=float)
-    means, errs, combined = estimate_stats(counts, trials)
+    means, errs, combined = estimate_stats(counts, shots)
     terms = TermSet.from_vector(means)
     plain = kcbs_value(terms)
     modified = modified_kcbs_value(terms)

@@ -290,10 +290,11 @@ class TestSimulate:
         assert code == 0
         assert rec["readout_misassignment"] == {"assign1_given0": 0.0, "assign0_given1": 1.0}
 
-    def test_unknown_preset(self, capsys):
-        code, _ = run_cli("simulate", "--preset", "nope")
-        assert code != 0
-        assert "nope" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["nope", "../presets/ideal"], ids=["nope", "path"])
+    def test_unknown_preset(self, name, capsys):
+        code, _ = run_cli("simulate", "--preset", name)
+        assert code == 2
+        assert name in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

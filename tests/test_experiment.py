@@ -407,7 +407,7 @@ class TestCosSin:
 
 class TestEstimateStats:
     def test_degenerate_count_keeps_nonzero_stderr(self):
-        means, stderrs, _ = estimate_stats([10], [10])
+        means, stderrs, _ = estimate_stats([10], 10)
         assert means[0] == 1.0
         n = 10
         p = 1 - 1 / (2 * n)
@@ -416,20 +416,20 @@ class TestEstimateStats:
 
     def test_half_count_stderr(self):
         n = 400
-        means, stderrs, _ = estimate_stats([n // 2], [n])
+        means, stderrs, _ = estimate_stats([n // 2], n)
         assert means[0] == 0.5
         assert stderrs[0] == pytest.approx(1 / (2 * math.sqrt(n)))
 
     def test_quadrature_combination(self):
         n = 400
         k = [n // 2] * 12
-        _, stderrs, combined = estimate_stats(k, [n] * 12)
+        _, stderrs, combined = estimate_stats(k, n)
         s = 1 / (2 * math.sqrt(n))
         assert combined == pytest.approx(s * math.sqrt(12))
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            estimate_stats([1], [1])
+            estimate_stats([1], 1)
 
 
 def ideal_config(seed=0, shots=2000, pair_order="forward"):

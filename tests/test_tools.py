@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kcbsim.config import load_preset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,7 +27,7 @@ def run_tool(*args) -> list[str]:
 
 
 def test_scan_covers_the_grid_and_prints_the_preset_block():
-    lines = run_tool("--shots", "200", "--seeds", "1")
+    lines = run_tool("--shots", "200")
     scanned = [ast.literal_eval(line[: line.index("}") + 1]) for line in lines if line.startswith("{")]
     keys = sorted(GRID)
     expected = [dict(zip(keys, combo)) for combo in itertools.product(*(GRID[k] for k in keys))]
@@ -38,6 +40,24 @@ def test_scan_covers_the_grid_and_prints_the_preset_block():
         key, value = (part.strip() for part in line.split(":"))
         if key not in GRID:  # every value off the grid is the preset's
             assert value == str(preset[key])
+
+
+def test_scan_ranks_the_shipped_preset_exactly():
+    lines = run_tool()
+    preset = load_preset("paper-2015")["noise"]
+    shipped = {k: preset[k] for k in sorted(GRID)}
+    row = next(line for line in lines
+               if line.startswith("{") and ast.literal_eval(line[: line.index("}") + 1]) == shipped)
+    assert "value=2.1147" in row
+    assert [line for line in lines if line.startswith("shipped preset")] == [
+        "shipped preset: rank 2 of 27, score=0.0027"
+    ]
+
+
+def test_seeds_is_a_usage_error():
+    with pytest.raises(subprocess.CalledProcessError) as err:
+        run_tool("--seeds", "1")
+    assert err.value.returncode == 2 and "--seeds" in err.value.stderr
 
 
 def test_verify_runs_ten_seeds():
