@@ -190,13 +190,14 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(group,)))
 
 
-_TWO_PI = 2.0 * math.pi
 #: Uniforms one readout consumes: Born, nuclear flip, assignment.
 READOUT_UNIFORMS = 3
 #: Most uniforms one draw of run_protocol holds (256 KiB of float64), and so
 #: the most columns of one array step: 1260-4096 windows of 8-26 uniforms.
-#: Counts do not depend on it. It bounds the kernel's working set, which
-#: the memory tests hold under 4 MiB of tracemalloc peak.
+#: Counts do not depend on it. It bounds the workspace of a call (the
+#: draw, its passing windows and the kernel's rows, each grown to the
+#: largest a draw asks for), which the memory tests hold under 4 MiB of
+#: tracemalloc peak.
 DRAW_UNIFORMS = 2**15
 
 
@@ -413,81 +414,97 @@ def exact_tables(noise: NoiseModel, pair_order: str = "forward") -> np.ndarray:
     return np.array(tables)
 
 
-def _cos_sin(x):
-    """cos(x) and sin(x) from one tangent: with tau = tan(x / 2),
-    cos = (1 - tau^2) / (1 + tau^2) and sin = 2 tau / (1 + tau^2). numpy
-    may run float64 tan as a vector loop where cos and sin run scalar
-    libm; the pair stays within about 1e-16 of libm's, and finite at the
-    tangent's poles, where tau is large but finite."""
-    tau = np.tan(0.5 * x)
-    tau2 = tau * tau
-    d = 1.0 + tau2
-    return (1.0 - tau2) / d, (tau + tau) / d
+def _cos_sin(half, cos, d):
+    """cos(x) and sin(x) from one tangent, in place: with half = x / 2 and
+    tau = tan(half), cos = (1 - tau^2) / (1 + tau^2) and
+    sin = 2 tau / (1 + tau^2). The sine overwrites half, the cosine goes to
+    cos, and d is scratch of the same shape. numpy may run float64 tan as a
+    vector loop where cos and sin run scalar libm; the pair stays within
+    about 1e-16 of libm's, and finite at the tangent's poles, where tau is
+    large but finite."""
+    tau = np.tan(half, half)
+    np.add(1.0, np.multiply(tau, tau, cos), d)
+    np.divide(np.subtract(1.0, cos, cos), d, cos)
+    return cos, np.divide(np.add(tau, tau, tau), d, tau)
 
 
-def _noisy_apply_rows(pulses, std: float, u, psi):
-    """Apply a pulse string (application order) to many attempts at once.
+def _noisy_apply_rows(pulses, std: float, u, rows, ws):
+    """Apply a pulse string (application order) to many attempts at once,
+    in place.
 
-    psi = (a, b, c) holds real amplitude rows, one column per state. A
-    pulse of angle t on axis "a" (or "b") maps (a, b) (or (b, c)) to
-    (ch*a + sh*b, (-sh)*a + ch*b), with ch, sh = _cos_sin(t / 2). With
-    angle noise on, pulse k runs at t * (1 + std * e_k), the normals e_k
-    coming in Box-Muller pairs r * (cos, sin)(2 pi u'), with
+    rows = [a, b, c, s1, s2] holds the real amplitude rows, one column per
+    state, then two scratch rows; rows trade places in the list as pulses
+    run. A pulse of angle t on axis "a" (or "b") maps (a, b) (or (b, c)) to
+    (ch*a + sh*b, ch*b - sh*a), with ch, sh = _cos_sin(t / 2). With angle
+    noise on, pulse k runs at t * (1 + std * e_k), the normals e_k coming
+    in Box-Muller pairs r * (cos, sin)(2 pi u'), with
     r = sqrt(-2 log(1 - u)), from column j of u: the
-    normal_uniforms(len(pulses)) uniforms of column j's attempt."""
-    a, b, c = psi
-    t = np.array([t for _, t in pulses])[:, None]
+    normal_uniforms(len(pulses)) uniforms of column j's attempt. The
+    (pulses x attempts) blocks, normals, radii, angles and tangent
+    temporaries, are the first 3 * len(u) rows of the workspace ws. The
+    angles are scaled by powers of two, which is exact: tan(pi u') and
+    tan(t / 4) are the same doubles as tan(0.5 * (2 pi u')) and
+    tan(0.5 * (0.5 * t))."""
+    m = len(pulses)
+    t = 0.25 * np.array([t for _, t in pulses])[:, None]  # the tangent's argument t / 4
     if std > 0.0:
-        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-        cos, sin = _cos_sin(_TWO_PI * u[1::2])
-        e = np.empty(u.shape)
-        e[0::2] = r * cos
-        e[1::2] = r * sin
-        # (K, n): pulse k's angle in every column
-        t = t * (1.0 + std * e[: len(pulses)])
-    ch, sh = _cos_sin(0.5 * t)
-    minus_sh = -sh
+        e, cos, d = ws[: 3 * len(u)].reshape(3, len(u), -1)
+        r = d[::2]
+        _cos_sin(np.multiply(math.pi, u[1::2], e[1::2]), e[::2], r)  # half of 2 pi u'
+        np.sqrt(np.multiply(-2.0, np.log(np.subtract(1.0, u[::2], r), r), r), r)
+        e[::2] *= r
+        e[1::2] *= r
+        e = e[:m]  # (m, n): pulse k's normal in every column
+        t = np.multiply(t, np.add(1.0, np.multiply(std, e, e), e), e)
+        ch, sh = _cos_sin(t, cos[:m], d[:m])
+    else:
+        ch, sh = _cos_sin(t, np.empty_like(t), np.empty_like(t))
     for k, (axis, _) in enumerate(pulses):
-        if axis == "a":
-            a, b = ch[k] * a + sh[k] * b, minus_sh[k] * a + ch[k] * b
-        else:
-            b, c = ch[k] * b + sh[k] * c, minus_sh[k] * b + ch[k] * c
-    return a, b, c
+        i = axis != "a"  # the pulse rotates rows[i] and rows[i + 1]
+        x, y, s, tmp = rows[i], rows[i + 1], rows[3], rows[4]
+        np.multiply(ch[k], x, s)
+        s += np.multiply(sh[k], y, tmp)
+        np.multiply(sh[k], x, tmp)
+        np.subtract(np.multiply(ch[k], y, x), tmp, y)
+        rows[i], rows[3] = s, x
 
 
-def _readout_rows(u, population, misassignment: tuple[float, float]):
+def _readout_rows(u, a, misassignment: tuple[float, float]):
     """True outcomes (True for |+1>) and assigned bits of one readout of
     the attempts whose READOUT_UNIFORMS readout uniforms are the columns of
-    u. u[0] below the |+1> population gives the |+1> outcome; u[2] then
-    misassigns it with the Poisson tail probabilities `misassignment` =
+    u and whose |+1> amplitudes are the row a, squared in place. u[0] below
+    the |+1> population a^2 gives the |+1> outcome; u[2] then misassigns
+    it with the Poisson tail probabilities `misassignment` =
     (P(assign 1 | true 0), P(assign 0 | true 1)) that
     misassignment_probabilities gives."""
-    one = u[0] < population
+    one = u[0] < np.multiply(a, a, a)
     return one, np.where(one, u[2] >= misassignment[1], u[2] < misassignment[0])
 
 
-def _collapse_rows(u, one, b, c, flip_prob: float):
-    """Post-measurement states, a (3, n) array of real rows, of the readout
-    whose uniforms are the columns of u, whose true outcomes are `one` and
-    whose |0>, |-1> amplitude rows are b and c: |+1> on that outcome, else
-    (0, b, c) / sqrt(b^2 + c^2). A dark outcome with u[1] < flip_prob is a
-    nuclear flip instead: |0> where u[1] < flip_prob / 2, else |-1>. Given
-    the flip, u[1] / flip_prob is uniform on [0, 1), so the pick is fair."""
+def _collapse_rows(u, one, rows, flip_prob: float):
+    """Replace the states in rows = [a, b, c, s1, s2] (amplitude rows, then
+    two scratch rows) by the post-measurement states of the readout whose
+    uniforms are the columns of u and whose true outcomes are `one`: |+1>
+    on that outcome, else (0, b, c) / sqrt(b^2 + c^2). A dark outcome with
+    u[1] < flip_prob is a nuclear flip instead: |0> where
+    u[1] < flip_prob / 2, else |-1>. Given the flip, u[1] / flip_prob is
+    uniform on [0, 1), so the pick is fair."""
+    a, b, c, rest, tmp = rows
     dark = ~one
     flip = dark & (u[1] < flip_prob)
     zero = flip & (u[1] < 0.5 * flip_prob)
     collapse = dark & ~flip
-    rest = np.sqrt(b * b + c * c)
-    post = np.zeros((3, len(one)))
-    post[0] = one
-    np.divide(b, rest, out=post[1], where=collapse)
-    np.divide(c, rest, out=post[2], where=collapse)
-    post[1, zero] = 1.0  # |0>
-    post[2, flip & ~zero] = 1.0  # |-1>
-    return post
+    np.multiply(b, b, rest)
+    rest += np.multiply(c, c, tmp)
+    np.sqrt(rest, rest)
+    np.divide(b, rest, b, where=collapse)
+    np.divide(c, rest, c, where=collapse)
+    np.copyto(a, one)
+    np.copyto(b, zero, where=~collapse)  # 1 on a flip to |0>, else 0
+    np.copyto(c, flip & ~zero, where=~collapse)
 
 
-def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
+def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u, ws):
     """Assigned bits (b1, b2) of the attempts whose windows
     (prog.layout(noise)) are the columns of u, run as array steps over all
     of them. u[0] sets the prepared state: |+1> below 1 - init_error_prob, else |0> below
@@ -495,20 +512,22 @@ def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u):
     the mid pulses and readout 2 follow, each on its own uniforms.
 
     The prepared states are real and every pulse is a real rotation, so
-    amplitudes are held as real (3, n) rows, one column per attempt."""
+    amplitudes are held as real rows, one column per attempt. Every float
+    step over the attempts runs in place in the workspace ws, one column
+    per attempt: the rows a, b, c, two scratch rows, then the blocks of
+    _noisy_apply_rows."""
     pre, first, mid, second, _ = prog.layout(noise)
-    n = u.shape[1]
     p = noise.init_error_prob
     plus = u[0] < 1.0 - p
     zero = ~plus & (u[0] < 1.0 - p / 2.0)
-    psi = np.zeros((3, n))
-    psi[0], psi[1], psi[2] = plus, zero, ~(plus | zero)
+    ws[0], ws[1], ws[2] = plus, zero, ~(plus | zero)
+    rows, ws = list(ws[:5]), ws[5:]
     std = noise.pulse_angle_error_std
-    a, b, c = _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], psi)
-    one, b1 = _readout_rows(u[first:mid], a * a, eps)
-    psi = _collapse_rows(u[first:mid], one, b, c, noise.nuclear_flip_prob)
-    a, _, _ = _noisy_apply_rows(prog.mid_pulses, std, u[mid:second], psi)
-    _, b2 = _readout_rows(u[second:], a * a, eps)
+    _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], rows, ws)
+    one, b1 = _readout_rows(u[first:mid], rows[0], eps)
+    _collapse_rows(u[first:mid], one, rows, noise.nuclear_flip_prob)
+    _noisy_apply_rows(prog.mid_pulses, std, u[mid:second], rows, ws)
+    _, b2 = _readout_rows(u[second:], rows[0], eps)
     return b1, b2
 
 
@@ -523,7 +542,8 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     group_rng), so results are independent of execution order and of how
     many windows are drawn at once; identical configurations reproduce
     identical counts. The windows that pass the charge check in each draw
-    run together as array steps (_run_rows), one per pulse and readout.
+    run together as array steps (_run_rows), one per pulse and readout, in
+    a workspace of flat buffers that the call owns and drops on return.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -534,8 +554,12 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     tables = np.zeros((len(programs), 4), dtype=np.int64)
     kept_total = 0
     discarded_total = 0
+    # the call's workspace: flat buffers, each grown to the largest view asked of it
+    drawn = taken = kernel = np.empty(0)
     for prog, table in zip(programs, tables):
-        width = prog.layout(noise)[-1]
+        pre, first, mid, second, width = prog.layout(noise)
+        # _run_rows' rows: five state rows, three per normal of the longer pulse string
+        depth = 5 + 3 * max(first - pre, second - mid)
         rng = group_rng(config.seed, prog.group)
         kept = attempts = 0
         while kept < shots and attempts < budget:
@@ -544,15 +568,25 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
             need = shots - kept
             aim = math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / p_charge)
             windows = min(aim, DRAW_UNIFORMS // width, budget - attempts)
-            u = rng.random((windows, width))
+            if drawn.size < windows * width:
+                drawn = np.empty(windows * width)
+            u = rng.random(out=drawn[: windows * width].reshape(windows, width))
             good = np.flatnonzero(u[:, 1] < p_charge)[:need]
-            kept += len(good)
+            n = len(good)
+            kept += n
             # the group ends at its shots-th passing window, which is counted
             attempts += int(good[-1]) + 1 if kept == shots else windows
-            if len(good):
-                u = u[good].T  # drops the draw before the kernel runs
-                b1, b2 = _run_rows(prog, noise, eps, u)
-                table += np.bincount(2 * b1 + b2, minlength=4)
+            if not n:
+                continue
+            if good[-1] >= n:  # a window failed the check: gather the passing ones
+                if taken.size < n * width:
+                    taken = np.empty(n * width)
+                u = u.take(good, axis=0, out=taken[: n * width].reshape(n, width), mode="clip")
+            if kernel.size < depth * n:
+                del kernel  # the largest buffer: old and new together would set the peak
+                kernel = np.empty(depth * n)
+            b1, b2 = _run_rows(prog, noise, eps, u[:n].T, kernel[: depth * n].reshape(depth, n))
+            table += np.bincount(2 * b1 + b2, minlength=4)
         if kept < shots:
             raise InsufficientData(
                 f"group {prog.group}: only {kept} of {shots} shots kept "

@@ -1,5 +1,8 @@
 import functools
 import math
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -33,7 +36,7 @@ from kcbsim.experiment import (
     run_protocol,
     shot_programs,
 )
-from kcbsim.experiment import _TWO_PI, _cos_sin, _pulse_channel
+from kcbsim.experiment import _cos_sin, _pulse_channel
 from kcbsim.pentagram import build_psi0, build_pulse_quintuplet, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
 from scalar_reference import initialize, noisy_apply, single_shot_readout
@@ -398,8 +401,8 @@ class TestCosSin:
         pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
         poles = np.array([float(k * pi) for k in (1, -1, 3, -3, 5)])
         rng = np.random.default_rng(43)
-        for x in (rng.uniform(-40.0, 40.0, 10**6), rng.uniform(0.0, _TWO_PI, 10**6), poles):
-            cos, sin = _cos_sin(x)
+        for x in (rng.uniform(-40.0, 40.0, 10**6), rng.uniform(0.0, 2.0 * math.pi, 10**6), poles):
+            cos, sin = _cos_sin(0.5 * x, np.empty_like(x), np.empty_like(x))
             assert np.isfinite(cos).all() and np.isfinite(sin).all()
             assert np.max(np.abs(cos - np.cos(x))) <= 1e-15
             assert np.max(np.abs(sin - np.sin(x))) <= 1e-15
@@ -774,13 +777,41 @@ class TestArrayKernel:
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = charge_good_prob
         cfg = build_run_config(data, seed=3, shots=shots)
-        assert traced_peak(cfg) < 4 * 2**20
+        peak, held = traced_memory(cfg)
+        assert peak < 4 * 2**20 and held < 64 * 2**10
 
     def test_memory_bound_holds_with_every_channel_on(self):
         # noisy angles, Box-Muller normals and flips grow with the draw too
         cfg = build_run_config(load_preset("paper-2015"), seed=3)
         assert cfg.shots_per_term == 8000
-        assert traced_peak(cfg) < 4 * 2**20
+        peak, held = traced_memory(cfg)
+        assert peak < 4 * 2**20 and held < 64 * 2**10
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="glibc's heap trimming",
+    )
+    def test_warm_call_does_not_refault_the_heap(self):
+        # glibc returns the idle top of its heap to the kernel, so arrays
+        # freed and allocated again on every draw fault their pages back in:
+        # thousands of minor faults per call, where a workspace reused
+        # across the call's draws takes a few hundred. The call runs in a
+        # fresh interpreter: once a process has freed a large mapped block,
+        # as earlier tests do, glibc raises its trim threshold and the churn
+        # no longer shows.
+        code = (
+            "import resource\n"
+            "from kcbsim.config import build_run_config, load_preset\n"
+            "from kcbsim.experiment import run_protocol\n"
+            "cfg = build_run_config(load_preset('paper-2015'), seed=3)\n"
+            "assert cfg.shots_per_term == 8000\n"
+            "run_protocol(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_protocol(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 1000
 
 
 def assert_counts_match_the_scalar_helpers(config, monkeypatch):
@@ -794,15 +825,18 @@ def assert_counts_match_the_scalar_helpers(config, monkeypatch):
         assert (res.successes, res.kept_shots, res.discarded_shots) == expected, draw
 
 
-def traced_peak(config):
-    """Peak traced Python allocation of one run_protocol call, in bytes.
-    numpy imports numpy.random lazily on the first default_rng call of a
+def traced_memory(config):
+    """Traced Python allocation of one run_protocol call, in bytes: its
+    peak, and what is still held once the call has returned and its result
+    is dropped (a workspace kept past the call would show there). numpy
+    imports numpy.random lazily on the first default_rng call of a
     process, about 0.6 MiB of importlib allocations; that happens first,
     untraced."""
     np.random.default_rng()
     tracemalloc.start()
     try:
         run_protocol(config)
-        return tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        return peak, held
     finally:
         tracemalloc.stop()

@@ -60,6 +60,13 @@ def test_seeds_is_a_usage_error():
     assert err.value.returncode == 2 and "--seeds" in err.value.stderr
 
 
+@pytest.mark.parametrize("shots", ["1", "0", "-5"])
+def test_shots_below_two_is_a_usage_error(shots):
+    with pytest.raises(subprocess.CalledProcessError) as err:
+        run_tool("--shots", shots)
+    assert err.value.returncode == 2 and "--shots must be at least 2" in err.value.stderr
+
+
 def test_verify_runs_ten_seeds():
     lines = run_tool("--verify", "--shots", "500")
     rows = [line.split() for line in lines[1:] if line.strip() and line.split()[0].isdigit()]

@@ -107,6 +107,8 @@ def main() -> None:
     parser.add_argument("--verify", action="store_true",
                         help="check the shipped preset over Monte Carlo seeds 1..10 instead")
     args = parser.parse_args()
+    if args.shots is not None and args.shots < 2:  # estimate_stats needs two kept shots
+        parser.error(f"--shots must be at least 2, got {args.shots}")
     shots = load_preset("paper-2015")["shots_per_term"] if args.shots is None else args.shots
     if args.verify:
         verify(shots)
