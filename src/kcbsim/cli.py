@@ -8,6 +8,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -166,7 +167,7 @@ def _write_csv(fh, result) -> None:
 
 
 def cmd_spectrum(args) -> dict:
-    from .experiment import NvParameters, nmr_frequencies
+    from .spectrum import NvParameters, nmr_frequencies
 
     given = {
         "quadrupole_mhz": args.Q,
@@ -220,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and print its JSON record, stamped with the command
-    and its wall time. Exit 0, 1 on a failed validation, 2 on an error."""
+    and its wall time. Exit 0, 1 on a failed validation or when stdout is
+    closed before the record is written, 2 on an error."""
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
@@ -229,5 +231,11 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     record.update(command=args.command, wall_clock_seconds=time.perf_counter() - t0)
-    print(json.dumps(record, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(record, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # interpreter exit does not raise again, and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if record.get("status") == "failed" else 0

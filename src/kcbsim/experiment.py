@@ -12,7 +12,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientData, NonFinite
+from .errors import ConfigError, InsufficientData
 from .kcbs import TERM_NAMES, TermSet, kcbs_value, modified_kcbs_value
 from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_pulses
 
@@ -33,34 +33,6 @@ def _finite(v: Real) -> bool:
         return math.isfinite(v)
     except OverflowError:
         return False
-
-
-@dataclass(frozen=True)
-class NvParameters:
-    """Nuclear-spin Hamiltonian constants H = Q Iz^2 + gn Bz Iz."""
-
-    quadrupole_mhz: float = 4.95
-    gyromagnetic_khz_per_gauss: float = 0.3077
-    field_gauss: float = 5636.0
-
-    def __post_init__(self):
-        for name in ("quadrupole_mhz", "gyromagnetic_khz_per_gauss", "field_gauss"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFinite(f"{name} must be finite")
-        if self.field_gauss < 0:
-            raise ConfigError("field_gauss must be >= 0")
-
-
-def nmr_frequencies(p: NvParameters) -> tuple[float, float]:
-    """The two nuclear transition frequencies |E(+-1) - E(0)| in MHz,
-    sorted ascending. The Zeeman term gn*Bz is converted from kHz to MHz.
-    Raises NonFinite when finite inputs overflow to an infinite frequency."""
-    zeeman_mhz = p.gyromagnetic_khz_per_gauss * p.field_gauss * 1e-3
-    f1 = abs(p.quadrupole_mhz - zeeman_mhz)
-    f2 = abs(p.quadrupole_mhz + zeeman_mhz)
-    if not (math.isfinite(f1) and math.isfinite(f2)):
-        raise NonFinite(f"transition frequencies overflow (Zeeman term {zeeman_mhz!r} MHz)")
-    return (f1, f2) if f1 <= f2 else (f2, f1)
 
 
 @dataclass(frozen=True)
@@ -193,11 +165,10 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 #: Uniforms one readout consumes: Born, nuclear flip, assignment.
 READOUT_UNIFORMS = 3
 #: Most uniforms one draw of run_protocol holds (256 KiB of float64), and so
-#: the most columns of one array step: 1260-4096 windows of 8-26 uniforms.
-#: Counts do not depend on it. It bounds the workspace of a call (the
-#: draw, its passing windows and the kernel's rows, each grown to the
-#: largest a draw asks for), which the memory tests hold under 4 MiB of
-#: tracemalloc peak.
+#: the most columns of one array step: 1489-4096 windows of 8-22 uniforms.
+#: Counts do not depend on it. It bounds the workspace of a call (the draw,
+#: its passing windows and the kernel's float32 rows, each grown to the
+#: largest a draw asks for), which the memory tests hold under 4 MiB.
 DRAW_UNIFORMS = 2**15
 
 
@@ -284,13 +255,14 @@ class _ShotProgram:
         readout 2) in an attempt's window of uniforms, and the window width
         W. The window opens with the initialization and charge-check
         uniforms. Pulse normals are drawn only when the pulse angles are
-        noisy. Uniforms of a branch not taken are skipped, never reused, so
+        noisy, one per step of _steps: a run of same-axis neighbours takes
+        one. Uniforms of a branch not taken are skipped, never reused, so
         W depends on the pulse schedule and the noise model alone."""
         noisy = noise.pulse_angle_error_std > 0.0
         pre = 2
-        first = pre + noisy * normal_uniforms(len(self.pre_pulses))
+        first = pre + noisy * normal_uniforms(len(_runs(self.pre_pulses)))
         mid = first + READOUT_UNIFORMS
-        second = mid + noisy * normal_uniforms(len(self.mid_pulses))
+        second = mid + noisy * normal_uniforms(len(_runs(self.mid_pulses)))
         return pre, first, mid, second, second + READOUT_UNIFORMS
 
 
@@ -323,27 +295,18 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
         )
     # the setting whose swapped slot reads the closing state l6
     closing = next(p for p, (_, second) in zip(settings, SLOT_TARGETS) if second == 6)
-    closing_inv = inverse(closing)
-    if not reverse:
-        # readout 1 on the closing state l6, undo, readout 2 on l1
-        corr = _ShotProgram(
+    # forward: readout 1 on the closing state l6, undo, readout 2 on l1
+    pre, mid = (prep, closing + swap) if reverse else (prep + closing + swap, swap + inverse(closing))
+    programs.append(
+        _ShotProgram(
             group=5,
-            pre_pulses=prep + closing + swap,
-            mid_pulses=swap + closing_inv,
+            pre_pulses=pre,
+            mid_pulses=mid,
             single_term="L1c",
-            single_from_first=False,
+            single_from_first=reverse,
             pair_term="L1pL1",
         )
-    else:
-        corr = _ShotProgram(
-            group=5,
-            pre_pulses=prep,
-            mid_pulses=closing + swap,
-            single_term="L1c",
-            single_from_first=True,
-            pair_term="L1pL1",
-        )
-    programs.append(corr)
+    )
     return programs
 
 
@@ -418,49 +381,71 @@ def _cos_sin(half, cos, d):
     """cos(x) and sin(x) from one tangent, in place: with half = x / 2 and
     tau = tan(half), cos = (1 - tau^2) / (1 + tau^2) and
     sin = 2 tau / (1 + tau^2). The sine overwrites half, the cosine goes to
-    cos, and d is scratch of the same shape. numpy may run float64 tan as a
-    vector loop where cos and sin run scalar libm; the pair stays within
-    about 1e-16 of libm's, and finite at the tangent's poles, where tau is
-    large but finite."""
+    cos, and d is scratch of the same shape and dtype. numpy may run tan as
+    a vector loop where cos and sin run scalar libm; in float64 the pair
+    stays within about 1e-16 of libm's, and finite at the tangent's poles."""
     tau = np.tan(half, half)
     np.add(1.0, np.multiply(tau, tau, cos), d)
     np.divide(np.subtract(1.0, cos, cos), d, cos)
     return cos, np.divide(np.add(tau, tau, tau), d, tau)
 
 
-def _noisy_apply_rows(pulses, std: float, u, rows, ws):
-    """Apply a pulse string (application order) to many attempts at once,
+def _runs(pulses):
+    """The runs of same-axis neighbours of a pulse string: (axis, angles)."""
+    runs = []
+    for axis, t in pulses:
+        if runs and runs[-1][0] == axis:
+            runs[-1][1].append(t)
+        else:
+            runs.append((axis, [t]))
+    return runs
+
+
+def _steps(pulses, std: float):
+    """The kernel's steps of a pulse string, built once per group and call:
+    each run of same-axis neighbours, angles t_i, is one rotation of angle
+    T = sum t_i run at T + std w e, w = sqrt(sum t_i^2), with one normal e.
+    Rotations on one axis compose, and sum t_i (1 + std e_i) is normal with
+    that mean and spread, so this is exact in distribution. Returns
+    (rows, x, y): step k rotates amplitude rows rows[k] and rows[k] + 1;
+    x, y are (steps, 1) float32 columns, T / 4 and std w / 4 with angle
+    noise on, else the fixed (cos, sin)(T / 2)."""
+    runs = _runs(pulses)
+    xy = np.array([(0.25 * sum(ts), 0.25 * std * math.hypot(*ts)) for _, ts in runs], np.float32)
+    x, y = xy.reshape(-1, 2).T[:, :, None]
+    if std == 0.0:
+        x, y = _cos_sin(x, y, np.empty_like(x))
+    return [axis != "a" for axis, _ in runs], x, y
+
+
+def _noisy_apply_rows(steps, u, rows, ws):
+    """Apply the steps of a pulse string (_steps) to many attempts at once,
     in place.
 
-    rows = [a, b, c, s1, s2] holds the real amplitude rows, one column per
-    state, then two scratch rows; rows trade places in the list as pulses
-    run. A pulse of angle t on axis "a" (or "b") maps (a, b) (or (b, c)) to
-    (ch*a + sh*b, ch*b - sh*a), with ch, sh = _cos_sin(t / 2). With angle
-    noise on, pulse k runs at t * (1 + std * e_k), the normals e_k coming
-    in Box-Muller pairs r * (cos, sin)(2 pi u'), with
-    r = sqrt(-2 log(1 - u)), from column j of u: the
-    normal_uniforms(len(pulses)) uniforms of column j's attempt. The
-    (pulses x attempts) blocks, normals, radii, angles and tangent
-    temporaries, are the first 3 * len(u) rows of the workspace ws. The
-    angles are scaled by powers of two, which is exact: tan(pi u') and
-    tan(t / 4) are the same doubles as tan(0.5 * (2 pi u')) and
-    tan(0.5 * (0.5 * t))."""
-    m = len(pulses)
-    t = 0.25 * np.array([t for _, t in pulses])[:, None]  # the tangent's argument t / 4
-    if std > 0.0:
+    rows = [a, b, c, s1, s2] holds the float32 amplitude rows, one column
+    per state, then two scratch rows; rows trade places in the list as
+    steps run. A step of angle T on axis "a" (or "b") maps (a, b) (or
+    (b, c)) to (ch*a + sh*b, ch*b - sh*a), with ch, sh = _cos_sin(T / 4).
+    With angle noise on, step k runs at T + std w e_k, the normals e_k
+    coming in Box-Muller pairs r * (cos, sin)(2 pi u'), with
+    r = sqrt(-2 log(1 - u)), from column j of u: the normal_uniforms(steps)
+    float64 uniforms of column j's attempt, none without angle noise.
+    1 - u and pi u' are rounded to float32 once; the rest runs in float32,
+    its (steps x attempts) blocks in the first 3 * len(u) rows of the
+    workspace ws."""
+    first, ch, sh = steps
+    if len(u):
         e, cos, d = ws[: 3 * len(u)].reshape(3, len(u), -1)
         r = d[::2]
         _cos_sin(np.multiply(math.pi, u[1::2], e[1::2]), e[::2], r)  # half of 2 pi u'
         np.sqrt(np.multiply(-2.0, np.log(np.subtract(1.0, u[::2], r), r), r), r)
         e[::2] *= r
         e[1::2] *= r
-        e = e[:m]  # (m, n): pulse k's normal in every column
-        t = np.multiply(t, np.add(1.0, np.multiply(std, e, e), e), e)
-        ch, sh = _cos_sin(t, cos[:m], d[:m])
-    else:
-        ch, sh = _cos_sin(t, np.empty_like(t), np.empty_like(t))
-    for k, (axis, _) in enumerate(pulses):
-        i = axis != "a"  # the pulse rotates rows[i] and rows[i + 1]
+        m = len(first)
+        e = e[:m]  # (m, n): step k's normal in every column
+        # from T / 4 and std w / 4 to the tangent's argument (T + std w e) / 4
+        ch, sh = _cos_sin(np.add(ch, np.multiply(sh, e, e), e), cos[:m], d[:m])
+    for k, i in enumerate(first):  # step k rotates rows[i] and rows[i + 1]
         x, y, s, tmp = rows[i], rows[i + 1], rows[3], rows[4]
         np.multiply(ch[k], x, s)
         s += np.multiply(sh[k], y, tmp)
@@ -469,15 +454,23 @@ def _noisy_apply_rows(pulses, std: float, u, rows, ws):
         rows[i], rows[3] = s, x
 
 
-def _readout_rows(u, a, misassignment: tuple[float, float]):
+def _readout_rows(u, rows, misassignment: tuple[float, float]):
     """True outcomes (True for |+1>) and assigned bits of one readout of
     the attempts whose READOUT_UNIFORMS readout uniforms are the columns of
-    u and whose |+1> amplitudes are the row a, squared in place. u[0] below
-    the |+1> population a^2 gives the |+1> outcome; u[2] then misassigns
-    it with the Poisson tail probabilities `misassignment` =
+    u and whose states are the float32 rows = [a, b, c, s1, s2]. u[0] below
+    the |+1> population relative to the norm, a^2 / ((b^2 + c^2) + a^2),
+    computed in the scratch rows s1, s2, gives the |+1> outcome. In float32
+    the norm drifts by about 1e-7 a pulse, where leakage between levels
+    stays near 1e-15: so a population that is 1 exactly reads 1, not the
+    0.9999998 of a plain a^2. u[2] then misassigns the outcome with the
+    Poisson tail probabilities `misassignment` =
     (P(assign 1 | true 0), P(assign 0 | true 1)) that
     misassignment_probabilities gives."""
-    one = u[0] < np.multiply(a, a, a)
+    a, b, c, p, norm = rows
+    np.multiply(b, b, norm)
+    norm += np.multiply(c, c, p)
+    norm += np.multiply(a, a, p)
+    one = u[0] < np.divide(p, norm, p)
     return one, np.where(one, u[2] >= misassignment[1], u[2] < misassignment[0])
 
 
@@ -504,30 +497,29 @@ def _collapse_rows(u, one, rows, flip_prob: float):
     np.copyto(c, flip & ~zero, where=~collapse)
 
 
-def _run_rows(prog: _ShotProgram, noise: NoiseModel, eps, u, ws):
-    """Assigned bits (b1, b2) of the attempts whose windows
-    (prog.layout(noise)) are the columns of u, run as array steps over all
-    of them. u[0] sets the prepared state: |+1> below 1 - init_error_prob, else |0> below
+def _run_rows(layout, steps, noise: NoiseModel, eps, u, ws):
+    """Assigned bits (b1, b2) of the attempts whose windows (a program's
+    layout) are the columns of u, run as array steps over all of them;
+    steps are _steps of its pre and mid pulses. u[0] sets the prepared
+    state: |+1> below 1 - init_error_prob, else |0> below
     1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1,
     the mid pulses and readout 2 follow, each on its own uniforms.
 
     The prepared states are real and every pulse is a real rotation, so
-    amplitudes are held as real rows, one column per attempt. Every float
-    step over the attempts runs in place in the workspace ws, one column
-    per attempt: the rows a, b, c, two scratch rows, then the blocks of
-    _noisy_apply_rows."""
-    pre, first, mid, second, _ = prog.layout(noise)
+    amplitudes are held as real rows, one column per attempt, in place in
+    the float32 workspace ws: the rows a, b, c, two scratch rows, then the
+    blocks of _noisy_apply_rows."""
+    pre, first, mid, second, _ = layout
     p = noise.init_error_prob
     plus = u[0] < 1.0 - p
     zero = ~plus & (u[0] < 1.0 - p / 2.0)
     ws[0], ws[1], ws[2] = plus, zero, ~(plus | zero)
     rows, ws = list(ws[:5]), ws[5:]
-    std = noise.pulse_angle_error_std
-    _noisy_apply_rows(prog.pre_pulses, std, u[pre:first], rows, ws)
-    one, b1 = _readout_rows(u[first:mid], rows[0], eps)
+    _noisy_apply_rows(steps[0], u[pre:first], rows, ws)
+    one, b1 = _readout_rows(u[first:mid], rows, eps)
     _collapse_rows(u[first:mid], one, rows, noise.nuclear_flip_prob)
-    _noisy_apply_rows(prog.mid_pulses, std, u[mid:second], rows, ws)
-    _, b2 = _readout_rows(u[second:], rows[0], eps)
+    _noisy_apply_rows(steps[1], u[mid:second], rows, ws)
+    _, b2 = _readout_rows(u[second:], rows, eps)
     return b1, b2
 
 
@@ -542,8 +534,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     group_rng), so results are independent of execution order and of how
     many windows are drawn at once; identical configurations reproduce
     identical counts. The windows that pass the charge check in each draw
-    run together as array steps (_run_rows), one per pulse and readout, in
-    a workspace of flat buffers that the call owns and drops on return.
+    run together as array steps (_run_rows), one per pulse step and
+    readout, in a workspace of flat buffers that the call owns and drops on
+    return.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -552,12 +545,13 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     eps = misassignment_probabilities(noise)
     programs = shot_programs(config.pair_order)
     tables = np.zeros((len(programs), 4), dtype=np.int64)
-    kept_total = 0
-    discarded_total = 0
+    kept_total = discarded_total = 0
     # the call's workspace: flat buffers, each grown to the largest view asked of it
     drawn = taken = kernel = np.empty(0)
+    std = noise.pulse_angle_error_std
     for prog, table in zip(programs, tables):
-        pre, first, mid, second, width = prog.layout(noise)
+        layout = pre, first, mid, second, width = prog.layout(noise)
+        steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
         # _run_rows' rows: five state rows, three per normal of the longer pulse string
         depth = 5 + 3 * max(first - pre, second - mid)
         rng = group_rng(config.seed, prog.group)
@@ -584,8 +578,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
                 u = u.take(good, axis=0, out=taken[: n * width].reshape(n, width), mode="clip")
             if kernel.size < depth * n:
                 del kernel  # the largest buffer: old and new together would set the peak
-                kernel = np.empty(depth * n)
-            b1, b2 = _run_rows(prog, noise, eps, u[:n].T, kernel[: depth * n].reshape(depth, n))
+                kernel = np.empty(depth * n, np.float32)
+            ws = kernel[: depth * n].reshape(depth, n)
+            b1, b2 = _run_rows(layout, steps, noise, eps, u[:n].T, ws)
             table += np.bincount(2 * b1 + b2, minlength=4)
         if kept < shots:
             raise InsufficientData(

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from kcbsim import errors
 from kcbsim.cli import main
-from kcbsim.experiment import NoiseModel, NvParameters
+from kcbsim.errors import ConfigError, NonFinite
+from kcbsim.experiment import NoiseModel
 from kcbsim.kcbs import TERM_NAMES
+from kcbsim.spectrum import NvParameters, nmr_frequencies
 
 SQRT5 = math.sqrt(5.0)
 
@@ -331,6 +333,25 @@ def test_record_names_command_and_wall_clock(argv):
     assert math.isfinite(rec["wall_clock_seconds"]) and rec["wall_clock_seconds"] >= 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["exact"], ["validate"], ["simulate", "--shots", "200"]], ids=lambda argv: argv[0]
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # as `kcbsim exact | head -c 10` does: the reader is gone before the
+    # record is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kcbsim", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+
+
 class TestImports:
     MONTE_CARLO_STACK = ("yaml", "csv", "kcbsim.config", "kcbsim.experiment")
 
@@ -358,6 +379,34 @@ class TestImports:
         assert not hasattr(kcbsim, "run_protocol")
         with pytest.raises(AttributeError, match="initialize"):
             kcbsim.initialize
+
+
+class TestNmrFrequencies:
+    def test_reference_constants(self):
+        low, high = nmr_frequencies(NvParameters())
+        # 0.3077 kHz/G * 5636 G = 1.7341972 MHz on either side of 4.95 MHz
+        assert low == pytest.approx(3.2158028, abs=1e-7)
+        assert high == pytest.approx(6.6841972, abs=1e-7)
+        assert low == pytest.approx(3.2158, abs=1e-3)
+        assert high == pytest.approx(6.6842, abs=1e-3)
+
+    def test_zero_field_degenerate(self):
+        low, high = nmr_frequencies(NvParameters(field_gauss=0.0))
+        assert (low, high) == (4.95, 4.95)
+
+    def test_zero_gyromagnetic_degenerate(self):
+        low, high = nmr_frequencies(NvParameters(gyromagnetic_khz_per_gauss=0.0))
+        assert (low, high) == (4.95, 4.95)
+
+    def test_sorted_even_past_crossing(self):
+        low, high = nmr_frequencies(NvParameters(field_gauss=20000.0))
+        assert low <= high
+
+    def test_invalid_parameters(self):
+        with pytest.raises(NonFinite):
+            NvParameters(quadrupole_mhz=float("nan"))
+        with pytest.raises(ConfigError):
+            NvParameters(field_gauss=-1.0)
 
 
 class TestSpectrum:

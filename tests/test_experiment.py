@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import platform
 import subprocess
@@ -15,7 +16,7 @@ from scipy.stats import binom, chi2, poisson
 
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
-from kcbsim.errors import ConfigError, InsufficientData, NonFinite
+from kcbsim.errors import ConfigError, InsufficientData
 from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms, modified_kcbs_value
 from kcbsim.experiment import (
     BUDGET_TAIL,
@@ -24,19 +25,17 @@ from kcbsim.experiment import (
     MAX_ATTEMPTS,
     READOUT_UNIFORMS,
     NoiseModel,
-    NvParameters,
     RunConfig,
     estimate_stats,
     exact_tables,
     group_rng,
     misassignment_probabilities,
-    nmr_frequencies,
     normal_uniforms,
     recorded_terms,
     run_protocol,
     shot_programs,
 )
-from kcbsim.experiment import _cos_sin, _pulse_channel
+from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _pulse_channel, _readout_rows, _steps
 from kcbsim.pentagram import build_psi0, build_pulse_quintuplet, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
 from scalar_reference import initialize, noisy_apply, single_shot_readout
@@ -61,34 +60,6 @@ def poisson_tail_above(threshold, lam):
         term *= lam / k
         below += term
     return 1.0 - below
-
-
-class TestNmrFrequencies:
-    def test_reference_constants(self):
-        low, high = nmr_frequencies(NvParameters())
-        # 0.3077 kHz/G * 5636 G = 1.7341972 MHz on either side of 4.95 MHz
-        assert low == pytest.approx(3.2158028, abs=1e-7)
-        assert high == pytest.approx(6.6841972, abs=1e-7)
-        assert low == pytest.approx(3.2158, abs=1e-3)
-        assert high == pytest.approx(6.6842, abs=1e-3)
-
-    def test_zero_field_degenerate(self):
-        low, high = nmr_frequencies(NvParameters(field_gauss=0.0))
-        assert (low, high) == (4.95, 4.95)
-
-    def test_zero_gyromagnetic_degenerate(self):
-        low, high = nmr_frequencies(NvParameters(gyromagnetic_khz_per_gauss=0.0))
-        assert (low, high) == (4.95, 4.95)
-
-    def test_sorted_even_past_crossing(self):
-        low, high = nmr_frequencies(NvParameters(field_gauss=20000.0))
-        assert low <= high
-
-    def test_invalid_parameters(self):
-        with pytest.raises(NonFinite):
-            NvParameters(quadrupole_mhz=float("nan"))
-        with pytest.raises(ConfigError):
-            NvParameters(field_gauss=-1.0)
 
 
 class TestNoiseModelValidation:
@@ -591,6 +562,18 @@ class TestExactTables:
                            for r in [rot(t * (1.0 + std * e)).real])
             assert np.max(np.abs(_pulse_channel(rho, axis, t, std) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("t1, t2, axis", [(0.4, 0.3, "a"), (1.9, -0.7, "b"), (-2.2, -1.1, "a")])
+    def test_same_axis_pulses_merge_into_one_channel(self, t1, t2, axis):
+        # two pulses at relative spread std each are one pulse of angle
+        # t1 + t2 at absolute spread std * hypot(t1, t2), which
+        # _pulse_channel takes as a relative spread over t1 + t2
+        std = 0.3
+        m = np.random.default_rng(53).normal(size=(3, 3))
+        rho = m @ m.T / np.trace(m @ m.T)
+        two = _pulse_channel(_pulse_channel(rho, axis, t1, std), axis, t2, std)
+        one = _pulse_channel(rho, axis, t1 + t2, std * math.hypot(t1, t2) / (t1 + t2))
+        assert np.max(np.abs(two - one)) < 1e-15
+
 
 @functools.cache
 def monte_carlo_and_exact(preset, pair_order, seed):
@@ -671,7 +654,8 @@ class TestGroupRng:
 
     def test_window_layout(self):
         # init, charge, pre-pulse normals, readout 1, mid-pulse normals,
-        # readout 2; no normals at all without pulse noise
+        # readout 2; one normal per run of same-axis neighbours, and no
+        # normals at all without pulse noise
         assert READOUT_UNIFORMS == 3
         widths = {}
         for noise in (IDEAL, PULSE_NOISE):
@@ -679,13 +663,13 @@ class TestGroupRng:
             for prog in shot_programs("forward") + shot_programs("reverse"):
                 pre, first, mid, second, width = prog.layout(noise)
                 assert pre == 2
-                assert first - pre == noisy * normal_uniforms(len(prog.pre_pulses))
+                assert first - pre == noisy * normal_uniforms(axis_runs(prog.pre_pulses))
                 assert mid - first == READOUT_UNIFORMS
-                assert second - mid == noisy * normal_uniforms(len(prog.mid_pulses))
+                assert second - mid == noisy * normal_uniforms(axis_runs(prog.mid_pulses))
                 assert width - second == READOUT_UNIFORMS
                 widths.setdefault(noisy, set()).add(width)
         assert widths[False] == {8}
-        assert (min(widths[True]), max(widths[True])) == (16, 26) == (16, WIDEST)
+        assert (min(widths[True]), max(widths[True])) == (16, 22) == (16, WIDEST)
 
     def test_counts_do_not_depend_on_the_draw_size(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
@@ -711,6 +695,11 @@ class TestGroupRng:
                 assert (res.successes, res.kept_shots, res.discarded_shots) == (
                     default.successes, default.kept_shots, default.discarded_shots
                 ), (pair_order, shots, draw)
+
+
+def axis_runs(pulses) -> int:
+    """Runs of same-axis neighbours in a pulse string."""
+    return sum(1 for _ in itertools.groupby(axis for axis, _ in pulses))
 
 
 def scalar_counts(config):
@@ -771,6 +760,40 @@ class TestArrayKernel:
         # spread across the poles of tan(t / 4)
         cfg = build_run_config({"noise": dict(STRESS, **edge)}, seed=5, shots=400, pair_order=pair_order)
         assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_merged_steps_match_the_single_rotations(self, pair_order):
+        # noise off: the kernel's steps take the basis columns where the
+        # product of the pulses' own rotations does, to float32 resolution
+        for prog in shot_programs(pair_order):
+            for pulses in (prog.pre_pulses, prog.mid_pulses):
+                ws = np.zeros((5, 3), np.float32)
+                ws[:3] = np.eye(3)
+                rows = list(ws)
+                steps = _steps(pulses, 0.0)
+                _noisy_apply_rows(steps, np.empty((0, 3)), rows, ws[5:])
+                assert len(steps[0]) == axis_runs(pulses)
+                expected = compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]).real
+                assert_allclose(np.array(rows[:3]), expected, rtol=0, atol=10 * np.finfo(np.float32).eps)
+        merged = sum(axis_runs(p.pre_pulses) + axis_runs(p.mid_pulses) for p in shot_programs(pair_order))
+        pulses = sum(len(p.pre_pulses) + len(p.mid_pulses) for p in shot_programs(pair_order))
+        assert (pulses, merged) == {"forward": (57, 50), "reverse": (65, 58)}[pair_order]
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_certain_outcome_reads_bright_at_the_largest_uniform(self, pair_order):
+        # the correction group reads l1 right after l6, and |<l6|l1>| = 1:
+        # a column left exactly |+1> by the first readout has population 1
+        # at the second, and must read bright at any uniform below 1
+        prog = shot_programs(pair_order)[5]
+        exact = compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in prog.mid_pulses]) @ KET_PLUS
+        assert abs(exact[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
+        ws = np.zeros((5, 1), np.float32)
+        ws[0] = 1.0
+        rows = list(ws)
+        _noisy_apply_rows(_steps(prog.mid_pulses, 0.0), np.empty((0, 1)), rows, ws[5:])
+        u = np.array([[np.nextafter(1.0, 0.0)], [1.0], [0.5]])
+        one, bit = _readout_rows(u, rows, (0.0, 0.0))
+        assert one.all() and bit.all()
 
     @pytest.mark.parametrize("shots, charge_good_prob", [(100_000, 1.0), (20, 1e-4)])
     def test_memory_does_not_grow_with_shots_or_discards(self, shots, charge_good_prob):
