@@ -43,9 +43,9 @@ from .qutrit import (
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 
-# The Monte Carlo stack (kcbsim.experiment, and kcbsim.config with PyYAML)
-# loads on first use, so that `kcbsim exact` and `validate` start without it.
-_LAZY_SUBMODULES = ("config", "experiment")
+# The Monte Carlo stack (model, experiment, and config with PyYAML) loads on
+# first use, so that `kcbsim exact` and `validate` start without it.
+_LAZY_SUBMODULES = ("config", "experiment", "model")
 
 
 def __getattr__(name):

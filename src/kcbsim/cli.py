@@ -105,7 +105,7 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    from . import experiment
+    from . import experiment, model
     from .config import build_run_config, load_config_file, load_preset
 
     data = load_config_file(args.config) if args.config else load_preset(args.preset)
@@ -116,7 +116,7 @@ def cmd_simulate(args) -> dict:
         result = experiment.run_protocol(config)
         if csv_file:
             _write_csv(csv_file, result)
-    eps0, eps1 = experiment.misassignment_probabilities(config.noise)
+    eps0, eps1 = model.misassignment_probabilities(config.noise)
     return {
         "preset": None if args.config else args.preset,
         "config_file": args.config,

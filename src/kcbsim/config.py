@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .experiment import NoiseModel, RunConfig
+from .model import NoiseModel, RunConfig
 
 _NOISE_FIELDS = {f.name for f in dataclasses.fields(NoiseModel)}
 _TOP_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}

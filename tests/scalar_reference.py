@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from kcbsim.experiment import NoiseModel
+from kcbsim.model import NoiseModel
 from kcbsim.qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 
 _PLUS, _ZERO, _MINUS = (tuple(np.float32(x) for x in k.real) for k in (KET_PLUS, KET_ZERO, KET_MINUS))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from kcbsim import errors
 from kcbsim.cli import main
 from kcbsim.errors import ConfigError, NonFinite
-from kcbsim.experiment import NoiseModel
+from kcbsim.model import NoiseModel
 from kcbsim.kcbs import TERM_NAMES
 from kcbsim.spectrum import NvParameters, nmr_frequencies
 
@@ -252,6 +252,22 @@ class TestSimulate:
         assert code == 2
         assert "ConfigError" in err and field in err
 
+    @pytest.mark.parametrize("doc", ["seed: {}\n", "noise: {{lambda_bright: {}}}\n"],
+                             ids=["seed", "lambda_bright"])
+    def test_nested_aliases_give_a_short_error(self, tmp_path, capsys, no_shot_loop, doc):
+        # five levels of nine-fold YAML aliases: a few hundred bytes that
+        # load as 9**5 leaves, whose full repr is about 200 KB
+        value = "&a0 [0, 0, 0, 0, 0, 0, 0, 0, 0]"
+        for k in range(1, 5):
+            value = f"&a{k} [{value}" + f", *a{k - 1}" * 8 + "]"
+        cfg = tmp_path / "aliases.yaml"
+        cfg.write_text(doc.format(value))
+        code, rec = run_cli("simulate", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2 and rec is None
+        assert "Traceback" not in err and "ConfigError" in err
+        assert len(err.encode()) < 1024, len(err.encode())
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_csv_exits_2_before_the_run(self, tmp_path, capsys, no_shot_loop, where):
         path = tmp_path / "missing" / "terms.csv" if where == "missing-directory" else tmp_path
@@ -353,7 +369,7 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
 
 
 class TestImports:
-    MONTE_CARLO_STACK = ("yaml", "csv", "kcbsim.config", "kcbsim.experiment")
+    MONTE_CARLO_STACK = ("yaml", "csv", "kcbsim.config", "kcbsim.model", "kcbsim.experiment")
 
     def test_exact_and_validate_skip_the_monte_carlo_stack(self):
         loaded = run_fresh(
@@ -369,9 +385,20 @@ class TestImports:
     def test_submodules_resolve_on_attribute_access(self):
         out = run_fresh(
             "import kcbsim\n"
+            "print(kcbsim.model.exact_tables.__module__)\n"
             "print(kcbsim.config.load_preset.__module__, kcbsim.experiment.run_protocol.__module__)\n"
         )
-        assert out.split() == ["kcbsim.config", "kcbsim.experiment"]
+        assert out.split() == ["kcbsim.model", "kcbsim.config", "kcbsim.experiment"]
+
+    def test_config_and_exact_backend_skip_the_sampler(self):
+        out = run_fresh(
+            "import sys\n"
+            "import kcbsim.config\n"
+            "from kcbsim.config import build_run_config, load_preset\n"
+            "noise = build_run_config(load_preset('paper-2015')).noise\n"
+            "print(kcbsim.model.exact_tables(noise).shape, 'kcbsim.experiment' in sys.modules)\n"
+        )
+        assert out.split() == ["(6,", "2,", "2)", "False"]
 
     def test_other_names_stay_missing(self):
         import kcbsim

@@ -17,25 +17,24 @@ from scipy.stats import binom, chi2, poisson
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData
-from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms, modified_kcbs_value
-from kcbsim.experiment import (
+from kcbsim.kcbs import TERM_NAMES, exact_terms, modified_kcbs_value
+from kcbsim.experiment import DRAW_UNIFORMS, READOUT_UNIFORMS, group_rng, normal_uniforms
+from kcbsim.experiment import run_protocol
+from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _readout_rows, _steps
+from kcbsim.model import (
     BUDGET_TAIL,
-    DRAW_UNIFORMS,
     LAMBDA_MAX,
     MAX_ATTEMPTS,
-    READOUT_UNIFORMS,
     NoiseModel,
     RunConfig,
     estimate_stats,
     exact_tables,
-    group_rng,
     misassignment_probabilities,
-    normal_uniforms,
     recorded_terms,
-    run_protocol,
     shot_programs,
+    table_estimates,
 )
-from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _pulse_channel, _readout_rows, _steps
+from kcbsim.model import _pulse_channel
 from kcbsim.pentagram import build_psi0, build_pulse_quintuplet, psi0_pulses, swap_pulses
 from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
 from scalar_reference import initialize, noisy_apply, single_shot_readout
@@ -47,7 +46,8 @@ PULSE_NOISE = NoiseModel(pulse_angle_error_std=0.02)
 #: Uniforms of the widest attempt window, the forward correction group's
 #: with pulse noise on: DRAW_UNIFORMS = WIDEST draws one window at a time,
 #: and anything smaller draws no window of that group at all.
-WIDEST = max(p.layout(PULSE_NOISE)[-1] for o in ("forward", "reverse") for p in shot_programs(o))
+WIDEST = max(_program_steps(p, PULSE_NOISE)[0][-1] for o in ("forward", "reverse")
+             for p in shot_programs(o))
 
 
 def poisson_tail_above(threshold, lam):
@@ -142,7 +142,7 @@ class TestChargeCheck:
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
         attempts = 0
         for prog in shot_programs(cfg.pair_order):
-            width = prog.layout(cfg.noise)[-1]
+            width = _program_steps(prog, cfg.noise)[0][-1]
             charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), width))[:, 1]
             attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
         # at 7 widest windows a draw each group takes dozens of draws and
@@ -542,9 +542,10 @@ class TestExactTables:
 
     @pytest.mark.parametrize("pair_order, value", [("forward", 2.114681), ("reverse", 2.110771)])
     def test_paper_preset_modified_value(self, pair_order, value):
-        noise = build_run_config(load_preset("paper-2015")).noise
-        terms = np.array(list(exact_terms_of(noise, pair_order).values()))
-        assert abs(modified_kcbs_value(TermSet.from_vector(terms)) - value) < 1e-6
+        cfg = build_run_config(load_preset("paper-2015"))
+        counts = exact_tables(cfg.noise, pair_order) * cfg.shots_per_term
+        _, terms, _, _ = table_estimates(shot_programs(pair_order), counts, cfg.shots_per_term)
+        assert abs(modified_kcbs_value(terms) - value) < 1e-6
 
     @pytest.mark.parametrize("std", [0.02, 0.5, 1.0])
     @pytest.mark.parametrize("axis", ["a", "b"])
@@ -645,7 +646,7 @@ class TestGroupRng:
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_attempt_window_reached_by_advance(self, pair_order):
         for prog in shot_programs(pair_order):
-            width = prog.layout(PULSE_NOISE)[-1]
+            width = _program_steps(prog, PULSE_NOISE)[0][-1]
             rows = group_rng(5, prog.group).random((300, width))
             for i in (0, 1, 127, 128, 299):
                 rng = group_rng(5, prog.group)
@@ -661,7 +662,7 @@ class TestGroupRng:
         for noise in (IDEAL, PULSE_NOISE):
             noisy = noise.pulse_angle_error_std > 0.0
             for prog in shot_programs("forward") + shot_programs("reverse"):
-                pre, first, mid, second, width = prog.layout(noise)
+                pre, first, mid, second, width = _program_steps(prog, noise)[0]
                 assert pre == 2
                 assert first - pre == noisy * normal_uniforms(axis_runs(prog.pre_pulses))
                 assert mid - first == READOUT_UNIFORMS
@@ -682,7 +683,7 @@ class TestGroupRng:
         # low that the default DRAW_UNIFORMS caps its draws
         low_charge = dict(STRESS, charge_good_prob=0.02)
         runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 100, "forward")]
-        width = min(prog.layout(NoiseModel(**STRESS))[-1] for prog in shot_programs())
+        width = min(_program_steps(prog, NoiseModel(**STRESS))[0][-1] for prog in shot_programs())
         assert math.ceil((100 + 4.0 * math.sqrt(100) + 8.0) / 0.02) > DRAW_UNIFORMS // width
         for noise, shots, pair_order in runs:
             cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
@@ -713,7 +714,7 @@ def scalar_counts(config):
     successes = dict.fromkeys(TERM_NAMES, 0)
     kept = attempts = 0
     for prog in shot_programs(config.pair_order):
-        pre, first, mid, second, width = prog.layout(noise)
+        pre, first, mid, second, width = _program_steps(prog, noise)[0]
         rng = group_rng(config.seed, prog.group)
         group_kept = 0
         while group_kept < shots:

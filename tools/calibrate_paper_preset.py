@@ -24,12 +24,10 @@ import argparse
 import itertools
 import statistics
 
-import numpy as np
-
 from kcbsim.config import load_preset
-from kcbsim.experiment import NoiseModel, RunConfig, estimate_stats, exact_tables
-from kcbsim.experiment import recorded_terms, run_protocol, shot_programs
-from kcbsim.kcbs import TERM_NAMES, TermSet, modified_kcbs_value
+from kcbsim.kcbs import modified_kcbs_value
+from kcbsim.model import NoiseModel, RunConfig, exact_tables
+from kcbsim.model import shot_programs, table_estimates
 
 TARGET_VALUE = 2.117
 TARGET_STDERR = 0.015
@@ -45,10 +43,8 @@ GRID = dict(
 def expected(noise: NoiseModel, shots: int) -> dict:
     """The exact forward-order modified value, and the stderr and sigma that
     a run of `shots` kept shots per term reports at its expected counts."""
-    terms = recorded_terms(shot_programs(), exact_tables(noise))
-    probs = np.array([terms[name] for name in TERM_NAMES])
-    value = modified_kcbs_value(TermSet.from_vector(probs))
-    _, _, stderr = estimate_stats(probs * shots, shots)
+    _, terms, _, stderr = table_estimates(shot_programs(), exact_tables(noise) * shots, shots)
+    value = modified_kcbs_value(terms)
     return {"value": value, "stderr": stderr, "sigma": (value - 2.0) / stderr}
 
 
@@ -85,6 +81,8 @@ def scan(shots: int) -> None:
 
 
 def verify(shots: int) -> None:
+    from kcbsim.experiment import run_protocol  # the sampler; the scan never loads it
+
     data = load_preset("paper-2015")
     assert data["pair_order"] == "forward"  # the order the scan evaluates
     noise = NoiseModel(**data["noise"])
