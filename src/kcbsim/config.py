@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .model import NoiseModel, RunConfig
+from .model import _REJECTED, NoiseModel, RunConfig
 
 _NOISE_FIELDS = {f.name for f in dataclasses.fields(NoiseModel)}
 _TOP_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -67,13 +67,13 @@ def build_run_config(
     key or field."""
     unknown = set(data) - _TOP_FIELDS
     if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown, key=repr)}")
+        raise ConfigError(f"unknown keys {_REJECTED.repr(sorted(unknown, key=repr))}")
     noise = data.get("noise", {})
     if not isinstance(noise, dict):
         raise ConfigError("'noise' must be a mapping")
     bad = set(noise) - _NOISE_FIELDS
     if bad:
-        raise ConfigError(f"unknown noise keys {sorted(bad, key=repr)}")
+        raise ConfigError(f"unknown noise keys {_REJECTED.repr(sorted(bad, key=repr))}")
     noise = NoiseModel(**noise)
     given = {"seed": seed, "shots_per_term": shots, "pair_order": pair_order}
     overrides = {k: v for k, v in given.items() if v is not None}

@@ -5,32 +5,13 @@ window of its group's random stream, into the count tables of a run."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import InsufficientData
-from .kcbs import TermSet, kcbs_value, modified_kcbs_value
-from .model import NoiseModel, RunConfig, misassignment_probabilities, shot_programs
-from .model import estimate_stats, table_estimates  # noqa: F401 (perfbench traces estimate_stats)
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Estimates, uncertainties, and bookkeeping of one protocol run."""
-
-    terms: TermSet
-    stderrs: TermSet
-    successes: dict[str, int]  # raw per-term success counts
-    tables: np.ndarray  # (6, 2, 2) counts of assigned (b1, b2), shot_programs order
-    shots_per_term: int
-    kept_shots: int
-    discarded_shots: int
-    kcbs_value: float
-    inequality_value: float  # modified (cycle-corrected) value
-    inequality_stderr: float
-    violation_sigma: float
+from .model import ExperimentResult, NoiseModel, RunConfig, misassignment_probabilities
+from .model import estimate_stats, shot_programs, table_estimates  # noqa: F401 (perfbench traces estimate_stats)
 
 
 def group_rng(seed: int, group: int) -> np.random.Generator:
@@ -172,26 +153,21 @@ def _readout_rows(u, rows, misassignment: tuple[float, float]):
 
 
 def _collapse_rows(u, one, rows, flip_prob: float):
-    """Replace the states in rows = [a, b, c, s1, s2] (amplitude rows, then
-    two scratch rows) by the post-measurement states of the readout whose
-    uniforms are the columns of u and whose true outcomes are `one`: |+1>
-    on that outcome, else (0, b, c) / sqrt(b^2 + c^2). A dark outcome with
-    u[1] < flip_prob is a nuclear flip instead: |0> where
-    u[1] < flip_prob / 2, else |-1>. Given the flip, u[1] / flip_prob is
-    uniform on [0, 1), so the pick is fair."""
-    a, b, c, rest, tmp = rows
-    dark = ~one
-    flip = dark & (u[1] < flip_prob)
+    """Replace the states in the amplitude rows a, b, c of rows by the
+    post-measurement states of the readout whose uniforms are the columns
+    of u and whose true outcomes are `one`: |+1> on that outcome, else the
+    projection (0, b, c), left unnormalised because _readout_rows reads
+    populations relative to the norm. A dark outcome with u[1] < flip_prob
+    is a nuclear flip instead: |0> where u[1] < flip_prob / 2, else |-1>.
+    Given the flip, u[1] / flip_prob is uniform on [0, 1), so the pick is
+    fair."""
+    a, b, c = rows[:3]
+    flip = ~one & (u[1] < flip_prob)
     zero = flip & (u[1] < 0.5 * flip_prob)
-    collapse = dark & ~flip
-    np.multiply(b, b, rest)
-    rest += np.multiply(c, c, tmp)
-    np.sqrt(rest, rest)
-    np.divide(b, rest, b, where=collapse)
-    np.divide(c, rest, c, where=collapse)
+    replaced = one | flip  # the states not left projected
     np.copyto(a, one)
-    np.copyto(b, zero, where=~collapse)  # 1 on a flip to |0>, else 0
-    np.copyto(c, flip & ~zero, where=~collapse)
+    np.copyto(b, zero, where=replaced)  # 1 on a flip to |0>, else 0
+    np.copyto(c, flip & ~zero, where=replaced)
 
 
 def _run_rows(layout, steps, noise: NoiseModel, eps, u, ws):
@@ -199,13 +175,15 @@ def _run_rows(layout, steps, noise: NoiseModel, eps, u, ws):
     layout) are the columns of u, run as array steps over all of them;
     steps are _steps of its pre and mid pulses. u[0] sets the prepared
     state: |+1> below 1 - init_error_prob, else |0> below
-    1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1,
-    the mid pulses and readout 2 follow, each on its own uniforms.
+    1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1
+    and its collapse, the mid pulses and readout 2 follow, each on its own
+    uniforms.
 
     The prepared states are real and every pulse is a real rotation, so
     amplitudes are held as real rows, one column per attempt, in place in
     the float32 workspace ws: the rows a, b, c, two scratch rows, then the
-    blocks of _noisy_apply_rows."""
+    blocks of _noisy_apply_rows. Only the readouts normalise: a state
+    after the first readout keeps the norm of its projection."""
     pre, first, mid, second, _ = layout
     p = noise.init_error_prob
     plus = u[0] < 1.0 - p
@@ -233,7 +211,8 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     identical counts. The windows that pass the charge check in each draw
     run together as array steps (_run_rows), one per pulse step and
     readout, in a workspace of flat buffers that the call owns and drops on
-    return.
+    return. The result is table_estimates of the count tables, as for the
+    exact backend's expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -242,7 +221,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     eps = misassignment_probabilities(noise)
     programs = shot_programs(config.pair_order)
     tables = np.zeros((len(programs), 4), dtype=np.int64)
-    kept_total = discarded_total = 0
+    discarded = 0
     # the call's workspace: flat buffers, each grown to the largest view asked of it
     drawn = taken = kernel = np.empty(0)
     for prog, table in zip(programs, tables):
@@ -281,21 +260,5 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
                 f"group {prog.group}: only {kept} of {shots} shots kept "
                 f"(charge_good_prob = {p_charge})"
             )
-        kept_total += kept
-        discarded_total += attempts - kept
-    tables = tables.reshape(-1, 2, 2)
-    successes, terms, stderrs, combined = table_estimates(programs, tables, shots)
-    modified = modified_kcbs_value(terms)
-    return ExperimentResult(
-        terms=terms,
-        stderrs=stderrs,
-        successes=successes,
-        tables=tables,
-        shots_per_term=shots,
-        kept_shots=kept_total,
-        discarded_shots=discarded_total,
-        kcbs_value=kcbs_value(terms),
-        inequality_value=modified,
-        inequality_stderr=combined,
-        violation_sigma=(modified - 2.0) / combined,
-    )
+        discarded += attempts - kept
+    return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

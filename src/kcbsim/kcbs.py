@@ -18,6 +18,9 @@ TERM_NAMES = (
     "L1L2", "L2L3", "L3L4", "L4L5", "L5L6",
     "L1c", "L1pL1",
 )
+#: The noncontextual (classical) bound of both inequalities, the maximum
+#: that nchv_bound and nchv_bound_modified certify.
+NCHV_BOUND = 2
 
 
 @dataclass(frozen=True)

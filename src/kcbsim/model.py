@@ -1,6 +1,6 @@
 """The sequential single-shot protocol and what it should give: the noise
 model and run configuration, the shot programs (pulse schedules and readout
-slots), their exact expectation exact_tables, and the term statistics of
+slots), their exact expectation exact_tables, and the ExperimentResult of
 count tables. kcbsim.experiment samples the same shot programs."""
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, InsufficientData
-from .kcbs import TERM_NAMES, TermSet
+from .kcbs import NCHV_BOUND, TERM_NAMES, TermSet, kcbs_value, modified_kcbs_value
 from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_pulses
 
 #: Largest accepted mean photon count; it bounds the Poisson window that
@@ -260,13 +260,46 @@ def recorded_terms(programs, tables) -> dict[str, float]:
     return {name: terms[name] for name in TERM_NAMES}
 
 
-def table_estimates(programs, tables, shots: int):
-    """recorded_terms of count tables of `shots` kept shots a group, and
-    their estimate_stats as TermSets: (successes, terms, stderrs, combined).
-    Expected counts, exact_tables times shots, give a run's expectation."""
+@dataclass(frozen=True)
+class ExperimentResult:
+    """Estimates, uncertainties, and bookkeeping of one protocol run, or of
+    its expectation; table_estimates builds it for both backends."""
+
+    terms: TermSet
+    stderrs: TermSet
+    successes: dict[str, int]  # raw per-term success counts
+    tables: np.ndarray  # (6, 2, 2) counts of assigned (b1, b2), shot_programs order
+    shots_per_term: int
+    kept_shots: int
+    discarded_shots: int
+    kcbs_value: float
+    inequality_value: float  # modified (cycle-corrected) value
+    inequality_stderr: float
+    violation_sigma: float  # standard errors above NCHV_BOUND
+
+
+def table_estimates(programs, tables, shots: int, discarded: int) -> ExperimentResult:
+    """The ExperimentResult of (6, 2, 2) count tables of `shots` kept shots
+    a group, `discarded` attempts having failed the charge check: the
+    recorded_terms and their estimate_stats. Expected counts,
+    exact_tables times shots, give a run's expectation."""
     successes = recorded_terms(programs, tables)
     means, errs, combined = estimate_stats(list(successes.values()), shots)
-    return successes, TermSet.from_vector(means), TermSet.from_vector(errs), combined
+    terms = TermSet.from_vector(means)
+    modified = modified_kcbs_value(terms)
+    return ExperimentResult(
+        terms=terms,
+        stderrs=TermSet.from_vector(errs),
+        successes=successes,
+        tables=tables,
+        shots_per_term=shots,
+        kept_shots=tables.sum().item(),
+        discarded_shots=discarded,
+        kcbs_value=kcbs_value(terms),
+        inequality_value=modified,
+        inequality_stderr=combined,
+        violation_sigma=(modified - NCHV_BOUND) / combined,
+    )
 
 
 def _pulse_channel(rho, axis: str, t: float, std: float):

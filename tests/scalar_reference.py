@@ -6,7 +6,8 @@ state it is given: np.float32, as in the kernel, for the states that
 `initialize` returns, and float64 for Python floats or complex kets. In
 float32 every operation is the kernel's, in the kernel's order: the runs of
 same-axis pulses merged into one rotation, each cosine and sine taken from
-one tangent, and the readout's |+1> population taken relative to the norm.
+one tangent, the readout's |+1> population taken relative to the norm, and
+the dark collapse's projection left unnormalised.
 numpy's float32 tan, log and sqrt give the same bits on a scalar as inside
 an array (numpy 2.4.6 on x86-64 with AVX-512), so the count-for-count
 tests hold by construction, not by the luck of no uniform landing within
@@ -86,7 +87,8 @@ def single_shot_readout(psi, u, misassignment: tuple[float, float], flip_prob: f
 
     u[0] draws the true outcome from the Born probability, the |+1>
     population relative to the norm, and sets the collapse: |+1>, or on
-    the |0>, |-1> outcome the state projected there and normalised. There,
+    the |0>, |-1> outcome the state projected there, (0, b, c), with the
+    norm of the projection: the next readout divides by it. There,
     u[1] < flip_prob gives instead a nuclear flip: |0> where
     u[1] < flip_prob / 2, else |-1>. u[2] misassigns the bit with the
     Poisson tail probabilities `misassignment` = (P(assign 1 | true 0),
@@ -103,5 +105,4 @@ def single_shot_readout(psi, u, misassignment: tuple[float, float], flip_prob: f
     bit = 1 if u[2] < misassignment[0] else 0
     if u[1] < flip_prob:
         return bit, ((zero, one, zero) if u[1] < 0.5 * flip_prob else (zero, zero, one))
-    rest = np.sqrt(b * b + c * c)
-    return bit, (zero, b / rest, c / rest)
+    return bit, (zero, b, c)

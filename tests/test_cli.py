@@ -268,6 +268,22 @@ class TestSimulate:
         assert "Traceback" not in err and "ConfigError" in err
         assert len(err.encode()) < 1024, len(err.encode())
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        # explicit "? key" entries: YAML caps implicit keys at 1024 characters
+        [(f"? {'k' * 200_000}\n: 1\n", "unknown keys ['kkk"),
+         (f"noise:\n  ? {'k' * 100_000}\n  : 1\n", "unknown noise keys ['kkk")],
+        ids=["top-level", "noise"],
+    )
+    def test_long_unknown_key_gives_a_short_error(self, tmp_path, capsys, no_shot_loop, doc, message):
+        cfg = tmp_path / "long-key.yaml"
+        cfg.write_text(doc)
+        code, rec = run_cli("simulate", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2 and rec is None
+        assert "Traceback" not in err and f"ConfigError: {message}" in err
+        assert len(err.encode()) < 1024, len(err.encode())
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unwritable_csv_exits_2_before_the_run(self, tmp_path, capsys, no_shot_loop, where):
         path = tmp_path / "missing" / "terms.csv" if where == "missing-directory" else tmp_path

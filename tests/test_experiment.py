@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -17,7 +18,7 @@ from scipy.stats import binom, chi2, poisson
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData
-from kcbsim.kcbs import TERM_NAMES, exact_terms, modified_kcbs_value
+from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms
 from kcbsim.experiment import DRAW_UNIFORMS, READOUT_UNIFORMS, group_rng, normal_uniforms
 from kcbsim.experiment import run_protocol
 from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _readout_rows, _steps
@@ -233,8 +234,7 @@ class TestSingleShotReadout:
             if bit == 1:
                 assert_allclose(post, KET_PLUS)
             else:
-                assert post[0] == 0
-                assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+                assert post == (0.0, psi0[1].real, psi0[2].real)
         assert saw[0] > 0 and saw[1] > 0
 
     def test_born_statistics(self):
@@ -526,6 +526,24 @@ class TestRunProtocol:
         )
         assert res.inequality_stderr > 0
 
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_result_is_table_estimates_of_its_tables(self, pair_order):
+        # the sampler ends in the one constructor both backends share
+        cfg = build_run_config({"noise": STRESS}, seed=3, shots=500, pair_order=pair_order)
+        res = run_protocol(cfg)
+        again = table_estimates(shot_programs(pair_order), res.tables.copy(), 500, res.discarded_shots)
+        for f in dataclasses.fields(res):
+            got, want = getattr(res, f.name), getattr(again, f.name)
+            if isinstance(got, TermSet):
+                assert got.as_dict() == want.as_dict(), f.name
+            elif isinstance(got, np.ndarray):
+                assert got.shape == (6, 2, 2) and got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+            else:
+                assert type(got) is type(want) and got == want, f.name
+        assert res.kept_shots == res.tables.sum() == 6 * 500
+        assert res.discarded_shots > 0  # charge_good_prob 0.3
+
 
 def exact_terms_of(noise, pair_order):
     """The twelve terms of exact_tables, by name."""
@@ -544,8 +562,8 @@ class TestExactTables:
     def test_paper_preset_modified_value(self, pair_order, value):
         cfg = build_run_config(load_preset("paper-2015"))
         counts = exact_tables(cfg.noise, pair_order) * cfg.shots_per_term
-        _, terms, _, _ = table_estimates(shot_programs(pair_order), counts, cfg.shots_per_term)
-        assert abs(modified_kcbs_value(terms) - value) < 1e-6
+        res = table_estimates(shot_programs(pair_order), counts, cfg.shots_per_term, 0)
+        assert abs(res.inequality_value - value) < 1e-6
 
     @pytest.mark.parametrize("std", [0.02, 0.5, 1.0])
     @pytest.mark.parametrize("axis", ["a", "b"])

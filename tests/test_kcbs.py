@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kcbsim.kcbs import (
+    NCHV_BOUND,
     TERM_NAMES,
     TermSet,
     assignment_value,
@@ -130,7 +131,7 @@ class TestSequentialPairs:
 class TestClassicalBounds:
     def test_bound_is_two(self):
         best, argmax = nchv_bound()
-        assert best == 2
+        assert best == 2 == NCHV_BOUND
         assert (1, 0, 1, 0, 0) in argmax
 
     def test_all_ones_assignment(self):
@@ -154,7 +155,7 @@ class TestClassicalBounds:
             assert s - p == 2
 
     def test_modified_bound_is_two(self):
-        assert nchv_bound_modified() == 2
+        assert nchv_bound_modified() == 2 == NCHV_BOUND
 
     def test_modified_assignment_examples(self):
         # frozen from exhaustive enumeration

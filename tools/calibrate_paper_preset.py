@@ -25,7 +25,6 @@ import itertools
 import statistics
 
 from kcbsim.config import load_preset
-from kcbsim.kcbs import modified_kcbs_value
 from kcbsim.model import NoiseModel, RunConfig, exact_tables
 from kcbsim.model import shot_programs, table_estimates
 
@@ -43,9 +42,9 @@ GRID = dict(
 def expected(noise: NoiseModel, shots: int) -> dict:
     """The exact forward-order modified value, and the stderr and sigma that
     a run of `shots` kept shots per term reports at its expected counts."""
-    _, terms, _, stderr = table_estimates(shot_programs(), exact_tables(noise) * shots, shots)
-    value = modified_kcbs_value(terms)
-    return {"value": value, "stderr": stderr, "sigma": (value - 2.0) / stderr}
+    res = table_estimates(shot_programs(), exact_tables(noise) * shots, shots, 0)
+    return {"value": res.inequality_value, "stderr": res.inequality_stderr,
+            "sigma": res.violation_sigma}
 
 
 def score(summary: dict) -> float:
