@@ -1,9 +1,11 @@
-"""The batched sampler of the protocol: kcbsim.model's shot programs run as
-float32 array steps over many attempts at once, each attempt on its own
-window of its group's random stream, into the count tables of a run."""
+"""The batched sampler of the protocol: each shot group's charge checks on
+its charge stream, then kcbsim.model's shot programs run as float32 array
+steps over many kept shots at once, each on its own window of the group's
+window stream, into the count tables of a run."""
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 
@@ -14,26 +16,32 @@ from .model import ExperimentResult, NoiseModel, RunConfig, misassignment_probab
 from .model import estimate_stats, shot_programs, table_estimates  # noqa: F401 (perfbench traces estimate_stats)
 
 
-def group_rng(seed: int, group: int) -> np.random.Generator:
-    """The random stream of one shot group, derived from (seed, group).
+def group_rng(seed: int, group: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The two random streams of one shot group, (charge, windows), spawned
+    from the group's one SeedSequence of (seed, group).
 
-    Attempt i of the group owns the window of uniforms
-    [i * W, (i + 1) * W) of this stream, W being the width of its shot
-    program's layout (_program_steps).
-    `Generator.random` takes exactly one 64-bit output per double, so
-    `bit_generator.advance(i * W)` reaches any attempt's window directly:
-    results do not depend on the order in which attempts or groups run."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(group,)))
+    Attempt i of the group reads uniform i of the charge stream for its
+    charge check. Kept shot j, the group's j-th passing attempt, owns the
+    window of uniforms [j * W, (j + 1) * W) of the window stream, W being
+    the width of its shot program's layout (_program_steps); a failed
+    attempt owns no window. `Generator.random` takes exactly one 64-bit
+    output per double, so `bit_generator.advance(i)` and
+    `advance(j * W)` reach any attempt's check and any kept shot's window
+    directly: results do not depend on the order in which attempts, shots
+    or groups run."""
+    charge, windows = np.random.SeedSequence(entropy=seed, spawn_key=(group,)).spawn(2)
+    return np.random.default_rng(charge), np.random.default_rng(windows)
 
 
 #: Uniforms one readout consumes: Born, nuclear flip, assignment.
 READOUT_UNIFORMS = 3
-#: Most uniforms one draw of run_protocol holds (256 KiB of float64), and so
-#: the most columns of one array step: 1489-4096 windows of 8-22 uniforms.
-#: Counts do not depend on it. It bounds the workspace of a call (the draw,
-#: its passing windows and the kernel's float32 rows, each grown to the
-#: largest a draw asks for), which the memory tests hold under 4 MiB.
-DRAW_UNIFORMS = 2**15
+#: Most uniforms one draw of run_protocol holds (512 KiB of float64): the
+#: most charge checks of one draw, and the most columns of one array step,
+#: 3120-9362 windows of 7-21 uniforms. Counts do not depend on it. It bounds
+#: the workspace of a call (the draw and the kernel's float32 rows, each
+#: grown to the largest a draw asks for), which the memory tests hold under
+#: 4 MiB.
+DRAW_UNIFORMS = 2**16
 
 
 def normal_uniforms(n: int) -> int:
@@ -79,20 +87,23 @@ def _steps(pulses, std: float):
     x, y = xy.reshape(-1, 2).T[:, :, None]
     if std == 0.0:
         x, y = _cos_sin(x, y, np.empty_like(x))
-    return [axis != "a" for axis, _ in runs], x, y
+    return tuple(axis != "a" for axis, _ in runs), x, y
 
 
-def _program_steps(prog, noise):
-    """(layout, steps, depth) of a shot program, once per group and call.
-    steps are _steps of its pre and mid pulses. An attempt's window holds
-    init and charge, the pre-step normals (none without angle noise),
-    readout 1, the mid-step normals and readout 2, a branch not taken
-    skipping its uniforms; layout: the offsets of all but the first two and
-    the width W. depth: the workspace rows _run_rows uses."""
-    std = noise.pulse_angle_error_std
+@functools.lru_cache(maxsize=64)
+def _program_steps(prog, std: float):
+    """(layout, steps, depth) of a shot program at pulse_angle_error_std
+    std, memoised, its arrays read-only. steps are _steps of its pre and
+    mid pulses. A kept shot's window holds the init uniform, the pre-step
+    normals (none without angle noise), readout 1, the mid-step normals and
+    readout 2, a branch not taken skipping its uniforms; layout: the
+    offsets of all but the first and the width W. depth: the workspace rows
+    _run_rows uses."""
     steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
+    for _, x, y in steps:
+        x.flags.writeable = y.flags.writeable = False
     normals = [normal_uniforms(len(first)) if std > 0.0 else 0 for first, _, _ in steps]
-    layout = tuple(accumulate((2, normals[0], READOUT_UNIFORMS, normals[1], READOUT_UNIFORMS)))
+    layout = tuple(accumulate((1, normals[0], READOUT_UNIFORMS, normals[1], READOUT_UNIFORMS)))
     return layout, steps, 5 + 3 * max(normals)
 
 
@@ -204,15 +215,17 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     Every group collects shots_per_term kept shots, each attempt running:
     initialize -> charge check -> noisy preparation and setting pulses ->
     first readout -> noisy swap (or undo) pulses -> second readout.
-    Attempts failing the charge check are counted and discarded. Attempt i
-    of a group reads only its own window of the group's stream (see
-    group_rng), so results are independent of execution order and of how
-    many windows are drawn at once; identical configurations reproduce
-    identical counts. The windows that pass the charge check in each draw
-    run together as array steps (_run_rows), one per pulse step and
-    readout, in a workspace of flat buffers that the call owns and drops on
-    return. The result is table_estimates of the count tables, as for the
-    exact backend's expected counts.
+    Attempts failing the charge check are counted and discarded; the check
+    does not depend on the state, so a group first counts its attempts on
+    its charge stream, up to its shots-th passing check, and then runs
+    exactly its kept shots, each on its own window of its window stream
+    (see group_rng). Results are independent of execution order and of how
+    many checks or windows are drawn at once; identical configurations
+    reproduce identical counts. The windows of each draw run together as
+    array steps (_run_rows), one per pulse step and readout, in a workspace
+    of flat buffers that the call owns and drops on return. The result is
+    table_estimates of the count tables, as for the exact backend's
+    expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -223,42 +236,38 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     tables = np.zeros((len(programs), 4), dtype=np.int64)
     discarded = 0
     # the call's workspace: flat buffers, each grown to the largest view asked of it
-    drawn = taken = kernel = np.empty(0)
+    drawn = kernel = np.empty(0)
     for prog, table in zip(programs, tables):
-        layout, steps, depth = _program_steps(prog, noise)
-        width = layout[-1]
-        rng = group_rng(config.seed, prog.group)
+        charge, windows = group_rng(config.seed, prog.group)
         kept = attempts = 0
         while kept < shots and attempts < budget:
-            # aim at the shots still needed plus a margin of about four
-            # standard deviations
-            need = shots - kept
-            aim = math.ceil((need + 4.0 * math.sqrt(need) + 8.0) / p_charge)
-            windows = min(aim, DRAW_UNIFORMS // width, budget - attempts)
-            if drawn.size < windows * width:
-                drawn = np.empty(windows * width)
-            u = rng.random(out=drawn[: windows * width].reshape(windows, width))
-            good = np.flatnonzero(u[:, 1] < p_charge)[:need]
-            n = len(good)
-            kept += n
-            # the group ends at its shots-th passing window, which is counted
-            attempts += int(good[-1]) + 1 if kept == shots else windows
-            if not n:
-                continue
-            if good[-1] >= n:  # a window failed the check: gather the passing ones
-                if taken.size < n * width:
-                    taken = np.empty(n * width)
-                u = u.take(good, axis=0, out=taken[: n * width].reshape(n, width), mode="clip")
-            if kernel.size < depth * n:
-                del kernel  # the largest buffer: old and new together would set the peak
-                kernel = np.empty(depth * n, np.float32)
-            ws = kernel[: depth * n].reshape(depth, n)
-            b1, b2 = _run_rows(layout, steps, noise, eps, u[:n].T, ws)
-            table += np.bincount(2 * b1 + b2, minlength=4)
+            n = min(DRAW_UNIFORMS, budget - attempts)
+            if drawn.size < n:
+                drawn = np.empty(n)
+            passed = charge.random(out=drawn[:n]) < p_charge
+            more = np.count_nonzero(passed)
+            if kept + more < shots:
+                kept, attempts = kept + more, attempts + n
+            else:  # the group ends at its shots-th passing check, which is counted
+                attempts += int(np.flatnonzero(passed)[shots - kept - 1]) + 1
+                kept = shots
         if kept < shots:
             raise InsufficientData(
                 f"group {prog.group}: only {kept} of {shots} shots kept "
                 f"(charge_good_prob = {p_charge})"
             )
         discarded += attempts - kept
+        layout, steps, depth = _program_steps(prog, noise.pulse_angle_error_std)
+        width = layout[-1]
+        per_draw = DRAW_UNIFORMS // width
+        for start in range(0, shots, per_draw):
+            n = min(per_draw, shots - start)
+            if drawn.size < n * width:
+                drawn = np.empty(n * width)
+            if kernel.size < depth * n:
+                del kernel  # the largest buffer: old and new together would set the peak
+                kernel = np.empty(depth * n, np.float32)
+            u = windows.random(out=drawn[: n * width].reshape(n, width))
+            b1, b2 = _run_rows(layout, steps, noise, eps, u.T, kernel[: depth * n].reshape(depth, n))
+            table += np.bincount(2 * b1 + b2, minlength=4)
     return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

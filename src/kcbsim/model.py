@@ -6,6 +6,7 @@ count tables. kcbsim.experiment samples the same shot programs."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import reprlib
 from dataclasses import dataclass, field
@@ -137,10 +138,12 @@ class RunConfig:
         return math.ceil(budget)
 
 
+@functools.lru_cache(maxsize=64)
 def misassignment_probabilities(noise: NoiseModel) -> tuple[float, float]:
     """Readout confusion (P(assign 1 | true 0), P(assign 0 | true 1)): the
     Poisson tail masses of each outcome's photon count on the wrong side of
-    the threshold. Counts strictly above it assign the bright outcome."""
+    the threshold. Counts strictly above it assign the bright outcome.
+    Memoised per noise model."""
     k = noise.readout_threshold
     eps = _poisson_split(k, noise.lambda_dark)[1], _poisson_split(k, noise.lambda_bright)[0]
     # the true |+1> outcome is the bright one unless the polarity is inverted
@@ -267,7 +270,7 @@ class ExperimentResult:
 
     terms: TermSet
     stderrs: TermSet
-    successes: dict[str, int]  # raw per-term success counts
+    successes: dict[str, float]  # per-term success counts: integers from a run, floats from expected counts
     tables: np.ndarray  # (6, 2, 2) counts of assigned (b1, b2), shot_programs order
     shots_per_term: int
     kept_shots: int
@@ -282,7 +285,9 @@ def table_estimates(programs, tables, shots: int, discarded: int) -> ExperimentR
     """The ExperimentResult of (6, 2, 2) count tables of `shots` kept shots
     a group, `discarded` attempts having failed the charge check: the
     recorded_terms and their estimate_stats. Expected counts,
-    exact_tables times shots, give a run's expectation."""
+    exact_tables times shots, give a run's expectation; their successes are
+    floats, and kept_shots is the exact integer len(programs) * shots on
+    both backends."""
     successes = recorded_terms(programs, tables)
     means, errs, combined = estimate_stats(list(successes.values()), shots)
     terms = TermSet.from_vector(means)
@@ -293,7 +298,7 @@ def table_estimates(programs, tables, shots: int, discarded: int) -> ExperimentR
         successes=successes,
         tables=tables,
         shots_per_term=shots,
-        kept_shots=tables.sum().item(),
+        kept_shots=len(programs) * shots,
         discarded_shots=discarded,
         kcbs_value=kcbs_value(terms),
         inequality_value=modified,

@@ -47,8 +47,8 @@ PULSE_NOISE = NoiseModel(pulse_angle_error_std=0.02)
 #: Uniforms of the widest attempt window, the forward correction group's
 #: with pulse noise on: DRAW_UNIFORMS = WIDEST draws one window at a time,
 #: and anything smaller draws no window of that group at all.
-WIDEST = max(_program_steps(p, PULSE_NOISE)[0][-1] for o in ("forward", "reverse")
-             for p in shot_programs(o))
+WIDEST = max(_program_steps(p, PULSE_NOISE.pulse_angle_error_std)[0][-1]
+             for o in ("forward", "reverse") for p in shot_programs(o))
 
 
 def poisson_tail_above(threshold, lam):
@@ -137,17 +137,16 @@ class TestChargeCheck:
 
     @pytest.mark.parametrize("p", [0.3, 0.97])
     def test_attempts_end_at_the_last_kept_window(self, p, monkeypatch):
-        # recount from the charge column of each group's stream: a group
-        # spends attempts up to and including its shots-th passing window
+        # recount from each group's charge stream: a group spends attempts
+        # up to and including its shots-th passing check
         shots = 200
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
         attempts = 0
         for prog in shot_programs(cfg.pair_order):
-            width = _program_steps(prog, cfg.noise)[0][-1]
-            charge = group_rng(cfg.seed, prog.group).random((cfg.attempt_budget(), width))[:, 1]
+            charge = group_rng(cfg.seed, prog.group)[0].random(cfg.attempt_budget())
             attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
-        # at 7 widest windows a draw each group takes dozens of draws and
-        # ends inside the last
+        # at 7 widest windows a draw each group takes dozens of draws of
+        # checks and of windows, and ends inside the last
         for draw in (DRAW_UNIFORMS, 7 * WIDEST):
             monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
             res = run_protocol(cfg)
@@ -564,6 +563,8 @@ class TestExactTables:
         counts = exact_tables(cfg.noise, pair_order) * cfg.shots_per_term
         res = table_estimates(shot_programs(pair_order), counts, cfg.shots_per_term, 0)
         assert abs(res.inequality_value - value) < 1e-6
+        # expected counts are floats, but the kept shots are exact
+        assert type(res.kept_shots) is int and res.kept_shots == 6 * cfg.shots_per_term
 
     @pytest.mark.parametrize("std", [0.02, 0.5, 1.0])
     @pytest.mark.parametrize("axis", ["a", "b"])
@@ -594,8 +595,7 @@ class TestExactTables:
         assert np.max(np.abs(two - one)) < 1e-15
 
 
-@functools.cache
-def monte_carlo_and_exact(preset, pair_order, seed):
+def run_against_exact(preset, pair_order, seed):
     """(run_protocol result, exact tables) of one preset, or STRESS, at 8000
     shots."""
     data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
@@ -603,8 +603,41 @@ def monte_carlo_and_exact(preset, pair_order, seed):
     return run_protocol(cfg), exact_tables(cfg.noise, pair_order)
 
 
+monte_carlo_and_exact = functools.cache(run_against_exact)
+
 #: Exact probabilities at or below this are zero up to rounding.
 IMPOSSIBLE = 1e-15
+
+
+def assert_terms_within_five_sigma(res, tables, pair_order):
+    """The z-test of the exact gate: every term of the run within 5
+    standard errors of its exact value, and no count where it is 0."""
+    n = res.shots_per_term
+    for name, p in recorded_terms(shot_programs(pair_order), tables).items():
+        k = res.successes[name]
+        if p <= IMPOSSIBLE:
+            assert k == 0, name
+        else:
+            assert abs(k / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n), name
+
+
+def assert_tables_pass_a_g_test(res, tables) -> int:
+    """The G-test of the exact gate: every group's table of assigned
+    (b1, b2) against its exact probabilities, which sees the b2 marginal of
+    the groups that record b1 too; the bound is the 1 - 1e-4 quantile of
+    chi^2, fixed beforehand. A count in a cell of probability 0 fails
+    outright. Returns the degrees of freedom."""
+    counts = res.tables
+    assert (counts.sum(axis=(1, 2)) == res.shots_per_term).all()
+    possible = tables > IMPOSSIBLE
+    assert not counts[~possible].any()
+    observed = counts[possible]
+    expected = (res.shots_per_term * tables)[possible]
+    seen = observed > 0
+    g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+    dof = int(possible.sum()) - len(counts)
+    assert g < chi2.isf(1e-4, dof), g
+    return dof
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -613,82 +646,88 @@ IMPOSSIBLE = 1e-15
 class TestAgainstExactTables:
     def test_terms_within_five_sigma(self, preset, pair_order, seed):
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
-        n = res.shots_per_term
-        for name, p in recorded_terms(shot_programs(pair_order), tables).items():
-            k = res.successes[name]
-            if p <= IMPOSSIBLE:
-                assert k == 0, name
-            else:
-                assert abs(k / n - p) < 5.0 * math.sqrt(p * (1.0 - p) / n), name
+        assert_terms_within_five_sigma(res, tables, pair_order)
 
     def test_tables_pass_a_g_test(self, preset, pair_order, seed):
-        # every group's table of assigned (b1, b2) against its exact
-        # probabilities, the b2 marginal of the groups that record b1 too;
-        # the bound is the 1 - 1e-4 quantile of chi^2, fixed beforehand
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
-        counts = res.tables
-        assert (counts.sum(axis=(1, 2)) == res.shots_per_term).all()
-        possible = tables > IMPOSSIBLE
-        assert not counts[~possible].any()
-        observed = counts[possible]
-        expected = (res.shots_per_term * tables)[possible]
-        seen = observed > 0
-        g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
-        dof = int(possible.sum()) - len(counts)
+        dof = assert_tables_pass_a_g_test(res, tables)
         assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18}[preset]
-        assert g < chi2.isf(1e-4, dof), g
+
+
+def first_uniforms(seed, group, n):
+    """The first n uniforms of each of a group's two streams, as one array."""
+    return np.array([rng.random(n) for rng in group_rng(seed, group)])
 
 
 class TestGroupRng:
     def test_reproducible(self):
-        a = group_rng(42, 3).random(5)
-        b = group_rng(42, 3).random(5)
+        a = first_uniforms(42, 3, 5)
+        b = first_uniforms(42, 3, 5)
         assert_allclose(a, b)
 
     def test_streams_distinct(self):
-        a = group_rng(42, 0).random(5)
-        c = group_rng(42, 1).random(5)
-        d = group_rng(43, 0).random(5)
+        a = first_uniforms(42, 0, 5)
+        c = first_uniforms(42, 1, 5)
+        d = first_uniforms(43, 0, 5)
+        assert not np.allclose(a[0], a[1])
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
 
     def test_order_free_derivation(self):
         # deriving stream g never depends on other streams having been
         # created or drawn from first
-        later = group_rng(7, 2).random(3)
+        later = first_uniforms(7, 2, 3)
         for g in range(6):
-            group_rng(7, g).random(100)
-        again = group_rng(7, 2).random(3)
+            first_uniforms(7, g, 100)
+        again = first_uniforms(7, 2, 3)
         assert_allclose(later, again)
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_attempt_window_reached_by_advance(self, pair_order):
+        # attempt i's check is uniform i of the charge stream, kept shot j's
+        # window uniforms [j W, (j + 1) W) of the window stream
         for prog in shot_programs(pair_order):
-            width = _program_steps(prog, PULSE_NOISE)[0][-1]
-            rows = group_rng(5, prog.group).random((300, width))
+            width = _program_steps(prog, PULSE_NOISE.pulse_angle_error_std)[0][-1]
+            charge, windows = group_rng(5, prog.group)
+            checks, rows = charge.random(300), windows.random((300, width))
             for i in (0, 1, 127, 128, 299):
-                rng = group_rng(5, prog.group)
-                rng.bit_generator.advance(i * width)
-                assert_allclose(rng.random(width), rows[i], rtol=0, atol=0)
+                charge, windows = group_rng(5, prog.group)
+                charge.bit_generator.advance(i)
+                windows.bit_generator.advance(i * width)
+                assert charge.random() == checks[i]
+                assert_allclose(windows.random(width), rows[i], rtol=0, atol=0)
 
     def test_window_layout(self):
-        # init, charge, pre-pulse normals, readout 1, mid-pulse normals,
-        # readout 2; one normal per run of same-axis neighbours, and no
-        # normals at all without pulse noise
+        # init, pre-pulse normals, readout 1, mid-pulse normals, readout 2,
+        # and no charge uniform: the check reads the charge stream; one
+        # normal per run of same-axis neighbours, and no normals at all
+        # without pulse noise
         assert READOUT_UNIFORMS == 3
         widths = {}
         for noise in (IDEAL, PULSE_NOISE):
             noisy = noise.pulse_angle_error_std > 0.0
             for prog in shot_programs("forward") + shot_programs("reverse"):
-                pre, first, mid, second, width = _program_steps(prog, noise)[0]
-                assert pre == 2
+                pre, first, mid, second, width = _program_steps(prog, noise.pulse_angle_error_std)[0]
+                assert pre == 1
                 assert first - pre == noisy * normal_uniforms(axis_runs(prog.pre_pulses))
                 assert mid - first == READOUT_UNIFORMS
                 assert second - mid == noisy * normal_uniforms(axis_runs(prog.mid_pulses))
                 assert width - second == READOUT_UNIFORMS
                 widths.setdefault(noisy, set()).add(width)
-        assert widths[False] == {8}
-        assert (min(widths[True]), max(widths[True])) == (16, 22) == (16, WIDEST)
+        assert widths[False] == {7}
+        assert (min(widths[True]), max(widths[True])) == (15, 21) == (15, WIDEST)
+
+    def test_program_steps_are_shared_and_read_only(self):
+        # memoised per shot program and angle spread: every call gets the
+        # same steps, which none of them can write
+        for prog, again in zip(shot_programs(), shot_programs()):
+            steps = _program_steps(prog, 0.02)[1]
+            assert _program_steps(again, 0.02)[1] is steps
+            for _, x, y in steps:
+                with pytest.raises(ValueError):
+                    x[0] = 0.0
+                with pytest.raises(ValueError):
+                    y[0] = 0.0
 
     def test_counts_do_not_depend_on_the_draw_size(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
@@ -698,15 +737,15 @@ class TestGroupRng:
         assert small_draws.successes == default.successes
         assert small_draws.discarded_shots == default.discarded_shots
         # every channel on, in both pair orders, and a charge_good_prob so
-        # low that the default DRAW_UNIFORMS caps its draws
-        low_charge = dict(STRESS, charge_good_prob=0.02)
-        runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 100, "forward")]
-        width = min(_program_steps(prog, NoiseModel(**STRESS))[0][-1] for prog in shot_programs())
-        assert math.ceil((100 + 4.0 * math.sqrt(100) + 8.0) / 0.02) > DRAW_UNIFORMS // width
+        # low that a group's checks span more than one default draw
+        low_charge = dict(STRESS, charge_good_prob=0.002)
+        runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 200, "forward")]
         for noise, shots, pair_order in runs:
             cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
             monkeypatch.setattr(experiment, "DRAW_UNIFORMS", DRAW_UNIFORMS)
             default = run_protocol(cfg)
+            if noise is low_charge:
+                assert default.kept_shots + default.discarded_shots > 6 * DRAW_UNIFORMS
             # one window a draw, dozens of draws, and four times the default
             for draw in (WIDEST, 7 * WIDEST, 4 * DRAW_UNIFORMS):
                 monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
@@ -714,6 +753,20 @@ class TestGroupRng:
                 assert (res.successes, res.kept_shots, res.discarded_shots) == (
                     default.successes, default.kept_shots, default.discarded_shots
                 ), (pair_order, shots, draw)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_counts_do_not_depend_on_the_charge_check(self, pair_order):
+        # the check reads its own stream and the kept shots always read the
+        # first windows of theirs: only the discards change
+        runs = [
+            run_protocol(build_run_config({"noise": dict(STRESS, charge_good_prob=p)}, seed=23,
+                                          shots=300, pair_order=pair_order))
+            for p in (1.0, 0.5, 0.02)
+        ]
+        for res in runs:
+            assert np.array_equal(res.tables, runs[0].tables)
+            assert res.successes == runs[0].successes and res.kept_shots == 6 * 300
+        assert runs[0].discarded_shots == 0 < runs[1].discarded_shots < runs[2].discarded_shots
 
 
 def axis_runs(pulses) -> int:
@@ -724,7 +777,8 @@ def axis_runs(pulses) -> int:
 def scalar_counts(config):
     """(successes, kept, discarded) of run_protocol, recomputed one attempt
     at a time from initialize, noisy_apply and single_shot_readout, each
-    attempt reading its own window of the group's stream."""
+    attempt reading its own uniform of the group's charge stream and each
+    kept shot its own window of the group's window stream."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
@@ -732,14 +786,14 @@ def scalar_counts(config):
     successes = dict.fromkeys(TERM_NAMES, 0)
     kept = attempts = 0
     for prog in shot_programs(config.pair_order):
-        pre, first, mid, second, width = _program_steps(prog, noise)[0]
-        rng = group_rng(config.seed, prog.group)
+        pre, first, mid, second, width = _program_steps(prog, noise.pulse_angle_error_std)[0]
+        charge, windows = group_rng(config.seed, prog.group)
         group_kept = 0
         while group_kept < shots:
-            u = rng.random(width).tolist()
             attempts += 1
-            if not u[1] < noise.charge_good_prob:
+            if not charge.random() < noise.charge_good_prob:
                 continue
+            u = windows.random(width).tolist()
             psi = initialize(noise, u[0])
             psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
             b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
