@@ -214,9 +214,11 @@ class _ShotProgram:
     pair_term: str
 
 
-def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
+@functools.cache
+def shot_programs(pair_order: str = "forward") -> tuple[_ShotProgram, ...]:
     """The six shot groups: one per measurement setting plus the
-    cycle-closure (correction) group.
+    cycle-closure (correction) group, memoised per pair order as one
+    shared tuple.
 
     Each group records one single and one sequential pair. The singles
     L1, L3, L5 sit in the first readout slot of their setting; L2, L4 and
@@ -244,10 +246,8 @@ def shot_programs(pair_order: str = "forward") -> list[_ShotProgram]:
     closing = next(p for p, (_, second) in zip(settings, SLOT_TARGETS) if second == 6)
     # forward: readout 1 on the closing state l6, undo, readout 2 on l1
     pre, mid = (prep, closing + swap) if reverse else (prep + closing + swap, swap + inverse(closing))
-    return programs + [
-        _ShotProgram(group=5, pre_pulses=pre, mid_pulses=mid, single_term="L1c",
-                     single_from_first=reverse, pair_term="L1pL1")
-    ]
+    return (*programs, _ShotProgram(group=5, pre_pulses=pre, mid_pulses=mid, single_term="L1c",
+                                    single_from_first=reverse, pair_term="L1pL1"))
 
 
 def recorded_terms(programs, tables) -> dict[str, float]:

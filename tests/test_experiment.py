@@ -596,9 +596,10 @@ class TestExactTables:
 
 
 def run_against_exact(preset, pair_order, seed):
-    """(run_protocol result, exact tables) of one preset, or STRESS, at 8000
-    shots."""
-    data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
+    """(run_protocol result, exact tables) of one preset, or of STRESS or
+    STRESS_DARK, at 8000 shots."""
+    stress = {"stress": STRESS, "stress-dark": STRESS_DARK}
+    data = {"noise": stress[preset]} if preset in stress else load_preset(preset)
     cfg = build_run_config(data, seed=seed, shots=8000, pair_order=pair_order)
     return run_protocol(cfg), exact_tables(cfg.noise, pair_order)
 
@@ -642,7 +643,7 @@ def assert_tables_pass_a_g_test(res, tables) -> int:
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
-@pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress"])
+@pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress", "stress-dark"])
 class TestAgainstExactTables:
     def test_terms_within_five_sigma(self, preset, pair_order, seed):
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
@@ -651,7 +652,7 @@ class TestAgainstExactTables:
     def test_tables_pass_a_g_test(self, preset, pair_order, seed):
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
         dof = assert_tables_pass_a_g_test(res, tables)
-        assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18}[preset]
+        assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18, "stress-dark": 18}[preset]
 
 
 def first_uniforms(seed, group, n):
@@ -672,6 +673,12 @@ class TestGroupRng:
         assert not np.allclose(a[0], a[1])
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
+
+    @pytest.mark.parametrize("seed, group", [(0, 0), (7, 5), (42, 3), (2**64 - 1, 2)])
+    def test_streams_are_the_spawned_children_of_the_group(self, seed, group):
+        children = np.random.SeedSequence(seed, spawn_key=(group,)).spawn(2)
+        for rng, child in zip(group_rng(seed, group), children):
+            assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
 
     def test_order_free_derivation(self):
         # deriving stream g never depends on other streams having been
@@ -729,6 +736,13 @@ class TestGroupRng:
                 with pytest.raises(ValueError):
                     y[0] = 0.0
 
+    def test_shot_programs_are_shared(self):
+        # memoised per pair order, as a tuple no caller can change
+        for pair_order in ("forward", "reverse"):
+            programs = shot_programs(pair_order)
+            assert type(programs) is tuple and len(programs) == 6
+            assert shot_programs(pair_order) is programs
+
     def test_counts_do_not_depend_on_the_draw_size(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
         default = run_protocol(cfg)
@@ -767,6 +781,26 @@ class TestGroupRng:
             assert np.array_equal(res.tables, runs[0].tables)
             assert res.successes == runs[0].successes and res.kept_shots == 6 * 300
         assert runs[0].discarded_shots == 0 < runs[1].discarded_shots < runs[2].discarded_shots
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_charge_stream_is_not_read_when_every_check_passes(self, pair_order, monkeypatch):
+        # at charge_good_prob 1 the charge stream is never read; the counts
+        # are those of a probability one ulp below 1, whose checks are drawn
+        # and all pass
+        def runs(p):
+            noise = dict(STRESS, charge_good_prob=p)
+            return run_protocol(build_run_config({"noise": noise}, seed=29, shots=300, pair_order=pair_order))
+
+        drawn = runs(np.nextafter(1.0, 0.0))
+
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"charge stream read: {name}")
+
+        monkeypatch.setattr(experiment, "group_rng", lambda seed, group: (Unread(), group_rng(seed, group)[1]))
+        skipped = runs(1.0)
+        assert np.array_equal(skipped.tables, drawn.tables)
+        assert skipped.discarded_shots == drawn.discarded_shots == 0
 
 
 def axis_runs(pulses) -> int:
@@ -811,6 +845,10 @@ def scalar_counts(config):
 STRESS = dict(pulse_angle_error_std=0.2, init_error_prob=0.3, nuclear_flip_prob=0.5,
               charge_good_prob=0.3, bright_state_is_one=False, lambda_bright=10.5,
               lambda_dark=1.55, readout_threshold=4)
+# STRESS with unequal misassignment tails, 0.0211 and 1.6e-5, where every
+# other gate model's two tails agree to 1e-4: a readout that swaps the
+# tails shows only here
+STRESS_DARK = dict(STRESS, lambda_dark=0.3)
 
 
 class TestArrayKernel:
