@@ -244,8 +244,8 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     discarded = 0
     # the call's workspace: flat buffers, each grown to the largest view asked of it
     drawn = kernel = np.empty(0)
-    for prog, table in zip(programs, tables):
-        charge, windows = group_rng(config.seed, prog.group)
+    for group, (prog, table) in enumerate(zip(programs, tables)):
+        charge, windows = group_rng(config.seed, group)
         # every check passes at p_charge = 1: the charge stream feeds nothing else
         kept = attempts = shots if p_charge == 1.0 else 0
         while kept < shots and attempts < budget:
@@ -261,7 +261,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
                 kept = shots
         if kept < shots:
             raise InsufficientData(
-                f"group {prog.group}: only {kept} of {shots} shots kept "
+                f"group {group}: only {kept} of {shots} shots kept "
                 f"(charge_good_prob = {p_charge})"
             )
         discarded += attempts - kept

@@ -31,6 +31,20 @@ _REJECTED = reprlib.Repr()
 _REJECTED.maxlevel = 2
 
 
+def _rejected_number(v) -> str:
+    """A rejected number shown in its ConfigError. A string that float()
+    reads gets a hint: PyYAML reads YAML 1.1, where 1e9 and 1.0e9 are
+    strings and only 1.0e+9 is a float."""
+    shown = _REJECTED.repr(v)
+    if isinstance(v, str):
+        try:
+            float(v)
+        except ValueError:
+            return shown
+        shown += " (a string: YAML 1.1 reads a float as 1.0e+9 and an integer in digits)"
+    return shown
+
+
 def _finite(v: Real) -> bool:
     """True for a number with a finite float value; an integer too large
     for a float is not finite."""
@@ -79,7 +93,7 @@ class NoiseModel:
                 if not isinstance(v, bool):
                     raise ConfigError(f"{f.name} must be true or false, got {_REJECTED.repr(v)}")
             elif isinstance(v, bool) or not isinstance(v, Real) or not _finite(v):
-                raise ConfigError(f"{f.name} must be a finite number, got {_REJECTED.repr(v)}")
+                raise ConfigError(f"{f.name} must be a finite number, got {_rejected_number(v)}")
         probabilities = ("init_error_prob", "nuclear_flip_prob", "charge_good_prob")
         for name in ("pulse_angle_error_std", *probabilities):
             v = getattr(self, name)
@@ -108,7 +122,7 @@ class RunConfig:
         for name in ("seed", "shots_per_term"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ConfigError(f"{name} must be an integer, got {_REJECTED.repr(v)}")
+                raise ConfigError(f"{name} must be an integer, got {_rejected_number(v)}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if not 1 <= self.shots_per_term <= MAX_ATTEMPTS:
@@ -204,26 +218,21 @@ def estimate_stats(successes, shots: int) -> tuple[np.ndarray, np.ndarray, float
 
 @dataclass(frozen=True)
 class _ShotProgram:
-    """Pulse schedule of one shot group and the terms it records."""
+    """Pulse schedule of one shot group and the readout slots it reads."""
 
-    group: int
     pre_pulses: tuple  # after initialization, before the first readout
     mid_pulses: tuple  # between the two readouts
-    single_term: str
-    single_from_first: bool  # record the single from b1 (else from b2)
-    pair_term: str
+    slots: tuple  # (k1, k2): the cycle states l_k1, l_k2 that readouts 1 and 2 read
 
 
 @functools.cache
 def shot_programs(pair_order: str = "forward") -> tuple[_ShotProgram, ...]:
     """The six shot groups: one per measurement setting plus the
     cycle-closure (correction) group, memoised per pair order as one
-    shared tuple.
+    shared tuple; a group's number is its position.
 
-    Each group records one single and one sequential pair. The singles
-    L1, L3, L5 sit in the first readout slot of their setting; L2, L4 and
-    the remeasured L1 are read from the second-readout marginal, which is
-    undisturbed for compatible observables. Reversed pair order inserts
+    A setting's two readouts read SLOT_TARGETS' pair of cycle states, and
+    the closing group reads l6 and then l1. Reversed pair order inserts
     the population swap before the first readout, exchanging the two
     slots.
     """
@@ -231,36 +240,32 @@ def shot_programs(pair_order: str = "forward") -> tuple[_ShotProgram, ...]:
     swap = swap_pulses()
     settings = setting_pulses()
     reverse = pair_order == "reverse"
+    order = -1 if reverse else 1
     programs = [
-        _ShotProgram(
-            group=i - 1,
-            pre_pulses=prep + pulses + (swap if reverse else ()),
-            mid_pulses=swap,
-            single_term=f"L{i}",
-            single_from_first=(first == i) != reverse,
-            pair_term=TERM_NAMES[4 + i],
-        )
-        for i, (pulses, (first, _)) in enumerate(zip(settings, SLOT_TARGETS), start=1)
+        _ShotProgram(prep + pulses + (swap if reverse else ()), swap, slots[::order])
+        for pulses, slots in zip(settings, SLOT_TARGETS)
     ]
     # the setting whose swapped slot reads the closing state l6
     closing = next(p for p, (_, second) in zip(settings, SLOT_TARGETS) if second == 6)
     # forward: readout 1 on the closing state l6, undo, readout 2 on l1
     pre, mid = (prep, closing + swap) if reverse else (prep + closing + swap, swap + inverse(closing))
-    return (*programs, _ShotProgram(group=5, pre_pulses=pre, mid_pulses=mid, single_term="L1c",
-                                    single_from_first=reverse, pair_term="L1pL1"))
+    return (*programs, _ShotProgram(pre, mid, (6, 1)[::order]))
 
 
 def recorded_terms(programs, tables) -> dict[str, float]:
     """The twelve recorded terms of 2x2 tables over the assigned bits
-    (b1, b2), one table per shot program: a group's single is its b1 = 1
-    row or its b2 = 1 column, its pair the (1, 1) cell. Count tables give
-    the success counts, probability tables the expected terms."""
-    terms = {}
+    (b1, b2), one table per shot program: each group records the marginal
+    of its lower-indexed slot, its b1 = 1 row or its b2 = 1 column, as its
+    single, and the (1, 1) cell as its pair. So context {i, i+1} records
+    <L_i> and <L_i L_i+1>, and the closing context {6, 1} records L1c and
+    L1pL1. Count tables give the success counts, probability tables the
+    expected terms."""
+    singles, pairs = [], []
     for prog, table in zip(programs, tables):
-        single = table[1] if prog.single_from_first else table[:, 1]
-        terms[prog.single_term] = single.sum().item()
-        terms[prog.pair_term] = table[1, 1].item()
-    return {name: terms[name] for name in TERM_NAMES}
+        k1, k2 = prog.slots
+        singles.append((table[1] if k1 < k2 else table[:, 1]).sum().item())
+        pairs.append(table[1, 1].item())
+    return dict(zip(TERM_NAMES, singles[:5] + pairs[:5] + singles[5:] + pairs[5:]))
 
 
 @dataclass(frozen=True)

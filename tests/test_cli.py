@@ -223,7 +223,7 @@ class TestSimulate:
             pytest.param("shots_per_term: true\n", "shots_per_term", id="shots-bool"),
             pytest.param("noise: {readout_threshold: .nan}\n", "readout_threshold", id="threshold-nan"),
             pytest.param("noise: {lambda_bright: 1.0e+30}\n", "lambda_bright", id="lambda-huge"),
-            # YAML reads 1e30 (no dot) as a string
+            # YAML 1.1 reads 1e30 (no dot, no exponent sign) as a string
             pytest.param("noise: {lambda_bright: 1e30}\n", "lambda_bright", id="lambda-string"),
             pytest.param("noise: {charge_good_prob: 1.0e-320}\n", "charge_good_prob", id="budget-inf"),
             pytest.param("noise: {charge_good_prob: 1.0e-6}\n", "charge_good_prob", id="budget-4e10"),
@@ -251,6 +251,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 2
         assert "ConfigError" in err and field in err
+
+    @pytest.mark.parametrize("text, field", [("noise: {lambda_bright: 1e9}\n", "lambda_bright"),
+                                             ("shots_per_term: 1e4\n", "shots_per_term")])
+    def test_number_read_as_a_string_names_the_float_form(self, tmp_path, capsys, no_shot_loop, text, field):
+        # YAML 1.1 reads 1e9 as a string: the error says so, and how to write it
+        cfg = tmp_path / "string.yaml"
+        cfg.write_text(text)
+        code, rec = run_cli("simulate", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2 and rec is None
+        assert f"ConfigError: {field} must be" in err and "a string" in err and "1.0e+9" in err
 
     @pytest.mark.parametrize("doc", ["seed: {}\n", "noise: {{lambda_bright: {}}}\n"],
                              ids=["seed", "lambda_bright"])

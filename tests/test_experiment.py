@@ -36,8 +36,8 @@ from kcbsim.model import (
     table_estimates,
 )
 from kcbsim.model import _pulse_channel
-from kcbsim.pentagram import build_psi0, build_pulse_quintuplet, psi0_pulses, swap_pulses
-from kcbsim.qutrit import KET_PLUS, KET_ZERO, compose, rot_a, rot_b
+from kcbsim.pentagram import build_psi0, build_pulse_quintuplet, psi0_pulses, pulse_unitary, swap_pulses
+from kcbsim.qutrit import GEOMETRY_ATOL, KET_PLUS, KET_ZERO, compose, dagger, overlap, rot_a, rot_b
 from scalar_reference import initialize, noisy_apply, single_shot_readout
 
 SQRT5 = math.sqrt(5.0)
@@ -142,8 +142,8 @@ class TestChargeCheck:
         shots = 200
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
         attempts = 0
-        for prog in shot_programs(cfg.pair_order):
-            charge = group_rng(cfg.seed, prog.group)[0].random(cfg.attempt_budget())
+        for group in range(6):
+            charge = group_rng(cfg.seed, group)[0].random(cfg.attempt_budget())
             attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
         # at 7 widest windows a draw each group takes dozens of draws of
         # checks and of windows, and ends inside the last
@@ -544,6 +544,36 @@ class TestRunProtocol:
         assert res.discarded_shots > 0  # charge_good_prob 0.3
 
 
+def assert_slots_read_their_states(programs):
+    """Every readout slot checked geometrically, through neither backend:
+    after the psi0_pulses() prefix, U1 the rest of the pre pulses and
+    U2 = (mid pulses) U1, readout 1 reads l_k1 = U1^dag |+1> and readout 2
+    reads l_k2 = U2^dag |+1>, up to phase within GEOMETRY_ATOL."""
+    states = build_pulse_quintuplet().states
+    prep = psi0_pulses()
+    for group, prog in enumerate(programs):
+        assert prog.pre_pulses[: len(prep)] == prep
+        u1 = pulse_unitary(prog.pre_pulses[len(prep):])
+        u2 = pulse_unitary(prog.mid_pulses) @ u1
+        for k, u in zip(prog.slots, (u1, u2)):
+            defect = abs(1.0 - abs(overlap(states[k - 1], dagger(u) @ KET_PLUS)))
+            assert defect < GEOMETRY_ATOL, (group, k, defect)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_slots_read_their_cycle_states(pair_order):
+    # both backends share the slots, so the exact gate cannot see them
+    # wrong. Adjacent cycle states are orthogonal, so a setting's slots
+    # reversed fail here, where on ideal no value test sees them (both
+    # marginals are 1/sqrt(5)). At gamma_0 l6 = l1, so the closing group's
+    # slots swapped pass here; test_paper_preset_modified_value fails then
+    assert_slots_read_their_states(shot_programs(pair_order))
+
+
+#: The exact modified value of paper-2015, per pair order.
+PAPER_MODIFIED = {"forward": 2.114681, "reverse": 2.110771}
+
+
 def exact_terms_of(noise, pair_order):
     """The twelve terms of exact_tables, by name."""
     return recorded_terms(shot_programs(pair_order), exact_tables(noise, pair_order))
@@ -557,7 +587,7 @@ class TestExactTables:
         for name in TERM_NAMES:
             assert abs(got[name] - expected[name]) < 1e-12, name
 
-    @pytest.mark.parametrize("pair_order, value", [("forward", 2.114681), ("reverse", 2.110771)])
+    @pytest.mark.parametrize("pair_order, value", list(PAPER_MODIFIED.items()))
     def test_paper_preset_modified_value(self, pair_order, value):
         cfg = build_run_config(load_preset("paper-2015"))
         counts = exact_tables(cfg.noise, pair_order) * cfg.shots_per_term
@@ -693,12 +723,12 @@ class TestGroupRng:
     def test_attempt_window_reached_by_advance(self, pair_order):
         # attempt i's check is uniform i of the charge stream, kept shot j's
         # window uniforms [j W, (j + 1) W) of the window stream
-        for prog in shot_programs(pair_order):
+        for group, prog in enumerate(shot_programs(pair_order)):
             width = _program_steps(prog, PULSE_NOISE.pulse_angle_error_std)[0][-1]
-            charge, windows = group_rng(5, prog.group)
+            charge, windows = group_rng(5, group)
             checks, rows = charge.random(300), windows.random((300, width))
             for i in (0, 1, 127, 128, 299):
-                charge, windows = group_rng(5, prog.group)
+                charge, windows = group_rng(5, group)
                 charge.bit_generator.advance(i)
                 windows.bit_generator.advance(i * width)
                 assert charge.random() == checks[i]
@@ -809,21 +839,22 @@ def axis_runs(pulses) -> int:
 
 
 def scalar_counts(config):
-    """(successes, kept, discarded) of run_protocol, recomputed one attempt
-    at a time from initialize, noisy_apply and single_shot_readout, each
-    attempt reading its own uniform of the group's charge stream and each
-    kept shot its own window of the group's window stream."""
+    """(tables, kept, discarded) of run_protocol, the (6, 2, 2) tables of
+    assigned (b1, b2) tallied one attempt at a time from initialize,
+    noisy_apply and single_shot_readout, each attempt reading its own
+    uniform of the group's charge stream and each kept shot its own window
+    of the group's window stream."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
     flip = noise.nuclear_flip_prob
-    successes = dict.fromkeys(TERM_NAMES, 0)
-    kept = attempts = 0
-    for prog in shot_programs(config.pair_order):
+    programs = shot_programs(config.pair_order)
+    tables = np.zeros((len(programs), 2, 2), dtype=np.int64)
+    attempts = 0
+    for group, (prog, table) in enumerate(zip(programs, tables)):
         pre, first, mid, second, width = _program_steps(prog, noise.pulse_angle_error_std)[0]
-        charge, windows = group_rng(config.seed, prog.group)
-        group_kept = 0
-        while group_kept < shots:
+        charge, windows = group_rng(config.seed, group)
+        while table.sum() < shots:
             attempts += 1
             if not charge.random() < noise.charge_good_prob:
                 continue
@@ -833,11 +864,9 @@ def scalar_counts(config):
             b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
             psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
             b2, _ = single_shot_readout(psi, u[second:], eps, flip)
-            successes[prog.single_term] += b1 if prog.single_from_first else b2
-            successes[prog.pair_term] += b1 & b2
-            group_kept += 1
-        kept += group_kept
-    return successes, kept, attempts - kept
+            table[b1, b2] += 1
+    kept = int(tables.sum())
+    return tables, kept, attempts - kept
 
 
 # every channel on and far from the presets: frequent init errors, flips
@@ -949,14 +978,16 @@ class TestArrayKernel:
 
 
 def assert_counts_match_the_scalar_helpers(config, monkeypatch):
-    expected = scalar_counts(config)
+    # every cell of every table, not just the recorded terms
+    tables, kept, discarded = scalar_counts(config)
     # at the default DRAW_UNIFORMS a group takes one or two draws; at 7
     # widest windows it takes dozens, so counts carried across draws and the
     # cut in the last are checked
     for draw in (DRAW_UNIFORMS, 7 * WIDEST):
         monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
         res = run_protocol(config)
-        assert (res.successes, res.kept_shots, res.discarded_shots) == expected, draw
+        assert np.array_equal(res.tables, tables), draw
+        assert (res.kept_shots, res.discarded_shots) == (kept, discarded), draw
 
 
 def traced_memory(config):

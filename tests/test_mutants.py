@@ -1,14 +1,18 @@
-"""Standing mutants of the sampler. Each test breaks the kernel in one known
-way with monkeypatch and asserts that the gate it names fails, through the
-gate's own helper: a gate weakened later shows here as a mutant that
-survives."""
+"""Standing mutants of the gates. Each test breaks the sampler, or code that
+both backends share, in one known way with monkeypatch and asserts that
+the gate it names fails, through the gate's own helper or test: a gate
+weakened later shows here as a mutant that survives."""
 
+import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 
-from kcbsim import experiment
+import test_experiment
+from kcbsim import experiment, model
+from kcbsim.pentagram import swap_pulses
 from test_experiment import assert_tables_pass_a_g_test, assert_terms_within_five_sigma, run_against_exact
 
 
@@ -80,3 +84,110 @@ def test_swapped_misassignment_tails_fail_the_exact_gate(pair_order, monkeypatch
     readout = experiment._readout_rows
     monkeypatch.setattr(experiment, "_readout_rows", lambda u, rows, tails: readout(u, rows, tails[::-1]))
     assert_both_gates_fail("stress-dark", pair_order)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypatch):
+    # readout 1 reads u[first - 1:mid - 1]. On ideal the shifted Born
+    # uniform is the init uniform, which nothing else reads there, so the
+    # mutant is exact in distribution and no gate can see it
+    run_rows = experiment._run_rows
+
+    def mutant(layout, steps, noise, eps, u, ws):
+        first, mid = layout[1:3]
+        v = u.copy()
+        v[first:mid] = u[first - 1:mid - 1]
+        return run_rows(layout, steps, noise, eps, v, ws)
+
+    monkeypatch.setattr(experiment, "_run_rows", mutant)
+    assert_both_gates_fail("stress", pair_order)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_box_muller_radius_from_the_angle_column_fails_the_g_test(pair_order, monkeypatch):
+    # r = sqrt(-2 log(1 - u')) from the angle's uniform u'. Only STRESS's
+    # wide angle noise shows it: paper-2015 and ideal pass both gates
+    noisy_apply_rows = experiment._noisy_apply_rows
+
+    def mutant(steps, u, rows, ws):
+        v = u.copy()
+        v[::2] = u[1::2]
+        return noisy_apply_rows(steps, v, rows, ws)
+
+    monkeypatch.setattr(experiment, "_noisy_apply_rows", mutant)
+    res, tables = run_against_exact("stress", pair_order, seed=11)
+    with pytest.raises(AssertionError):
+        assert_tables_pass_a_g_test(res, tables)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_swap_pulse_on_the_wrong_axis_fails_the_exact_gate(pair_order, monkeypatch):
+    # the kernel's steps run the first pulse of a swap on axis "a"; the
+    # memoised steps are dropped before and after, so none of the mutant's
+    # outlive it. A wrong axis in pentagram.swap_pulses moves both backends
+    # together; test_slots_read_their_cycle_states sees that one
+    steps, swap = experiment._steps, swap_pulses()
+    monkeypatch.setattr(
+        experiment, "_steps",
+        lambda pulses, std: steps((("a", math.pi),) + swap[1:] if pulses == swap else pulses, std),
+    )
+    experiment._program_steps.cache_clear()
+    try:
+        assert_both_gates_fail("paper-2015", pair_order)
+    finally:
+        experiment._program_steps.cache_clear()
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_charge_check_on_the_window_stream_fails_the_charge_tests(pair_order, monkeypatch):
+    # the checks and the windows read one stream. That is exact in
+    # distribution, so the exact gate cannot see it; the charge tests do
+    group_rng = experiment.group_rng
+
+    def one_stream(seed, group):
+        windows = group_rng(seed, group)[1]
+        return windows, windows
+
+    monkeypatch.setattr(experiment, "group_rng", one_stream)
+    with pytest.raises(AssertionError):
+        test_experiment.TestGroupRng().test_counts_do_not_depend_on_the_charge_check(pair_order)
+    for p in (0.3, 0.97):
+        with pytest.raises(AssertionError):
+            test_experiment.TestChargeCheck().test_attempts_end_at_the_last_kept_window(p, monkeypatch)
+
+
+def test_readout_polarity_ignored_fails_the_transposed_confusion_test(monkeypatch):
+    # both backends read misassignment_probabilities, so no Monte
+    # Carlo-against-exact gate can see this; the test reads the function
+    # through its own module's name
+    tails = model.misassignment_probabilities.__wrapped__
+    monkeypatch.setattr(test_experiment, "misassignment_probabilities",
+                        lambda noise: tails(dataclasses.replace(noise, bright_state_is_one=True)))
+    with pytest.raises(AssertionError):
+        test_experiment.TestSingleShotReadout().test_reverse_polarity_transposes_confusion()
+
+
+def slots_reversed(programs, group):
+    """The shot programs with one group's two slots exchanged."""
+    prog = programs[group]
+    return programs[:group] + (dataclasses.replace(prog, slots=prog.slots[::-1]),) + programs[group + 1:]
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_setting_slots_reversed_fail_the_geometric_slot_test(pair_order):
+    # on ideal both marginals are 1/sqrt(5), so no value test sees these
+    for group in range(5):
+        with pytest.raises(AssertionError):
+            test_experiment.assert_slots_read_their_states(slots_reversed(model.shot_programs(pair_order), group))
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_closing_slots_swapped_fail_the_paper_value_test(pair_order, monkeypatch):
+    # l6 = l1 at gamma_0, so the geometric slot test cannot see this one
+    programs = model.shot_programs
+    for module in (model, test_experiment):
+        monkeypatch.setattr(module, "shot_programs", lambda order: slots_reversed(programs(order), 5))
+    with pytest.raises(AssertionError):
+        test_experiment.TestExactTables().test_paper_preset_modified_value(
+            pair_order, test_experiment.PAPER_MODIFIED[pair_order]
+        )
