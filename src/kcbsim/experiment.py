@@ -17,9 +17,9 @@ from .model import estimate_stats, shot_programs, table_estimates  # noqa: F401 
 
 
 def group_rng(seed: int, group: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The two random streams of one shot group, (charge, windows): the two
-    children that SeedSequence(seed, spawn_key=(group,)).spawn(2) makes,
-    built directly as spawn keys (group, 0) and (group, 1).
+    """The two random streams of one shot group, (charge, windows): the
+    PCG64 of SeedSequence(seed, spawn_key=(group,)), and that state
+    advanced by 2^64, past the MAX_ATTEMPTS < 2^64 checks a group reads.
 
     Attempt i of the group reads uniform i of the charge stream for its
     charge check. Kept shot j, the group's j-th passing attempt, owns the
@@ -30,17 +30,16 @@ def group_rng(seed: int, group: int) -> tuple[np.random.Generator, np.random.Gen
     `advance(j * W)` reach any attempt's check and any kept shot's window
     directly: results do not depend on the order in which attempts, shots
     or groups run."""
-    return tuple(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group, i))) for i in (0, 1))
+    seq = np.random.SeedSequence(seed, spawn_key=(group,))
+    return np.random.Generator(np.random.PCG64(seq)), np.random.Generator(np.random.PCG64(seq).advance(2**64))
 
 
-#: Uniforms one readout consumes: Born, nuclear flip, assignment.
-READOUT_UNIFORMS = 3
 #: Most uniforms one draw of run_protocol holds (512 KiB of float64): the
 #: most charge checks of one draw, and the most columns of one array step,
-#: 3120-9362 windows of 7-21 uniforms. Counts do not depend on it. It bounds
-#: the workspace of a call (the draw and the kernel's float32 rows, each
-#: grown to the largest a draw asks for), which the memory tests hold under
-#: 4 MiB.
+#: 3276-32 768 windows of 2-20 uniforms. Counts do not depend on it. It
+#: bounds the workspace of a call (the draw and the kernel's float32 rows,
+#: each grown to the largest a draw asks for), which the memory tests hold
+#: under 4 MiB.
 DRAW_UNIFORMS = 2**16
 
 
@@ -91,19 +90,25 @@ def _steps(pulses, std: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _program_steps(prog, std: float):
+def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     """(layout, steps, depth) of a shot program at pulse_angle_error_std
-    std, memoised, its arrays read-only. steps are _steps of its pre and
-    mid pulses. A kept shot's window holds the init uniform, the pre-step
-    normals (none without angle noise), readout 1, the mid-step normals and
-    readout 2, a branch not taken skipping its uniforms; layout: the
-    offsets of all but the first and the width W. depth: the workspace rows
-    _run_rows uses."""
+    std and channels on = (init error, nuclear flip, misassignment),
+    memoised, its arrays read-only. steps are _steps of its pre and mid
+    pulses. A kept shot's window holds only the uniforms of the channels
+    on, in order: init, the pre-step normals (with angle noise), readout 1
+    (Born, flip, assignment), the mid-step normals and readout 2 (Born,
+    assignment: nothing collapses after it). layout: the offsets of all
+    but the first part, and the width W. depth: the workspace rows
+    _run_rows uses. A channel is on at a probability of 2^-53 or more:
+    Generator.random draws multiples of 2^-53, so below that u < p could
+    hold only at u = 0.0, and off it never does, less than 2^-53 from the
+    model's rate. ideal's bright tail, 1.14e-30, is off."""
     steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
     for _, x, y in steps:
         x.flags.writeable = y.flags.writeable = False
     normals = [normal_uniforms(len(first)) if std > 0.0 else 0 for first, _, _ in steps]
-    layout = tuple(accumulate((1, normals[0], READOUT_UNIFORMS, normals[1], READOUT_UNIFORMS)))
+    init, flip, assign = on
+    layout = tuple(accumulate((int(init), normals[0], 1 + flip + assign, normals[1], 1 + assign)))
     return layout, steps, 5 + 3 * max(normals)
 
 
@@ -143,57 +148,63 @@ def _noisy_apply_rows(steps, u, rows, ws):
         rows[i], rows[3] = s, x
 
 
-def _readout_rows(u, rows, misassignment: tuple[float, float]):
+def _readout_rows(u, rows, misassignment: tuple[float, float] | None):
     """True outcomes (True for |+1>) and assigned bits of one readout of
-    the attempts whose READOUT_UNIFORMS readout uniforms are the columns of
-    u and whose states are the float32 rows = [a, b, c, s1, s2]. u[0] below
-    the |+1> population relative to the norm, a^2 / ((b^2 + c^2) + a^2),
-    computed in the scratch rows s1, s2, gives the |+1> outcome. In float32
-    the norm drifts by about 1e-7 a pulse, where leakage between levels
-    stays near 1e-15: so a population that is 1 exactly reads 1, not the
-    0.9999998 of a plain a^2. u[2] then misassigns the outcome with the
-    Poisson tail probabilities `misassignment` =
-    (P(assign 1 | true 0), P(assign 0 | true 1)) that
-    misassignment_probabilities gives."""
+    the attempts whose readout uniforms are the columns of u and whose
+    states are the float32 rows = [a, b, c, s1, s2]. u[0] below the |+1>
+    population relative to the norm, a^2 / ((b^2 + c^2) + a^2), computed
+    in the scratch rows s1, s2, gives the |+1> outcome. In float32 the norm
+    drifts by about 1e-7 a pulse, where leakage between levels stays near
+    1e-15: so a population that is 1 exactly reads 1, not the 0.9999998 of
+    a plain a^2. With misassignment on, the last uniform u[-1] then
+    misassigns the outcome with the Poisson tail probabilities
+    `misassignment` = (P(assign 1 | true 0), P(assign 0 | true 1)) that
+    misassignment_probabilities gives; off (None), the bit is the outcome."""
     a, b, c, p, norm = rows
     np.multiply(b, b, norm)
     norm += np.multiply(c, c, p)
     norm += np.multiply(a, a, p)
     one = u[0] < np.divide(p, norm, p)
+    if misassignment is None:
+        return one, one
     # not np.where(one, ...): a select over three bool arrays runs numpy's
     # generic loop, about 5.7 ns a column, where & | ~ run 2-3x faster
-    return one, (one & (u[2] >= misassignment[1])) | (~one & (u[2] < misassignment[0]))
+    return one, (one & (u[-1] >= misassignment[1])) | (~one & (u[-1] < misassignment[0]))
 
 
-def _collapse_rows(u, one, rows, flip_prob: float):
+def _collapse_rows(u, one, rows, flip_prob: float | None):
     """Replace the states in the amplitude rows a, b, c of rows by the
     post-measurement states of the readout whose uniforms are the columns
     of u and whose true outcomes are `one`: |+1> on that outcome, else the
     projection (0, b, c), left unnormalised because _readout_rows reads
-    populations relative to the norm. A dark outcome with u[1] < flip_prob
-    is a nuclear flip instead: |0> where u[1] < flip_prob / 2, else |-1>.
-    Given the flip, u[1] / flip_prob is uniform on [0, 1), so the pick is
-    fair."""
+    populations relative to the norm. With flips on, a dark outcome with
+    u[1] < flip_prob is a nuclear flip instead: |0> where
+    u[1] < flip_prob / 2, else |-1>. Given the flip, u[1] / flip_prob is
+    uniform on [0, 1), so the pick is fair. Off (None), nothing flips."""
     a, b, c = rows[:3]
-    flip = ~one & (u[1] < flip_prob)
-    zero = flip & (u[1] < 0.5 * flip_prob)
-    kept = ~(one | flip)  # the states left projected
+    kept = ~one  # the states left projected
+    if flip_prob is not None:
+        flip = kept & (u[1] < flip_prob)
+        zero = flip & (u[1] < 0.5 * flip_prob)
+        kept ^= flip
     np.copyto(a, one)
     # not np.copyto(..., where=): a masked copy runs numpy's slow generic
     # loop, up to about 4 ns a column. A replaced state still comes out an
     # exact basis vector, its zeros +0.0: x * 0 + 0.0 is +0.0 for any x
     b *= kept
-    b += zero  # 1 on a flip to |0>
     c *= kept
-    c += flip & ~zero
+    if flip_prob is not None:
+        b += zero  # 1 on a flip to |0>
+        c += flip ^ zero
 
 
 def _run_rows(layout, steps, noise: NoiseModel, eps, u, ws):
     """Assigned bits (b1, b2) of the attempts whose windows (a program's
     layout) are the columns of u, run as array steps over all of them;
-    steps are _steps of its pre and mid pulses. u[0] sets the prepared
-    state: |+1> below 1 - init_error_prob, else |0> below
-    1 - init_error_prob / 2, else |-1>. The pre-readout pulses, readout 1
+    steps are _steps of its pre and mid pulses; the layout tells which
+    channels are on. With init errors on, u[0] sets the prepared state:
+    |+1> below 1 - init_error_prob, else |0> below 1 - init_error_prob / 2,
+    else |-1>; off, every state is |+1>. The pre-readout pulses, readout 1
     and its collapse, the mid pulses and readout 2 follow, each on its own
     uniforms.
 
@@ -202,17 +213,18 @@ def _run_rows(layout, steps, noise: NoiseModel, eps, u, ws):
     the float32 workspace ws: the rows a, b, c, two scratch rows, then the
     blocks of _noisy_apply_rows. Only the readouts normalise: a state
     after the first readout keeps the norm of its projection."""
-    pre, first, mid, second, _ = layout
+    pre, first, mid, second, width = layout
+    tails = eps if width - second > 1 else None  # readout 2 is Born, then assignment if on
+    flip = noise.nuclear_flip_prob if mid - first > width - second else None  # readout 1 adds the flip
     p = noise.init_error_prob
-    plus = u[0] < 1.0 - p
-    zero = ~plus & (u[0] < 1.0 - p / 2.0)
-    ws[0], ws[1], ws[2] = plus, zero, ~(plus | zero)
+    plus, below = (u[0] < 1.0 - p, u[0] < 1.0 - p / 2.0) if pre else (np.True_, np.True_)
+    ws[0], ws[1], ws[2] = plus, below & ~plus, ~below
     rows, ws = list(ws[:5]), ws[5:]
     _noisy_apply_rows(steps[0], u[pre:first], rows, ws)
-    one, b1 = _readout_rows(u[first:mid], rows, eps)
-    _collapse_rows(u[first:mid], one, rows, noise.nuclear_flip_prob)
+    one, b1 = _readout_rows(u[first:mid], rows, tails)
+    _collapse_rows(u[first:mid], one, rows, flip)
     _noisy_apply_rows(steps[1], u[mid:second], rows, ws)
-    _, b2 = _readout_rows(u[second:], rows, eps)
+    _, b2 = _readout_rows(u[second:], rows, tails)
     return b1, b2
 
 
@@ -226,8 +238,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     does not depend on the state, so a group first counts its attempts on
     its charge stream, up to its shots-th passing check, and then runs
     exactly its kept shots, each on its own window of its window stream
-    (see group_rng). Results are independent of execution order and of how
-    many checks or windows are drawn at once; identical configurations
+    (see group_rng) that holds the uniforms of its channels that are on
+    (_program_steps). Results are independent of execution order and of
+    how many checks or windows are drawn at once; identical configurations
     reproduce identical counts. The windows of each draw run together as
     array steps (_run_rows), one per pulse step and readout, in a workspace
     of flat buffers that the call owns and drops on return. The result is
@@ -239,6 +252,8 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     p_charge = noise.charge_good_prob
     budget = config.attempt_budget()
     eps = misassignment_probabilities(noise)
+    # a channel is on at a probability of 2^-53 or more (_program_steps)
+    on = tuple(q >= 2.0**-53 for q in (noise.init_error_prob, noise.nuclear_flip_prob, max(eps)))
     programs = shot_programs(config.pair_order)
     tables = np.zeros((len(programs), 4), dtype=np.int64)
     discarded = 0
@@ -265,13 +280,13 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
                 f"(charge_good_prob = {p_charge})"
             )
         discarded += attempts - kept
-        layout, steps, depth = _program_steps(prog, noise.pulse_angle_error_std)
+        layout, steps, depth = _program_steps(prog, noise.pulse_angle_error_std, on)
         width = layout[-1]
         per_draw = DRAW_UNIFORMS // width
         for start in range(0, shots, per_draw):
             n = min(per_draw, shots - start)
             if drawn.size < n * width:
-                drawn = np.empty(n * width)
+                drawn = np.empty(min(shots * width, DRAW_UNIFORMS))  # a full draw: 2^16, or all its windows
             if kernel.size < depth * n:
                 del kernel  # the largest buffer: old and new together would set the peak
                 kernel = np.empty(depth * n, np.float32)

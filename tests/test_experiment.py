@@ -19,7 +19,7 @@ from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData
 from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms
-from kcbsim.experiment import DRAW_UNIFORMS, READOUT_UNIFORMS, group_rng, normal_uniforms
+from kcbsim.experiment import DRAW_UNIFORMS, group_rng, normal_uniforms
 from kcbsim.experiment import run_protocol
 from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _readout_rows, _steps
 from kcbsim.model import (
@@ -44,10 +44,12 @@ SQRT5 = math.sqrt(5.0)
 
 IDEAL = NoiseModel()  # defaults are the noise-free model
 PULSE_NOISE = NoiseModel(pulse_angle_error_std=0.02)
+#: Every channel on: init errors, nuclear flips and misassignment.
+ALL_ON = (True, True, True)
 #: Uniforms of the widest attempt window, the forward correction group's
-#: with pulse noise on: DRAW_UNIFORMS = WIDEST draws one window at a time,
-#: and anything smaller draws no window of that group at all.
-WIDEST = max(_program_steps(p, PULSE_NOISE.pulse_angle_error_std)[0][-1]
+#: with pulse noise and every channel on: DRAW_UNIFORMS = WIDEST draws one
+#: window at a time, and anything smaller draws no window of that group.
+WIDEST = max(_program_steps(p, PULSE_NOISE.pulse_angle_error_std, ALL_ON)[0][-1]
              for o in ("forward", "reverse") for p in shot_programs(o))
 
 
@@ -96,26 +98,26 @@ class TestInitialize:
     def test_no_error_always_plus(self):
         noise = NoiseModel(init_error_prob=0.0)
         for u in np.random.default_rng(0).random(100).tolist():
-            assert_allclose(initialize(noise, u), KET_PLUS)
+            assert_allclose(initialize(noise, iter([u])), KET_PLUS)
 
     def test_full_error_never_plus(self):
         noise = NoiseModel(init_error_prob=1.0)
         for u in np.random.default_rng(0).random(100).tolist():
-            assert initialize(noise, u)[0] == 0
+            assert initialize(noise, iter([u]))[0] == 0
 
     def test_error_rate_within_binomial_ci(self):
         p = 0.3
         noise = NoiseModel(init_error_prob=p)
         n = 100_000
         uniforms = np.random.default_rng(123).random(n).tolist()
-        hits = sum(int(initialize(noise, u)[0].real == 1.0) for u in uniforms)
+        hits = sum(int(initialize(noise, iter([u]))[0].real == 1.0) for u in uniforms)
         expected = 1.0 - p
         assert abs(hits / n - expected) < 4.0 * math.sqrt(p * (1 - p) / n)
 
     def test_error_split_between_zero_and_minus(self):
         noise = NoiseModel(init_error_prob=1.0)
         uniforms = np.random.default_rng(7).random(20_000).tolist()
-        zeros = sum(int(initialize(noise, u)[1].real == 1.0) for u in uniforms)
+        zeros = sum(int(initialize(noise, iter([u]))[1].real == 1.0) for u in uniforms)
         assert abs(zeros / 20_000 - 0.5) < 4.0 * math.sqrt(0.25 / 20_000)
 
 
@@ -201,14 +203,15 @@ def reader(noise):
     the readout parameters of `noise`."""
     eps = misassignment_probabilities(noise)
     flip = noise.nuclear_flip_prob
-    return lambda psi, u: single_shot_readout(tuple(map(float, np.real(psi))), u, eps, flip)
+    return lambda psi, u: single_shot_readout(tuple(map(float, np.real(psi))), iter(u), eps, flip)
 
 
 read_ideal = reader(IDEAL)
 
 
 def readout_windows(seed, n):
-    return np.random.default_rng(seed).random((n, READOUT_UNIFORMS)).tolist()
+    """n lists of 3 uniforms, the most one readout reads."""
+    return np.random.default_rng(seed).random((n, 3)).tolist()
 
 
 class TestSingleShotReadout:
@@ -324,23 +327,23 @@ class TestNoisyApply:
         u = np.random.default_rng(29).random(normal_uniforms(len(pulses))).tolist()
         mats = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
         expected = compose(mats) @ KET_PLUS
-        got = noisy_apply(pulses, IDEAL, u, KET_PLUS)
+        got = noisy_apply(pulses, IDEAL, iter(u), KET_PLUS)
         assert_allclose(got, expected, atol=1e-12)
 
     def test_swap_exchanges_populations(self):
         u = np.random.default_rng(31).random(normal_uniforms(3)).tolist()
-        out = noisy_apply(swap_pulses(), IDEAL, u, KET_PLUS)
+        out = noisy_apply(swap_pulses(), IDEAL, iter(u), KET_PLUS)
         assert abs(out[2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_fidelity_decreases_with_angle_noise(self):
         pulses = psi0_pulses()
         width = normal_uniforms(len(pulses))
-        ideal = noisy_apply(pulses, IDEAL, [0.5] * width, KET_PLUS)
+        ideal = noisy_apply(pulses, IDEAL, iter([0.5] * width), KET_PLUS)
         means = []
         for std in (0.0, 0.01, 0.05):
             noise = NoiseModel(pulse_angle_error_std=std)
             windows = np.random.default_rng(37).random((10_000, width)).tolist()
-            fids = [abs(np.vdot(ideal, noisy_apply(pulses, noise, u, KET_PLUS))) ** 2 for u in windows]
+            fids = [abs(np.vdot(ideal, noisy_apply(pulses, noise, iter(u), KET_PLUS))) ** 2 for u in windows]
             means.append(np.mean(fids))
         assert means[0] == pytest.approx(1.0, abs=1e-12)
         assert means[0] > means[1] > means[2]
@@ -355,7 +358,7 @@ class TestNoisyApply:
         noise = NoiseModel(pulse_angle_error_std=std)
         errors = []
         for u in np.random.default_rng(41).random((n, 2)).tolist():
-            a, b, _ = noisy_apply(pulses, noise, u, KET_PLUS)
+            a, b, _ = noisy_apply(pulses, noise, iter(u), KET_PLUS)
             executed = 2.0 * math.atan2(-b.real, a.real)
             errors.append((executed - nominal) / std)
         # a sum of angle errors t_k e_k has variance sum t_k^2 for independent unit normals
@@ -706,9 +709,13 @@ class TestGroupRng:
 
     @pytest.mark.parametrize("seed, group", [(0, 0), (7, 5), (42, 3), (2**64 - 1, 2)])
     def test_streams_are_the_spawned_children_of_the_group(self, seed, group):
-        children = np.random.SeedSequence(seed, spawn_key=(group,)).spawn(2)
-        for rng, child in zip(group_rng(seed, group), children):
-            assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
+        # both streams are the PCG64 of the group's spawned child, the
+        # window stream advanced by 2^64 past the most checks a group reads
+        child = np.random.SeedSequence(seed).spawn(group + 1)[group]
+        charge, windows = group_rng(seed, group)
+        assert charge.bit_generator.state == np.random.PCG64(child).state
+        assert windows.bit_generator.state == np.random.PCG64(child).advance(2**64).state
+        assert MAX_ATTEMPTS < 2**64
 
     def test_order_free_derivation(self):
         # deriving stream g never depends on other streams having been
@@ -724,7 +731,7 @@ class TestGroupRng:
         # attempt i's check is uniform i of the charge stream, kept shot j's
         # window uniforms [j W, (j + 1) W) of the window stream
         for group, prog in enumerate(shot_programs(pair_order)):
-            width = _program_steps(prog, PULSE_NOISE.pulse_angle_error_std)[0][-1]
+            width = _program_steps(prog, PULSE_NOISE.pulse_angle_error_std, ALL_ON)[0][-1]
             charge, windows = group_rng(5, group)
             checks, rows = charge.random(300), windows.random((300, width))
             for i in (0, 1, 127, 128, 299):
@@ -735,36 +742,59 @@ class TestGroupRng:
                 assert_allclose(windows.random(width), rows[i], rtol=0, atol=0)
 
     def test_window_layout(self):
-        # init, pre-pulse normals, readout 1, mid-pulse normals, readout 2,
-        # and no charge uniform: the check reads the charge stream; one
-        # normal per run of same-axis neighbours, and no normals at all
-        # without pulse noise
-        assert READOUT_UNIFORMS == 3
+        # each channel that is on adds exactly its uniforms: the init
+        # uniform first, a flip uniform to readout 1 only (nothing collapses
+        # after readout 2) and an assignment uniform to each readout; one
+        # normal per run of same-axis neighbours, none without pulse noise;
+        # no charge uniform: the check reads the charge stream
         widths = {}
-        for noise in (IDEAL, PULSE_NOISE):
-            noisy = noise.pulse_angle_error_std > 0.0
+        for std, on in itertools.product((0.0, 0.02), itertools.product((False, True), repeat=3)):
+            init, flip, assign = on
             for prog in shot_programs("forward") + shot_programs("reverse"):
-                pre, first, mid, second, width = _program_steps(prog, noise.pulse_angle_error_std)[0]
-                assert pre == 1
-                assert first - pre == noisy * normal_uniforms(axis_runs(prog.pre_pulses))
-                assert mid - first == READOUT_UNIFORMS
-                assert second - mid == noisy * normal_uniforms(axis_runs(prog.mid_pulses))
-                assert width - second == READOUT_UNIFORMS
-                widths.setdefault(noisy, set()).add(width)
-        assert widths[False] == {7}
-        assert (min(widths[True]), max(widths[True])) == (15, 21) == (15, WIDEST)
+                pre, first, mid, second, width = _program_steps(prog, std, on)[0]
+                assert pre == init
+                assert first - pre == (std > 0.0) * normal_uniforms(axis_runs(prog.pre_pulses))
+                assert mid - first == 1 + flip + assign
+                assert second - mid == (std > 0.0) * normal_uniforms(axis_runs(prog.mid_pulses))
+                assert width - second == 1 + assign
+                widths.setdefault((std, on), set()).add(width)
+        assert widths[0.0, (False, False, False)] == {2}
+        noisy = widths[0.02, ALL_ON]
+        assert (min(noisy), max(noisy)) == (14, 20) == (14, WIDEST)
+
+    def test_a_channel_is_on_from_2_to_the_minus_53(self, monkeypatch):
+        # Generator.random draws multiples of 2^-53, so below that a
+        # decision u < p could hold only at u = 0.0. ideal's bright tail,
+        # 1.14e-30, is off; paper-2015 has every channel on
+        cases = [(load_preset("ideal"), (False, False, False)), (load_preset("paper-2015"), ALL_ON)]
+        for i, field in enumerate(("init_error_prob", "nuclear_flip_prob")):
+            for p in (2.0**-53, np.nextafter(2.0**-53, 0.0)):
+                cases.append(({"noise": {field: p}}, tuple(j == i and p >= 2.0**-53 for j in range(3))))
+        for data, on in cases:
+            assert channels_on(build_run_config(data, seed=1, shots=20), monkeypatch) == {on}
 
     def test_program_steps_are_shared_and_read_only(self):
         # memoised per shot program and angle spread: every call gets the
         # same steps, which none of them can write
         for prog, again in zip(shot_programs(), shot_programs()):
-            steps = _program_steps(prog, 0.02)[1]
-            assert _program_steps(again, 0.02)[1] is steps
+            steps = _program_steps(prog, 0.02, ALL_ON)[1]
+            assert _program_steps(again, 0.02, ALL_ON)[1] is steps
             for _, x, y in steps:
                 with pytest.raises(ValueError):
                     x[0] = 0.0
                 with pytest.raises(ValueError):
                     y[0] = 0.0
+
+    def test_program_steps_are_keyed_on_the_channels(self):
+        # not on the noise model: the calibration grid's 27 noise points
+        # share one angle spread and one set of channels, so 6 entries
+        experiment._program_steps.cache_clear()
+        grid = itertools.product((10.0, 10.5, 11.0), (1.35, 1.45, 1.55), (0.015, 0.02, 0.025))
+        for lambda_bright, lambda_dark, init_error_prob in grid:
+            noise = dict(load_preset("paper-2015")["noise"], lambda_bright=lambda_bright,
+                         lambda_dark=lambda_dark, init_error_prob=init_error_prob)
+            run_protocol(build_run_config({"noise": noise}, seed=1, shots=20))
+        assert _program_steps.cache_info().currsize == 6
 
     def test_shot_programs_are_shared(self):
         # memoised per pair order, as a tuple no caller can change
@@ -842,8 +872,9 @@ def scalar_counts(config):
     """(tables, kept, discarded) of run_protocol, the (6, 2, 2) tables of
     assigned (b1, b2) tallied one attempt at a time from initialize,
     noisy_apply and single_shot_readout, each attempt reading its own
-    uniform of the group's charge stream and each kept shot its own window
-    of the group's window stream."""
+    uniform of the group's charge stream and each kept shot, in turn, the
+    next uniforms of the group's window stream, as many as its channels
+    read: a window of another width shifts every later shot's uniforms."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
@@ -852,21 +883,35 @@ def scalar_counts(config):
     tables = np.zeros((len(programs), 2, 2), dtype=np.int64)
     attempts = 0
     for group, (prog, table) in enumerate(zip(programs, tables)):
-        pre, first, mid, second, width = _program_steps(prog, noise.pulse_angle_error_std)[0]
         charge, windows = group_rng(config.seed, group)
+        u = iter(windows.random, None)  # the window stream, one uniform at a time
         while table.sum() < shots:
             attempts += 1
             if not charge.random() < noise.charge_good_prob:
                 continue
-            u = windows.random(width).tolist()
-            psi = initialize(noise, u[0])
-            psi = noisy_apply(prog.pre_pulses, noise, u[pre:first], psi)
-            b1, psi = single_shot_readout(psi, u[first:mid], eps, flip)
-            psi = noisy_apply(prog.mid_pulses, noise, u[mid:second], psi)
-            b2, _ = single_shot_readout(psi, u[second:], eps, flip)
+            psi = initialize(noise, u)
+            psi = noisy_apply(prog.pre_pulses, noise, u, psi)
+            b1, psi = single_shot_readout(psi, u, eps, flip)
+            psi = noisy_apply(prog.mid_pulses, noise, u, psi)
+            b2, _ = single_shot_readout(psi, u, eps, 0.0)
             table[b1, b2] += 1
     kept = int(tables.sum())
     return tables, kept, attempts - kept
+
+
+def channels_on(config, monkeypatch):
+    """The set of channel flags (init, flip, misassignment) that one
+    run_protocol call lays its windows out with."""
+    program_steps, seen = experiment._program_steps, set()
+
+    def spy(prog, std, on):
+        seen.add(on)
+        return program_steps(prog, std, on)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "_program_steps", spy)
+        run_protocol(config)
+    return seen
 
 
 # every channel on and far from the presets: frequent init errors, flips
@@ -878,6 +923,8 @@ STRESS = dict(pulse_angle_error_std=0.2, init_error_prob=0.3, nuclear_flip_prob=
 # other gate model's two tails agree to 1e-4: a readout that swaps the
 # tails shows only here
 STRESS_DARK = dict(STRESS, lambda_dark=0.3)
+# STRESS's angle noise and discards, every other channel off
+PULSES_ONLY = dict(pulse_angle_error_std=0.2, charge_good_prob=0.3)
 
 
 class TestArrayKernel:
@@ -891,14 +938,31 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     @pytest.mark.parametrize(
-        "edge",
-        [dict(nuclear_flip_prob=0.0), dict(nuclear_flip_prob=1.0), dict(pulse_angle_error_std=1.0)],
-        ids=["no-flip", "every-dark-outcome-flips", "angles-across-tangent-poles"],
+        "noise",
+        [dict(STRESS, nuclear_flip_prob=0.0), dict(STRESS, nuclear_flip_prob=1.0),
+         dict(STRESS, pulse_angle_error_std=1.0), dict(PULSES_ONLY, init_error_prob=0.3),
+         dict(PULSES_ONLY, nuclear_flip_prob=0.5),
+         dict(PULSES_ONLY, lambda_bright=10.5, lambda_dark=0.3, readout_threshold=4, bright_state_is_one=False)],
+        ids=["no-flip", "every-dark-outcome-flips", "angles-across-tangent-poles", "init-only", "flip-only",
+             "misassignment-only"],
     )
-    def test_counts_match_the_scalar_helpers_at_the_edges(self, edge, pair_order, monkeypatch):
-        # no flip at all, a flip on every dark outcome, and noisy angles
-        # spread across the poles of tan(t / 4)
-        cfg = build_run_config({"noise": dict(STRESS, **edge)}, seed=5, shots=400, pair_order=pair_order)
+    def test_counts_match_the_scalar_helpers_at_the_edges(self, noise, pair_order, monkeypatch):
+        # no flip at all, a flip on every dark outcome, noisy angles spread
+        # across the poles of tan(t / 4), and one channel on at a time, so
+        # that every window layout between ideal's and STRESS's is checked
+        cfg = build_run_config({"noise": noise}, seed=5, shots=400, pair_order=pair_order)
+        assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+
+    @pytest.mark.parametrize("tail, on", [(2.0**-53, True), (np.nextafter(2.0**-53, 0.0), False)],
+                             ids=["tail-at-2^-53", "tail-below-2^-53"])
+    def test_counts_match_the_scalar_helpers_at_the_smallest_tail(self, tail, on, monkeypatch):
+        # ideal with a tail of exactly 2^-53, which reads an assignment
+        # uniform in both readouts, or one just below, which reads none
+        tails = lambda noise: (0.0, tail)  # noqa: E731
+        monkeypatch.setattr(experiment, "misassignment_probabilities", tails)
+        monkeypatch.setitem(globals(), "misassignment_probabilities", tails)
+        cfg = build_run_config(load_preset("ideal"), seed=9, shots=400)
+        assert channels_on(cfg, monkeypatch) == {(False, False, on)}
         assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])

@@ -88,9 +88,10 @@ def test_swapped_misassignment_tails_fail_the_exact_gate(pair_order, monkeypatch
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
 def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypatch):
-    # readout 1 reads u[first - 1:mid - 1]. On ideal the shifted Born
-    # uniform is the init uniform, which nothing else reads there, so the
-    # mutant is exact in distribution and no gate can see it
+    # readout 1 reads u[first - 1:mid - 1]: on STRESS the Born uniform
+    # shifts onto the last pre-pulse normal, the flip onto the Born and the
+    # assignment onto the flip uniform. ideal's windows hold no init
+    # uniform, so its readout 1 opens the window: there is no slot before it
     run_rows = experiment._run_rows
 
     def mutant(layout, steps, noise, eps, u, ws):
@@ -101,6 +102,21 @@ def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypat
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
     assert_both_gates_fail("stress", pair_order)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("channel", [0, 1, 2], ids=["init", "flip", "misassignment"])
+def test_channel_reported_off_fails_the_g_test(channel, pair_order, monkeypatch):
+    # a channel that is on laid out as off: its uniforms leave the window
+    # and its decision is never made. The z-test misses the flip at most
+    # seeds, and on paper-2015, at 1.5 % init errors and 1 % flips, the
+    # init and flip mutants pass both gates
+    program_steps = experiment._program_steps
+    monkeypatch.setattr(experiment, "_program_steps", lambda prog, std, on: program_steps(
+        prog, std, tuple(flag and i != channel for i, flag in enumerate(on))))
+    res, tables = run_against_exact("stress", pair_order, seed=11)
+    with pytest.raises(AssertionError):
+        assert_tables_pass_a_g_test(res, tables)
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
