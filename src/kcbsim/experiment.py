@@ -1,7 +1,7 @@
-"""The batched sampler of the protocol: each shot group's charge checks on
-its charge stream, then kcbsim.model's shot programs run as float32 array
-steps over many kept shots at once, each on its own window of the group's
-window stream, into the count tables of a run."""
+"""The batched sampler of the protocol: kcbsim.model's shot programs run as
+float32 array steps over many kept shots at once, each on its own window
+of its group's random stream, into the count tables of a run; a group's
+discarded attempts are one negative-binomial draw after its last window."""
 
 from __future__ import annotations
 
@@ -16,30 +16,25 @@ from .model import ExperimentResult, NoiseModel, RunConfig, misassignment_probab
 from .model import estimate_stats, shot_programs, table_estimates  # noqa: F401 (perfbench traces estimate_stats)
 
 
-def group_rng(seed: int, group: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """The two random streams of one shot group, (charge, windows): the
-    PCG64 of SeedSequence(seed, spawn_key=(group,)), and that state
-    advanced by 2^64, past the MAX_ATTEMPTS < 2^64 checks a group reads.
+def group_rng(seed: int, group: int) -> np.random.Generator:
+    """The random stream of one shot group: the PCG64 of
+    SeedSequence(seed, spawn_key=(group,)), advanced by 2^64.
 
-    Attempt i of the group reads uniform i of the charge stream for its
-    charge check. Kept shot j, the group's j-th passing attempt, owns the
-    window of uniforms [j * W, (j + 1) * W) of the window stream, W being
-    the width of its shot program's layout (_program_steps); a failed
-    attempt owns no window. `Generator.random` takes exactly one 64-bit
-    output per double, so `bit_generator.advance(i)` and
-    `advance(j * W)` reach any attempt's check and any kept shot's window
-    directly: results do not depend on the order in which attempts, shots
-    or groups run."""
+    Kept shot j owns the window of uniforms [j * W, (j + 1) * W), W being
+    the width of its shot program's layout (_program_steps); the group's
+    discard draw starts at shots * W, after its last window.
+    `Generator.random` takes exactly one 64-bit output per double, so
+    `bit_generator.advance(j * W)` reaches any kept shot's window directly:
+    results do not depend on the order in which shots or groups run."""
     seq = np.random.SeedSequence(seed, spawn_key=(group,))
-    return np.random.Generator(np.random.PCG64(seq)), np.random.Generator(np.random.PCG64(seq).advance(2**64))
+    return np.random.Generator(np.random.PCG64(seq).advance(2**64))
 
 
 #: Most uniforms one draw of run_protocol holds (512 KiB of float64): the
-#: most charge checks of one draw, and the most columns of one array step,
-#: 3276-32 768 windows of 2-20 uniforms. Counts do not depend on it. It
-#: bounds the workspace of a call (the draw and the kernel's float32 rows,
-#: each grown to the largest a draw asks for), which the memory tests hold
-#: under 4 MiB.
+#: most columns of one array step, 3276-32 768 windows of 2-20 uniforms.
+#: Counts do not depend on it. It bounds the workspace of a call (the draw
+#: and the kernel's float32 rows, each grown to the largest a draw asks
+#: for), which the memory tests hold under 4 MiB.
 DRAW_UNIFORMS = 2**16
 
 
@@ -234,23 +229,26 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     Every group collects shots_per_term kept shots, each attempt running:
     initialize -> charge check -> noisy preparation and setting pulses ->
     first readout -> noisy swap (or undo) pulses -> second readout.
-    Attempts failing the charge check are counted and discarded; the check
-    does not depend on the state, so a group first counts its attempts on
-    its charge stream, up to its shots-th passing check, and then runs
-    exactly its kept shots, each on its own window of its window stream
-    (see group_rng) that holds the uniforms of its channels that are on
-    (_program_steps). Results are independent of execution order and of
-    how many checks or windows are drawn at once; identical configurations
-    reproduce identical counts. The windows of each draw run together as
-    array steps (_run_rows), one per pulse step and readout, in a workspace
-    of flat buffers that the call owns and drops on return. The result is
-    table_estimates of the count tables, as for the exact backend's
-    expected counts.
+    Attempts failing the charge check are counted and discarded. The check
+    does not depend on the state, so a group runs exactly its kept shots,
+    each on its own window of the group's stream (see group_rng) that holds
+    the uniforms of its channels that are on (_program_steps), and then
+    draws its failed checks before the shots-th pass from the same stream
+    at once, NB(shots, charge_good_prob) of them; a group whose attempts
+    exceed the attempt budget raises InsufficientData. Results are
+    independent of execution order and of how many windows are drawn at
+    once; identical configurations reproduce identical counts. The windows
+    of each draw run together as array steps (_run_rows), one per pulse
+    step and readout, in a workspace of flat buffers that the call owns and
+    drops on return. The result is table_estimates of the count tables, as
+    for the exact backend's expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
     p_charge = noise.charge_good_prob
     budget = config.attempt_budget()
+    if not budget:  # no check can pass: fail before any draw
+        raise InsufficientData(f"only 0 of {shots} shots kept (charge_good_prob = {p_charge})")
     eps = misassignment_probabilities(noise)
     # a channel is on at a probability of 2^-53 or more (_program_steps)
     on = tuple(q >= 2.0**-53 for q in (noise.init_error_prob, noise.nuclear_flip_prob, max(eps)))
@@ -260,26 +258,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     # the call's workspace: flat buffers, each grown to the largest view asked of it
     drawn = kernel = np.empty(0)
     for group, (prog, table) in enumerate(zip(programs, tables)):
-        charge, windows = group_rng(config.seed, group)
-        # every check passes at p_charge = 1: the charge stream feeds nothing else
-        kept = attempts = shots if p_charge == 1.0 else 0
-        while kept < shots and attempts < budget:
-            n = min(DRAW_UNIFORMS, budget - attempts)
-            if drawn.size < n:
-                drawn = np.empty(n)
-            passed = charge.random(out=drawn[:n]) < p_charge
-            more = np.count_nonzero(passed)
-            if kept + more < shots:
-                kept, attempts = kept + more, attempts + n
-            else:  # the group ends at its shots-th passing check, which is counted
-                attempts += int(np.flatnonzero(passed)[shots - kept - 1]) + 1
-                kept = shots
-        if kept < shots:
-            raise InsufficientData(
-                f"group {group}: only {kept} of {shots} shots kept "
-                f"(charge_good_prob = {p_charge})"
-            )
-        discarded += attempts - kept
+        rng = group_rng(config.seed, group)
         layout, steps, depth = _program_steps(prog, noise.pulse_angle_error_std, on)
         width = layout[-1]
         per_draw = DRAW_UNIFORMS // width
@@ -290,10 +269,17 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
             if kernel.size < depth * n:
                 del kernel  # the largest buffer: old and new together would set the peak
                 kernel = np.empty(depth * n, np.float32)
-            u = windows.random(out=drawn[: n * width].reshape(n, width))
+            u = rng.random(out=drawn[: n * width].reshape(n, width))
             b1, b2 = _run_rows(layout, steps, noise, eps, u.T, kernel[: depth * n].reshape(depth, n))
             # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)
             table += (n - ones - twos + both, twos - both, ones - both, both)
+        attempts = shots + int(rng.negative_binomial(shots, p_charge))
+        if attempts > budget:
+            raise InsufficientData(
+                f"group {group}: {attempts} attempts to keep {shots} shots, above the budget of "
+                f"{budget} (charge_good_prob = {p_charge})"
+            )
+        discarded += attempts - shots
     return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

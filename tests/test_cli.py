@@ -206,7 +206,8 @@ class TestSimulate:
         cfg = tmp_path / "blocked.yaml"
         cfg.write_text("shots_per_term: 10\nnoise:\n  charge_good_prob: 0.0\n")
         code, _ = run_cli("simulate", "--config", str(cfg))
-        assert code != 0
+        assert code == 2
+        assert "InsufficientData" in capsys.readouterr().err
 
     def test_config_error_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.stats import binom, chi2, poisson
+from scipy.stats import binom, chi2, nbinom, poisson
 
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
@@ -139,21 +139,22 @@ class TestChargeCheck:
 
     @pytest.mark.parametrize("p", [0.3, 0.97])
     def test_attempts_end_at_the_last_kept_window(self, p, monkeypatch):
-        # recount from each group's charge stream: a group spends attempts
-        # up to and including its shots-th passing check
+        # recount from each group's stream: its discards are one
+        # negative-binomial draw, taken at shots * W, after its last window
         shots = 200
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
-        attempts = 0
-        for group in range(6):
-            charge = group_rng(cfg.seed, group)[0].random(cfg.attempt_budget())
-            attempts += int(np.flatnonzero(charge < p)[shots - 1]) + 1
-        # at 7 widest windows a draw each group takes dozens of draws of
-        # checks and of windows, and ends inside the last
+        discarded = 0
+        for group, prog in enumerate(shot_programs(cfg.pair_order)):
+            width = _program_steps(prog, 0.0, (False, False, False))[0][-1]  # noise off: 2
+            rng = group_rng(cfg.seed, group)
+            rng.bit_generator.advance(shots * width)
+            discarded += int(rng.negative_binomial(shots, p))
+        # at 7 widest windows a draw each group takes dozens of draws
         for draw in (DRAW_UNIFORMS, 7 * WIDEST):
             monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
             res = run_protocol(cfg)
-            assert res.kept_shots == 6 * shots
-            assert res.kept_shots + res.discarded_shots == attempts
+            assert (res.kept_shots, res.discarded_shots) == (6 * shots, discarded)
+        assert discarded > 0
 
 
 def smallest_budget(shots, p):
@@ -196,6 +197,47 @@ class TestAttemptBudget:
     def test_refuses_above_max_attempts(self):
         with pytest.raises(ConfigError, match="charge_good_prob = 1e-06 at 10000 shots"):
             RunConfig(seed=1, shots_per_term=10_000, noise=NoiseModel(charge_good_prob=1e-6))
+
+    def test_shortfall_names_the_group_and_the_budget(self, monkeypatch):
+        # a budget of exactly the shots: the first group to discard stops the run
+        cfg = RunConfig(seed=1, shots_per_term=20, noise=NoiseModel(charge_good_prob=0.5))
+        monkeypatch.setattr(RunConfig, "attempt_budget", lambda self: 20)
+        message = r"^group 0: \d+ attempts to keep 20 shots, above the budget of 20 "
+        with pytest.raises(InsufficientData, match=message):
+            run_protocol(cfg)
+
+    @pytest.mark.parametrize("shots", [1, 2, 10_000])
+    def test_smallest_accepted_charge_good_prob_runs(self, shots):
+        # at a budget of exactly MAX_ATTEMPTS the discard draw stays far
+        # inside numpy's range: it refuses only near NB(1e8, 1e-12)
+        p = smallest_accepted_charge_good_prob(shots)
+        cfg = RunConfig(seed=1, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
+        assert cfg.attempt_budget() == MAX_ATTEMPTS
+        if shots == 1:  # every draw taken, then too few shots for the statistics
+            with pytest.raises(InsufficientData, match="at least 2 kept shots"):
+                run_protocol(cfg)
+            return
+        res = run_protocol(cfg)
+        assert res.kept_shots == 6 * shots
+        assert 0 < res.discarded_shots <= 6 * (MAX_ATTEMPTS - shots)
+
+
+def smallest_accepted_charge_good_prob(shots):
+    """The smallest charge_good_prob that RunConfig accepts at `shots`."""
+    def accepted(p):
+        try:
+            RunConfig(seed=1, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
+        except ConfigError:
+            return False
+        return True
+
+    c = -math.log(BUDGET_TAIL)
+    p = (shots + c + math.sqrt(c * c + 2.0 * shots * c)) / MAX_ATTEMPTS
+    while not accepted(p):
+        p = np.nextafter(p, 1.0)
+    while accepted(np.nextafter(p, 0.0)):
+        p = np.nextafter(p, 0.0)
+    return float(p)
 
 
 def reader(noise):
@@ -502,6 +544,21 @@ class TestRunProtocol:
         assert res.discarded_shots == 0
         assert res.kept_shots == 6 * 2000
 
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_discards_follow_the_negative_binomial(self, p):
+        # the failed checks before 6 * shots passes are NB(6 * shots, p):
+        # over 400 seeds the mean and the variance of the discards each lie
+        # within five of their standard errors
+        shots, runs = 20, 400
+        noise = NoiseModel(charge_good_prob=p)
+        discards = np.array([
+            run_protocol(RunConfig(seed=seed, shots_per_term=shots, noise=noise)).discarded_shots
+            for seed in range(1, runs + 1)
+        ])
+        mean, var, _, kurtosis = map(float, nbinom(6 * shots, p).stats(moments="mvsk"))
+        assert abs(discards.mean() - mean) < 5.0 * math.sqrt(var / runs)
+        assert abs(discards.var(ddof=1) - var) < 5.0 * var * math.sqrt((kurtosis + 2.0) / runs)
+
     def test_discard_fraction_within_binomial_ci(self):
         p = 0.8
         data = load_preset("ideal")
@@ -689,8 +746,8 @@ class TestAgainstExactTables:
 
 
 def first_uniforms(seed, group, n):
-    """The first n uniforms of each of a group's two streams, as one array."""
-    return np.array([rng.random(n) for rng in group_rng(seed, group)])
+    """The first n uniforms of a group's stream."""
+    return group_rng(seed, group).random(n)
 
 
 class TestGroupRng:
@@ -703,19 +760,14 @@ class TestGroupRng:
         a = first_uniforms(42, 0, 5)
         c = first_uniforms(42, 1, 5)
         d = first_uniforms(43, 0, 5)
-        assert not np.allclose(a[0], a[1])
         assert not np.allclose(a, c)
         assert not np.allclose(a, d)
 
     @pytest.mark.parametrize("seed, group", [(0, 0), (7, 5), (42, 3), (2**64 - 1, 2)])
     def test_streams_are_the_spawned_children_of_the_group(self, seed, group):
-        # both streams are the PCG64 of the group's spawned child, the
-        # window stream advanced by 2^64 past the most checks a group reads
+        # the PCG64 of the group's spawned child, advanced by 2^64
         child = np.random.SeedSequence(seed).spawn(group + 1)[group]
-        charge, windows = group_rng(seed, group)
-        assert charge.bit_generator.state == np.random.PCG64(child).state
-        assert windows.bit_generator.state == np.random.PCG64(child).advance(2**64).state
-        assert MAX_ATTEMPTS < 2**64
+        assert group_rng(seed, group).bit_generator.state == np.random.PCG64(child).advance(2**64).state
 
     def test_order_free_derivation(self):
         # deriving stream g never depends on other streams having been
@@ -728,25 +780,26 @@ class TestGroupRng:
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_attempt_window_reached_by_advance(self, pair_order):
-        # attempt i's check is uniform i of the charge stream, kept shot j's
-        # window uniforms [j W, (j + 1) W) of the window stream
+        # kept shot j's window is uniforms [j W, (j + 1) W) of the group's
+        # stream, and the discard draw of its 300 shots starts at 300 W
         for group, prog in enumerate(shot_programs(pair_order)):
             width = _program_steps(prog, PULSE_NOISE.pulse_angle_error_std, ALL_ON)[0][-1]
-            charge, windows = group_rng(5, group)
-            checks, rows = charge.random(300), windows.random((300, width))
-            for i in (0, 1, 127, 128, 299):
-                charge, windows = group_rng(5, group)
-                charge.bit_generator.advance(i)
-                windows.bit_generator.advance(i * width)
-                assert charge.random() == checks[i]
-                assert_allclose(windows.random(width), rows[i], rtol=0, atol=0)
+            rng = group_rng(5, group)
+            rows, discards = rng.random((300, width)), rng.negative_binomial(300, 0.3)
+            for i in (0, 1, 127, 128, 299, 300):
+                rng = group_rng(5, group)
+                rng.bit_generator.advance(i * width)
+                if i < 300:
+                    assert_allclose(rng.random(width), rows[i], rtol=0, atol=0)
+                else:
+                    assert rng.negative_binomial(300, 0.3) == discards
 
     def test_window_layout(self):
         # each channel that is on adds exactly its uniforms: the init
         # uniform first, a flip uniform to readout 1 only (nothing collapses
         # after readout 2) and an assignment uniform to each readout; one
         # normal per run of same-axis neighbours, none without pulse noise;
-        # no charge uniform: the check reads the charge stream
+        # no charge uniform: the discards are one draw after the last window
         widths = {}
         for std, on in itertools.product((0.0, 0.02), itertools.product((False, True), repeat=3)):
             init, flip, assign = on
@@ -811,15 +864,13 @@ class TestGroupRng:
         assert small_draws.successes == default.successes
         assert small_draws.discarded_shots == default.discarded_shots
         # every channel on, in both pair orders, and a charge_good_prob so
-        # low that a group's checks span more than one default draw
+        # low that the discards are about 500 times the kept shots
         low_charge = dict(STRESS, charge_good_prob=0.002)
         runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 200, "forward")]
         for noise, shots, pair_order in runs:
             cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
             monkeypatch.setattr(experiment, "DRAW_UNIFORMS", DRAW_UNIFORMS)
             default = run_protocol(cfg)
-            if noise is low_charge:
-                assert default.kept_shots + default.discarded_shots > 6 * DRAW_UNIFORMS
             # one window a draw, dozens of draws, and four times the default
             for draw in (WIDEST, 7 * WIDEST, 4 * DRAW_UNIFORMS):
                 monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
@@ -830,8 +881,8 @@ class TestGroupRng:
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_counts_do_not_depend_on_the_charge_check(self, pair_order):
-        # the check reads its own stream and the kept shots always read the
-        # first windows of theirs: only the discards change
+        # the kept shots read the first windows of their group's stream and
+        # the discard draw comes after the last: only the discards change
         runs = [
             run_protocol(build_run_config({"noise": dict(STRESS, charge_good_prob=p)}, seed=23,
                                           shots=300, pair_order=pair_order))
@@ -842,26 +893,6 @@ class TestGroupRng:
             assert res.successes == runs[0].successes and res.kept_shots == 6 * 300
         assert runs[0].discarded_shots == 0 < runs[1].discarded_shots < runs[2].discarded_shots
 
-    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
-    def test_charge_stream_is_not_read_when_every_check_passes(self, pair_order, monkeypatch):
-        # at charge_good_prob 1 the charge stream is never read; the counts
-        # are those of a probability one ulp below 1, whose checks are drawn
-        # and all pass
-        def runs(p):
-            noise = dict(STRESS, charge_good_prob=p)
-            return run_protocol(build_run_config({"noise": noise}, seed=29, shots=300, pair_order=pair_order))
-
-        drawn = runs(np.nextafter(1.0, 0.0))
-
-        class Unread:
-            def __getattr__(self, name):
-                raise AssertionError(f"charge stream read: {name}")
-
-        monkeypatch.setattr(experiment, "group_rng", lambda seed, group: (Unread(), group_rng(seed, group)[1]))
-        skipped = runs(1.0)
-        assert np.array_equal(skipped.tables, drawn.tables)
-        assert skipped.discarded_shots == drawn.discarded_shots == 0
-
 
 def axis_runs(pulses) -> int:
     """Runs of same-axis neighbours in a pulse string."""
@@ -870,33 +901,30 @@ def axis_runs(pulses) -> int:
 
 def scalar_counts(config):
     """(tables, kept, discarded) of run_protocol, the (6, 2, 2) tables of
-    assigned (b1, b2) tallied one attempt at a time from initialize,
-    noisy_apply and single_shot_readout, each attempt reading its own
-    uniform of the group's charge stream and each kept shot, in turn, the
-    next uniforms of the group's window stream, as many as its channels
-    read: a window of another width shifts every later shot's uniforms."""
+    assigned (b1, b2) tallied one kept shot at a time from initialize,
+    noisy_apply and single_shot_readout, each shot reading, in turn, the
+    next uniforms of the group's stream, as many as its channels read (a
+    window of another width shifts every later shot's uniforms), and the
+    group's discards one negative-binomial draw after its last shot."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
     flip = noise.nuclear_flip_prob
     programs = shot_programs(config.pair_order)
     tables = np.zeros((len(programs), 2, 2), dtype=np.int64)
-    attempts = 0
+    discarded = 0
     for group, (prog, table) in enumerate(zip(programs, tables)):
-        charge, windows = group_rng(config.seed, group)
-        u = iter(windows.random, None)  # the window stream, one uniform at a time
-        while table.sum() < shots:
-            attempts += 1
-            if not charge.random() < noise.charge_good_prob:
-                continue
+        rng = group_rng(config.seed, group)
+        u = iter(rng.random, None)  # the group's stream, one uniform at a time
+        for _ in range(shots):
             psi = initialize(noise, u)
             psi = noisy_apply(prog.pre_pulses, noise, u, psi)
             b1, psi = single_shot_readout(psi, u, eps, flip)
             psi = noisy_apply(prog.mid_pulses, noise, u, psi)
             b2, _ = single_shot_readout(psi, u, eps, 0.0)
             table[b1, b2] += 1
-    kept = int(tables.sum())
-    return tables, kept, attempts - kept
+        discarded += int(rng.negative_binomial(shots, noise.charge_good_prob))
+    return tables, int(tables.sum()), discarded
 
 
 def channels_on(config, monkeypatch):

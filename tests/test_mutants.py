@@ -6,12 +6,14 @@ weakened later shows here as a mutant that survives."""
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
 
 import test_experiment
 from kcbsim import experiment, model
+from kcbsim.errors import InsufficientData
 from kcbsim.pentagram import swap_pulses
 from test_experiment import assert_tables_pass_a_g_test, assert_terms_within_five_sigma, run_against_exact
 
@@ -155,21 +157,45 @@ def test_swap_pulse_on_the_wrong_axis_fails_the_exact_gate(pair_order, monkeypat
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
-def test_charge_check_on_the_window_stream_fails_the_charge_tests(pair_order, monkeypatch):
-    # the checks and the windows read one stream. That is exact in
-    # distribution, so the exact gate cannot see it; the charge tests do
-    group_rng = experiment.group_rng
+def test_discards_drawn_before_the_windows_fail_the_charge_tests(pair_order, monkeypatch):
+    # the discard draw at the head of the group's stream, shifting every
+    # window by the outputs it reads. That is exact in distribution, so
+    # neither the exact gate nor the discard distribution can see it; the
+    # charge tests do
+    group_rng, run_protocol = experiment.group_rng, experiment.run_protocol
 
-    def one_stream(seed, group):
-        windows = group_rng(seed, group)[1]
-        return windows, windows
+    def mutant(config):
+        def discards_first(seed, group):
+            rng = group_rng(seed, group)
+            k = rng.negative_binomial(config.shots_per_term, config.noise.charge_good_prob)
+            return types.SimpleNamespace(random=rng.random, negative_binomial=lambda n, p: k)
 
-    monkeypatch.setattr(experiment, "group_rng", one_stream)
+        with monkeypatch.context() as m:
+            m.setattr(experiment, "group_rng", discards_first)
+            return run_protocol(config)
+
+    monkeypatch.setattr(test_experiment, "run_protocol", mutant)
     with pytest.raises(AssertionError):
         test_experiment.TestGroupRng().test_counts_do_not_depend_on_the_charge_check(pair_order)
     for p in (0.3, 0.97):
         with pytest.raises(AssertionError):
             test_experiment.TestChargeCheck().test_attempts_end_at_the_last_kept_window(p, monkeypatch)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.9])
+def test_discards_at_the_complement_probability_fail_the_discard_distribution_test(p, monkeypatch):
+    # NB(shots, 1 - p): the passes counted as the failures. At p = 0.9 the
+    # test's runs overrun their attempt budget before its z-scores are read
+    group_rng = experiment.group_rng
+
+    def complement(seed, group):
+        rng = group_rng(seed, group)
+        nb = rng.negative_binomial
+        return types.SimpleNamespace(random=rng.random, negative_binomial=lambda n, q: nb(n, 1 - q))
+
+    monkeypatch.setattr(experiment, "group_rng", complement)
+    with pytest.raises(AssertionError if p < 0.5 else InsufficientData):
+        test_experiment.TestRunProtocol().test_discards_follow_the_negative_binomial(p)
 
 
 def test_readout_polarity_ignored_fails_the_transposed_confusion_test(monkeypatch):
