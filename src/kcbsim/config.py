@@ -37,7 +37,7 @@ def load_preset(name: str) -> dict:
 def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"config file {'is not a regular file' if path.exists() else 'not found'}: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from .errors import InsufficientData
-from .model import ExperimentResult, NoiseModel, RunConfig, misassignment_probabilities
+from .model import ExperimentResult, RunConfig, misassignment_probabilities
 from .model import estimate_stats, shot_programs, table_estimates  # noqa: F401 (perfbench traces estimate_stats)
 
 
@@ -33,8 +33,8 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 #: Most uniforms one draw of run_protocol holds (512 KiB of float64): the
 #: most columns of one array step, 3276-32 768 windows of 2-20 uniforms.
 #: Counts do not depend on it. It bounds the workspace of a call (the draw
-#: and the kernel's float32 rows, each grown to the largest a draw asks
-#: for), which the memory tests hold under 4 MiB.
+#: and the kernel's float32 rows, each sized once for the largest draw of
+#: the six groups' plans), which the memory tests hold under 4 MiB.
 DRAW_UNIFORMS = 2**16
 
 
@@ -56,17 +56,6 @@ def _cos_sin(half, cos, d):
     return cos, np.divide(np.add(tau, tau, tau), d, tau)
 
 
-def _runs(pulses):
-    """The runs of same-axis neighbours of a pulse string: (axis, angles)."""
-    runs = []
-    for axis, t in pulses:
-        if runs and runs[-1][0] == axis:
-            runs[-1][1].append(t)
-        else:
-            runs.append((axis, [t]))
-    return runs
-
-
 def _steps(pulses, std: float):
     """The kernel's steps of a pulse string, built once per group and call:
     each run of same-axis neighbours, angles t_i, is one rotation of angle
@@ -76,7 +65,7 @@ def _steps(pulses, std: float):
     (rows, x, y): step k rotates amplitude rows rows[k] and rows[k] + 1;
     x, y are (steps, 1) float32 columns, T / 4 and std w / 4 with angle
     noise on, else the fixed (cos, sin)(T / 2)."""
-    runs = _runs(pulses)
+    runs = [(axis, [t for _, t in run]) for axis, run in groupby(pulses, lambda pulse: pulse[0])]
     xy = np.array([(0.25 * sum(ts), 0.25 * std * math.hypot(*ts)) for _, ts in runs], np.float32)
     x, y = xy.reshape(-1, 2).T[:, :, None]
     if std == 0.0:
@@ -87,17 +76,14 @@ def _steps(pulses, std: float):
 @functools.lru_cache(maxsize=64)
 def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     """(layout, steps, depth) of a shot program at pulse_angle_error_std
-    std and channels on = (init error, nuclear flip, misassignment),
-    memoised, its arrays read-only. steps are _steps of its pre and mid
-    pulses. A kept shot's window holds only the uniforms of the channels
-    on, in order: init, the pre-step normals (with angle noise), readout 1
-    (Born, flip, assignment), the mid-step normals and readout 2 (Born,
-    assignment: nothing collapses after it). layout: the offsets of all
-    but the first part, and the width W. depth: the workspace rows
-    _run_rows uses. A channel is on at a probability of 2^-53 or more:
-    Generator.random draws multiples of 2^-53, so below that u < p could
-    hold only at u = 0.0, and off it never does, less than 2^-53 from the
-    model's rate. ideal's bright tail, 1.14e-30, is off."""
+    std and channels on = (init error, nuclear flip, misassignment), as
+    run_protocol decides them, memoised on those flags alone, its arrays
+    read-only. steps are _steps of its pre and mid pulses. A kept shot's
+    window holds only the uniforms of the channels on, in order: init, the
+    pre-step normals (with angle noise), readout 1 (Born, flip,
+    assignment), the mid-step normals and readout 2 (Born, assignment:
+    nothing collapses after it). layout: the offsets of all but the first
+    part, and the width W. depth: the workspace rows _run_rows uses."""
     steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
     for _, x, y in steps:
         x.flags.writeable = y.flags.writeable = False
@@ -193,26 +179,25 @@ def _collapse_rows(u, one, rows, flip_prob: float | None):
         c += flip ^ zero
 
 
-def _run_rows(layout, steps, noise: NoiseModel, eps, u, ws):
-    """Assigned bits (b1, b2) of the attempts whose windows (a program's
-    layout) are the columns of u, run as array steps over all of them;
-    steps are _steps of its pre and mid pulses; the layout tells which
-    channels are on. With init errors on, u[0] sets the prepared state:
-    |+1> below 1 - init_error_prob, else |0> below 1 - init_error_prob / 2,
-    else |-1>; off, every state is |+1>. The pre-readout pulses, readout 1
-    and its collapse, the mid pulses and readout 2 follow, each on its own
-    uniforms.
+def _run_rows(layout, steps, channels, u, ws):
+    """Assigned bits (b1, b2) of the attempts whose windows are the columns
+    of u, run as array steps over all of them; steps are _steps of the
+    program's pre and mid pulses, and its layout (_program_steps) only
+    slices u. channels = (init_error_prob, nuclear_flip_prob, misassignment
+    tails) are the channels applied, each None where off. With init errors
+    on, u[0] sets the prepared state: |+1> below 1 - init_error_prob, else
+    |0> below 1 - init_error_prob / 2, else |-1>; off, every state is |+1>.
+    The pre-readout pulses, readout 1 and its collapse, the mid pulses and
+    readout 2 follow, each on its own uniforms.
 
     The prepared states are real and every pulse is a real rotation, so
     amplitudes are held as real rows, one column per attempt, in place in
     the float32 workspace ws: the rows a, b, c, two scratch rows, then the
     blocks of _noisy_apply_rows. Only the readouts normalise: a state
     after the first readout keeps the norm of its projection."""
-    pre, first, mid, second, width = layout
-    tails = eps if width - second > 1 else None  # readout 2 is Born, then assignment if on
-    flip = noise.nuclear_flip_prob if mid - first > width - second else None  # readout 1 adds the flip
-    p = noise.init_error_prob
-    plus, below = (u[0] < 1.0 - p, u[0] < 1.0 - p / 2.0) if pre else (np.True_, np.True_)
+    pre, first, mid, second, _ = layout
+    p, flip, tails = channels
+    plus, below = (u[0] < 1.0 - p, u[0] < 1.0 - p / 2.0) if p is not None else (np.True_, np.True_)
     ws[0], ws[1], ws[2] = plus, below & ~plus, ~below
     rows, ws = list(ws[:5]), ws[5:]
     _noisy_apply_rows(steps[0], u[pre:first], rows, ws)
@@ -249,28 +234,30 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     budget = config.attempt_budget()
     if not budget:  # no check can pass: fail before any draw
         raise InsufficientData(f"only 0 of {shots} shots kept (charge_good_prob = {p_charge})")
+    # a channel is on at a probability of 2^-53 or more: Generator.random
+    # draws multiples of 2^-53, so below that u < p could hold only at
+    # u = 0.0, and off it never does, less than 2^-53 from the model's
+    # rate. ideal's bright tail, 1.14e-30, is off
     eps = misassignment_probabilities(noise)
-    # a channel is on at a probability of 2^-53 or more (_program_steps)
-    on = tuple(q >= 2.0**-53 for q in (noise.init_error_prob, noise.nuclear_flip_prob, max(eps)))
+    init, flip = (q if q >= 2.0**-53 else None for q in (noise.init_error_prob, noise.nuclear_flip_prob))
+    channels = init, flip, eps if max(eps) >= 2.0**-53 else None
+    on = tuple(q is not None for q in channels)
     programs = shot_programs(config.pair_order)
+    plans = [_program_steps(prog, noise.pulse_angle_error_std, on) for prog in programs]
+    # the call's workspace: two flat buffers, each sized once for the
+    # largest draw of the six groups, min(shots, DRAW_UNIFORMS // W) windows
+    draws = [min(shots, DRAW_UNIFORMS // layout[-1]) for layout, _, _ in plans]
+    drawn = np.empty(max(n * layout[-1] for n, (layout, _, _) in zip(draws, plans)))
+    kernel = np.empty(max(n * depth for n, (_, _, depth) in zip(draws, plans)), np.float32)
     tables = np.zeros((len(programs), 4), dtype=np.int64)
     discarded = 0
-    # the call's workspace: flat buffers, each grown to the largest view asked of it
-    drawn = kernel = np.empty(0)
-    for group, (prog, table) in enumerate(zip(programs, tables)):
+    for group, ((layout, steps, depth), per_draw, table) in enumerate(zip(plans, draws, tables)):
         rng = group_rng(config.seed, group)
-        layout, steps, depth = _program_steps(prog, noise.pulse_angle_error_std, on)
         width = layout[-1]
-        per_draw = DRAW_UNIFORMS // width
         for start in range(0, shots, per_draw):
             n = min(per_draw, shots - start)
-            if drawn.size < n * width:
-                drawn = np.empty(min(shots * width, DRAW_UNIFORMS))  # a full draw: 2^16, or all its windows
-            if kernel.size < depth * n:
-                del kernel  # the largest buffer: old and new together would set the peak
-                kernel = np.empty(depth * n, np.float32)
             u = rng.random(out=drawn[: n * width].reshape(n, width))
-            b1, b2 = _run_rows(layout, steps, noise, eps, u.T, kernel[: depth * n].reshape(depth, n))
+            b1, b2 = _run_rows(layout, steps, channels, u.T, kernel[: depth * n].reshape(depth, n))
             # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)

@@ -326,6 +326,16 @@ class TestSimulate:
         assert code == 2
         assert "ConfigError" in err and str(cfg) in err
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_config_path_that_is_no_file_exits_2(self, tmp_path, capsys, no_shot_loop, where):
+        # a directory exists, so it is not reported as missing
+        path = tmp_path / "missing.yaml" if where == "missing" else tmp_path
+        code, rec = run_cli("simulate", "--config", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and rec is None
+        message = "not found" if where == "missing" else "is not a regular file"
+        assert f"ConfigError: config file {message}: {path}" in err
+
     def test_huge_threshold_is_fast(self, tmp_path):
         # the Poisson tails cost the same at any threshold
         cfg = tmp_path / "run.yaml"

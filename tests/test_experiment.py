@@ -1046,20 +1046,21 @@ class TestArrayKernel:
         not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
         reason="glibc's heap trimming",
     )
-    def test_warm_call_does_not_refault_the_heap(self):
+    @pytest.mark.parametrize("preset, shots", [("paper-2015", 8000), ("ideal", 100_000)])
+    def test_warm_call_does_not_refault_the_heap(self, preset, shots):
         # glibc returns the idle top of its heap to the kernel, so arrays
         # freed and allocated again on every draw fault their pages back in:
         # thousands of minor faults per call, where a workspace reused
-        # across the call's draws takes a few hundred. The call runs in a
-        # fresh interpreter: once a process has freed a large mapped block,
-        # as earlier tests do, glibc raises its trim threshold and the churn
-        # no longer shows.
+        # across the call's draws takes a few hundred. ideal at 100 000
+        # shots runs the widest draws, 32 768 two-uniform windows. The call
+        # runs in a fresh interpreter: once a process has freed a large
+        # mapped block, as earlier tests do, glibc raises its trim threshold
+        # and the churn no longer shows.
         code = (
             "import resource\n"
             "from kcbsim.config import build_run_config, load_preset\n"
             "from kcbsim.experiment import run_protocol\n"
-            "cfg = build_run_config(load_preset('paper-2015'), seed=3)\n"
-            "assert cfg.shots_per_term == 8000\n"
+            f"cfg = build_run_config(load_preset({preset!r}), seed=3, shots={shots})\n"
             "run_protocol(cfg)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "run_protocol(cfg)\n"

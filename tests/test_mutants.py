@@ -13,6 +13,7 @@ import pytest
 
 import test_experiment
 from kcbsim import experiment, model
+from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import InsufficientData
 from kcbsim.pentagram import swap_pulses
 from test_experiment import assert_tables_pass_a_g_test, assert_terms_within_five_sigma, run_against_exact
@@ -96,29 +97,52 @@ def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypat
     # uniform, so its readout 1 opens the window: there is no slot before it
     run_rows = experiment._run_rows
 
-    def mutant(layout, steps, noise, eps, u, ws):
+    def mutant(layout, steps, channels, u, ws):
         first, mid = layout[1:3]
         v = u.copy()
         v[first:mid] = u[first - 1:mid - 1]
-        return run_rows(layout, steps, noise, eps, v, ws)
+        return run_rows(layout, steps, channels, v, ws)
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
     assert_both_gates_fail("stress", pair_order)
 
 
+def sampler_without(channel, monkeypatch):
+    """Turn one channel off in the sampler alone: run_protocol runs with
+    that noise field at 0, or with misassignment tails of 0, while the exact
+    tables and the scalar helpers keep it. Its uniforms leave the window
+    and its decision is never made."""
+    if channel == "misassignment":
+        monkeypatch.setattr(experiment, "misassignment_probabilities", lambda noise: (0.0, 0.0))
+        return
+    field = {"init": "init_error_prob", "flip": "nuclear_flip_prob"}[channel]
+    run_protocol = experiment.run_protocol
+    monkeypatch.setattr(test_experiment, "run_protocol", lambda config: run_protocol(
+        dataclasses.replace(config, noise=dataclasses.replace(config.noise, **{field: 0.0}))))
+
+
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
-@pytest.mark.parametrize("channel", [0, 1, 2], ids=["init", "flip", "misassignment"])
+@pytest.mark.parametrize("channel", ["init", "flip", "misassignment"])
 def test_channel_reported_off_fails_the_g_test(channel, pair_order, monkeypatch):
-    # a channel that is on laid out as off: its uniforms leave the window
-    # and its decision is never made. The z-test misses the flip at most
-    # seeds, and on paper-2015, at 1.5 % init errors and 1 % flips, the
-    # init and flip mutants pass both gates
-    program_steps = experiment._program_steps
-    monkeypatch.setattr(experiment, "_program_steps", lambda prog, std, on: program_steps(
-        prog, std, tuple(flag and i != channel for i, flag in enumerate(on))))
+    # the z-test misses the flip at most seeds, and on paper-2015, at
+    # 1.5 % init errors and 1 % flips, the init and flip mutants pass both
+    # gates: the count-for-count test below catches them there
+    sampler_without(channel, monkeypatch)
     res, tables = run_against_exact("stress", pair_order, seed=11)
     with pytest.raises(AssertionError):
         assert_tables_pass_a_g_test(res, tables)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("channel", ["init", "flip", "misassignment"])
+def test_channel_reported_off_on_the_paper_preset_fails_the_scalar_test(channel, pair_order,
+                                                                       monkeypatch):
+    # the scalar helpers read the uniforms of every channel that is on, so
+    # a window without the channel's uniforms moves every later shot
+    sampler_without(channel, monkeypatch)
+    cfg = build_run_config(load_preset("paper-2015"), seed=1, shots=400, pair_order=pair_order)
+    with pytest.raises(AssertionError):
+        test_experiment.assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
