@@ -211,18 +211,17 @@ def _run_rows(layout, steps, channels, u, ws):
 def run_protocol(config: RunConfig) -> ExperimentResult:
     """Run the full sequential-measurement protocol.
 
-    Every group collects shots_per_term kept shots, each attempt running:
-    initialize -> charge check -> noisy preparation and setting pulses ->
-    first readout -> noisy swap (or undo) pulses -> second readout.
-    Attempts failing the charge check are counted and discarded. The check
-    does not depend on the state, so a group runs exactly its kept shots,
-    each on its own window of the group's stream (see group_rng) that holds
-    the uniforms of its channels that are on (_program_steps), and then
-    draws its failed checks before the shots-th pass from the same stream
-    at once, NB(shots, charge_good_prob) of them; a group whose attempts
-    exceed the attempt budget raises InsufficientData. Results are
-    independent of execution order and of how many windows are drawn at
-    once; identical configurations reproduce identical counts. The windows
+    Every group keeps shots_per_term shots, each running: initialize ->
+    noisy preparation and setting pulses -> first readout -> noisy swap (or
+    undo) pulses -> second readout, on its own window of the group's stream
+    (see group_rng) that holds the uniforms of its channels that are on
+    (_program_steps). The charge check does not depend on the state, so the
+    group then draws its failed checks before the shots-th pass from the
+    same stream at once, NB(shots, charge_good_prob) of them, and discards
+    them; at charge_good_prob 0 no check can pass and the run raises
+    InsufficientData before any draw. Results are independent of execution
+    order and of how many windows are drawn at once; identical
+    configurations reproduce identical counts. The windows
     of each draw run together as array steps (_run_rows), one per pulse
     step and readout, in a workspace of flat buffers that the call owns and
     drops on return. The result is table_estimates of the count tables, as
@@ -231,8 +230,7 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     noise = config.noise
     shots = config.shots_per_term
     p_charge = noise.charge_good_prob
-    budget = config.attempt_budget()
-    if not budget:  # no check can pass: fail before any draw
+    if not p_charge:  # no check can pass: fail before any draw
         raise InsufficientData(f"only 0 of {shots} shots kept (charge_good_prob = {p_charge})")
     # a channel is on at a probability of 2^-53 or more: Generator.random
     # draws multiples of 2^-53, so below that u < p could hold only at
@@ -262,11 +260,5 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)
             table += (n - ones - twos + both, twos - both, ones - both, both)
-        attempts = shots + int(rng.negative_binomial(shots, p_charge))
-        if attempts > budget:
-            raise InsufficientData(
-                f"group {group}: {attempts} attempts to keep {shots} shots, above the budget of "
-                f"{budget} (charge_good_prob = {p_charge})"
-            )
-        discarded += attempts - shots
+        discarded += int(rng.negative_binomial(shots, p_charge))
     return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

@@ -21,11 +21,8 @@ from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_
 #: Largest accepted mean photon count; it bounds the Poisson window that
 #: misassignment_probabilities sums (about 7.6e5 terms).
 LAMBDA_MAX = 1e9
-#: Most shot attempts a single shot group may be budgeted.
+#: Most expected attempts of a group.
 MAX_ATTEMPTS = 1e8
-#: Largest accepted chance that a group falls short of its shots within its
-#: attempt budget.
-BUDGET_TAIL = 1e-12
 #: Shows a rejected value in its ConfigError, cut below two levels of nesting.
 _REJECTED = reprlib.Repr()
 _REJECTED.maxlevel = 2
@@ -111,7 +108,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full description of one protocol run."""
+    """Full description of one protocol run. A run is refused when its
+    expected attempts per group, shots_per_term / charge_good_prob, exceed
+    MAX_ATTEMPTS; at charge_good_prob 0, run_protocol raises InsufficientData
+    before any draw instead."""
 
     seed: int = 0
     shots_per_term: int = 10_000
@@ -129,27 +129,12 @@ class RunConfig:
             raise ConfigError(f"shots_per_term must lie in [1, {MAX_ATTEMPTS:.0e}]")
         if self.pair_order not in ("forward", "reverse"):
             raise ConfigError("pair_order must be 'forward' or 'reverse'")
-        self.attempt_budget()  # refuses a run too long to finish
-
-    def attempt_budget(self) -> int:
-        """Shot attempts per group before the run gives up, or 0 when no
-        attempt can pass the charge check. The Chernoff bound on the lower tail
-        of Binomial(n, p) gives the budget n = (s + c + sqrt(c^2 + 2 s c)) / p
-        for s shots, p = charge_good_prob and c = ln(1 / BUDGET_TAIL), so a
-        group falls short with probability at most BUDGET_TAIL.
-        Raises ConfigError above MAX_ATTEMPTS."""
-        p = self.noise.charge_good_prob
-        s = self.shots_per_term
-        if p == 0.0:
-            return 0
-        c = -math.log(BUDGET_TAIL)
-        budget = (s + c + math.sqrt(c * c + 2.0 * s * c)) / p
-        if not budget <= MAX_ATTEMPTS:
+        p, s = self.noise.charge_good_prob, self.shots_per_term
+        if p and s / p > MAX_ATTEMPTS:  # the quotient: s > MAX_ATTEMPTS * p rounds differently
             raise ConfigError(
                 f"charge_good_prob = {p!r} at {s} shots per term "
-                f"needs {budget:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
+                f"expects {s / p:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
             )
-        return math.ceil(budget)
 
 
 @functools.lru_cache(maxsize=64)

@@ -226,8 +226,10 @@ class TestSimulate:
             pytest.param("noise: {lambda_bright: 1.0e+30}\n", "lambda_bright", id="lambda-huge"),
             # YAML 1.1 reads 1e30 (no dot, no exponent sign) as a string
             pytest.param("noise: {lambda_bright: 1e30}\n", "lambda_bright", id="lambda-string"),
-            pytest.param("noise: {charge_good_prob: 1.0e-320}\n", "charge_good_prob", id="budget-inf"),
-            pytest.param("noise: {charge_good_prob: 1.0e-6}\n", "charge_good_prob", id="budget-4e10"),
+            pytest.param("noise: {charge_good_prob: 1.0e-320}\n", "charge_good_prob",
+                         id="expected-attempts-inf"),
+            pytest.param("noise: {charge_good_prob: 1.0e-6}\n", "charge_good_prob",
+                         id="expected-attempts-1e10"),
             pytest.param("noise: {readout_thresh: 4}\n", "readout_thresh", id="unknown-noise-key"),
             pytest.param("noise: {bright_state_is_one: 0}\n", "bright_state_is_one", id="polarity-int"),
             pytest.param("1: 2\nfoo: 3\n", "foo", id="unknown-keys-mixed-types"),

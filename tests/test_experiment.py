@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.stats import binom, chi2, nbinom, poisson
+from scipy.stats import chi2, nbinom, poisson
 
 from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
@@ -23,7 +23,6 @@ from kcbsim.experiment import DRAW_UNIFORMS, group_rng, normal_uniforms
 from kcbsim.experiment import run_protocol
 from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _readout_rows, _steps
 from kcbsim.model import (
-    BUDGET_TAIL,
     LAMBDA_MAX,
     MAX_ATTEMPTS,
     NoiseModel,
@@ -126,7 +125,6 @@ class TestChargeCheck:
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = 0.0
         cfg = build_run_config(data, seed=1, shots=100)
-        assert cfg.attempt_budget() == 0
         with pytest.raises(InsufficientData, match="only 0 of 100 shots kept"):
             run_protocol(cfg)
 
@@ -157,69 +155,32 @@ class TestChargeCheck:
         assert discarded > 0
 
 
-def smallest_budget(shots, p):
-    """Smallest n with P(Binomial(n, p) < shots) <= BUDGET_TAIL, by bisection."""
-    lo, hi = shots, 10**12
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if binom.cdf(shots - 1, mid, p) <= BUDGET_TAIL:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 class TestAttemptBudget:
-    @pytest.mark.parametrize("shots", [1, 2, 20, 300, 10_000, 10**6])
-    @pytest.mark.parametrize("p", [1.0, 0.9, 0.5, 0.1, 1e-3, 1e-5])
-    def test_shortfall_within_tail(self, shots, p):
-        exact = smallest_budget(shots, p)
-        noise = NoiseModel(charge_good_prob=p)
-        try:
-            n = RunConfig(seed=1, shots_per_term=shots, noise=noise).attempt_budget()
-        except ConfigError:
-            # refused only when even the exact budget is out of reach
-            assert exact > MAX_ATTEMPTS / 2.2
-            return
-        assert binom.cdf(shots - 1, n, p) <= BUDGET_TAIL
-        # the Chernoff form overshoots by at most about 2x at few shots,
-        # plus 2 ln(1 / BUDGET_TAIL) attempts when p is near 1
-        assert exact <= n <= 2.2 * exact + 60
+    """The one attempt limit left: a run that expects more than
+    MAX_ATTEMPTS attempts a group is refused."""
 
-    def test_few_shots_at_rare_charge_do_not_fall_short(self):
-        # 4 shots / p + 100 attempts left about 10 % of such runs short
-        data = load_preset("ideal")
-        data["noise"]["charge_good_prob"] = 1e-5
-        for seed in (1, 2, 3):
-            res = run_protocol(build_run_config(data, seed=seed, shots=2))
-            assert res.kept_shots == 12
+    def test_max_shots_construct_when_every_check_passes(self):
+        # 1e8 shots at charge_good_prob 1 expect exactly MAX_ATTEMPTS attempts
+        RunConfig(seed=1, shots_per_term=10**8, noise=NoiseModel(charge_good_prob=1.0))
 
     def test_refuses_above_max_attempts(self):
         with pytest.raises(ConfigError, match="charge_good_prob = 1e-06 at 10000 shots"):
             RunConfig(seed=1, shots_per_term=10_000, noise=NoiseModel(charge_good_prob=1e-6))
 
-    def test_shortfall_names_the_group_and_the_budget(self, monkeypatch):
-        # a budget of exactly the shots: the first group to discard stops the run
-        cfg = RunConfig(seed=1, shots_per_term=20, noise=NoiseModel(charge_good_prob=0.5))
-        monkeypatch.setattr(RunConfig, "attempt_budget", lambda self: 20)
-        message = r"^group 0: \d+ attempts to keep 20 shots, above the budget of 20 "
-        with pytest.raises(InsufficientData, match=message):
-            run_protocol(cfg)
-
     @pytest.mark.parametrize("shots", [1, 2, 10_000])
     def test_smallest_accepted_charge_good_prob_runs(self, shots):
-        # at a budget of exactly MAX_ATTEMPTS the discard draw stays far
-        # inside numpy's range: it refuses only near NB(1e8, 1e-12)
+        # at MAX_ATTEMPTS expected attempts the discard draw stays far
+        # inside numpy's range
         p = smallest_accepted_charge_good_prob(shots)
+        assert shots / p <= MAX_ATTEMPTS < shots / np.nextafter(p, 0.0)
         cfg = RunConfig(seed=1, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
-        assert cfg.attempt_budget() == MAX_ATTEMPTS
         if shots == 1:  # every draw taken, then too few shots for the statistics
             with pytest.raises(InsufficientData, match="at least 2 kept shots"):
                 run_protocol(cfg)
             return
         res = run_protocol(cfg)
         assert res.kept_shots == 6 * shots
-        assert 0 < res.discarded_shots <= 6 * (MAX_ATTEMPTS - shots)
+        assert res.discarded_shots > 0
 
 
 def smallest_accepted_charge_good_prob(shots):
@@ -231,8 +192,7 @@ def smallest_accepted_charge_good_prob(shots):
             return False
         return True
 
-    c = -math.log(BUDGET_TAIL)
-    p = (shots + c + math.sqrt(c * c + 2.0 * shots * c)) / MAX_ATTEMPTS
+    p = shots / MAX_ATTEMPTS
     while not accepted(p):
         p = np.nextafter(p, 1.0)
     while accepted(np.nextafter(p, 0.0)):

@@ -14,7 +14,6 @@ import pytest
 import test_experiment
 from kcbsim import experiment, model
 from kcbsim.config import build_run_config, load_preset
-from kcbsim.errors import InsufficientData
 from kcbsim.pentagram import swap_pulses
 from test_experiment import assert_tables_pass_a_g_test, assert_terms_within_five_sigma, run_against_exact
 
@@ -208,8 +207,7 @@ def test_discards_drawn_before_the_windows_fail_the_charge_tests(pair_order, mon
 
 @pytest.mark.parametrize("p", [0.3, 0.9])
 def test_discards_at_the_complement_probability_fail_the_discard_distribution_test(p, monkeypatch):
-    # NB(shots, 1 - p): the passes counted as the failures. At p = 0.9 the
-    # test's runs overrun their attempt budget before its z-scores are read
+    # NB(shots, 1 - p): the passes counted as the failures
     group_rng = experiment.group_rng
 
     def complement(seed, group):
@@ -218,7 +216,7 @@ def test_discards_at_the_complement_probability_fail_the_discard_distribution_te
         return types.SimpleNamespace(random=rng.random, negative_binomial=lambda n, q: nb(n, 1 - q))
 
     monkeypatch.setattr(experiment, "group_rng", complement)
-    with pytest.raises(AssertionError if p < 0.5 else InsufficientData):
+    with pytest.raises(AssertionError):
         test_experiment.TestRunProtocol().test_discards_follow_the_negative_binomial(p)
 
 
