@@ -1,7 +1,9 @@
 """The batched sampler of the protocol: kcbsim.model's shot programs run as
 float32 array steps over many kept shots at once, each on its own window
 of its group's random stream, into the count tables of a run; a group's
-discarded attempts are one negative-binomial draw after its last window."""
+discarded attempts are one negative-binomial draw after its last window.
+The uniforms stay float64, so that advance(j * W) and every comparison with
+a uniform are those of a float64 sampler; only the kernel's rows are float32."""
 
 from __future__ import annotations
 
@@ -48,8 +50,9 @@ def _cos_sin(half, cos, d):
     tau = tan(half), cos = (1 - tau^2) / (1 + tau^2) and
     sin = 2 tau / (1 + tau^2). The sine overwrites half, the cosine goes to
     cos, and d is scratch of the same shape and dtype. numpy may run tan as
-    a vector loop where cos and sin run scalar libm; in float64 the pair
-    stays within about 1e-16 of libm's, and finite at the tangent's poles."""
+    a vector loop where cos and sin run scalar libm; where it does not, the
+    route still halves the transcendental calls. In float64 the pair stays
+    within about 1e-16 of libm's, and finite at the tangent's poles."""
     tau = np.tan(half, half)
     np.add(1.0, np.multiply(tau, tau, cos), d)
     np.divide(np.subtract(1.0, cos, cos), d, cos)
@@ -61,10 +64,11 @@ def _steps(pulses, std: float):
     each run of same-axis neighbours, angles t_i, is one rotation of angle
     T = sum t_i run at T + std w e, w = sqrt(sum t_i^2), with one normal e.
     Rotations on one axis compose, and sum t_i (1 + std e_i) is normal with
-    that mean and spread, so this is exact in distribution. Returns
-    (rows, x, y): step k rotates amplitude rows rows[k] and rows[k] + 1;
-    x, y are (steps, 1) float32 columns, T / 4 and std w / 4 with angle
-    noise on, else the fixed (cos, sin)(T / 2)."""
+    that mean and spread, so this is exact in distribution; exact_tables
+    applies one channel per pulse, so the exact backend checks the merge
+    independently. Returns (rows, x, y): step k rotates amplitude rows
+    rows[k] and rows[k] + 1; x, y are (steps, 1) float32 columns, T / 4 and
+    std w / 4 with angle noise on, else the fixed (cos, sin)(T / 2)."""
     runs = [(axis, [t for _, t in run]) for axis, run in groupby(pulses, lambda pulse: pulse[0])]
     xy = np.array([(0.25 * sum(ts), 0.25 * std * math.hypot(*ts)) for _, ts in runs], np.float32)
     x, y = xy.reshape(-1, 2).T[:, :, None]
@@ -82,7 +86,9 @@ def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     window holds only the uniforms of the channels on, in order: init, the
     pre-step normals (with angle noise), readout 1 (Born, flip,
     assignment), the mid-step normals and readout 2 (Born, assignment:
-    nothing collapses after it). layout: the offsets of all but the first
+    nothing collapses after it). The uniforms of a branch not taken are
+    skipped, never reused, so that a kept shot's randomness is fixed by
+    (seed, group, shot) alone. layout: the offsets of all but the first
     part, and the width W. depth: the workspace rows _run_rows uses."""
     steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
     for _, x, y in steps:
@@ -137,7 +143,9 @@ def _readout_rows(u, rows, misassignment: tuple[float, float] | None):
     in the scratch rows s1, s2, gives the |+1> outcome. In float32 the norm
     drifts by about 1e-7 a pulse, where leakage between levels stays near
     1e-15: so a population that is 1 exactly reads 1, not the 0.9999998 of
-    a plain a^2. With misassignment on, the last uniform u[-1] then
+    a plain a^2. Both float32 effects sit far below the ~1e-4 resolution
+    of the largest run allowed, MAX_ATTEMPTS attempts a group. With
+    misassignment on, the last uniform u[-1] then
     misassigns the outcome with the Poisson tail probabilities
     `misassignment` = (P(assign 1 | true 0), P(assign 0 | true 1)) that
     misassignment_probabilities gives; off (None), the bit is the outcome."""
@@ -218,13 +226,15 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     (_program_steps). The charge check does not depend on the state, so the
     group then draws its failed checks before the shots-th pass from the
     same stream at once, NB(shots, charge_good_prob) of them, and discards
-    them; at charge_good_prob 0 no check can pass and the run raises
+    them (numpy samples NB as a Poisson-Gamma mixture, exact in
+    distribution); at charge_good_prob 0 no check can pass and the run raises
     InsufficientData before any draw. Results are independent of execution
     order and of how many windows are drawn at once; identical
     configurations reproduce identical counts. The windows
     of each draw run together as array steps (_run_rows), one per pulse
     step and readout, in a workspace of flat buffers that the call owns and
-    drops on return. The result is table_estimates of the count tables, as
+    drops on return, so that glibc does not trim the heap and fault it back
+    in between draws. The result is table_estimates of the count tables, as
     for the exact backend's expected counts.
     """
     noise = config.noise

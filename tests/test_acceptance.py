@@ -13,13 +13,7 @@ import numpy as np
 
 from kcbsim.cli import main
 from kcbsim.config import build_run_config, load_preset
-from kcbsim.kcbs import (
-    exact_terms,
-    kcbs_value,
-    modified_kcbs_value,
-    nchv_bound,
-    nchv_bound_modified,
-)
+from kcbsim.kcbs import exact_terms, nchv_bound, nchv_bound_modified
 from kcbsim.pentagram import (
     adjacency_defect,
     angles,

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stdout
 
@@ -537,9 +538,12 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=_DOCS)
     def test_any_mapping_gives_a_record_or_exit_2(self, tmp_path, capsys, doc):
-        path = tmp_path / "fuzz.yaml"
-        path.write_text(yaml.safe_dump(doc))
-        code, rec = run_cli("simulate", "--config", str(path), "--shots", "20")
+        # a fresh file per example: on ext4, a file truncated and rewritten
+        # is flushed to disk at close, tens of ms per example
+        fd, path = tempfile.mkstemp(suffix=".yaml", dir=tmp_path)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(yaml.safe_dump(doc))
+        code, rec = run_cli("simulate", "--config", path, "--shots", "20")
         err = capsys.readouterr().err
         if code == 0:
             assert set(rec["terms"]) == set(TERM_NAMES)
