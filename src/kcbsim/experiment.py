@@ -32,12 +32,14 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq).advance(2**64))
 
 
-#: Most uniforms one draw of run_protocol holds (512 KiB of float64): the
-#: most columns of one array step, 3276-32 768 windows of 2-20 uniforms.
-#: Counts do not depend on it. It bounds the workspace of a call (the draw
-#: and the kernel's float32 rows, each sized once for the largest draw of
-#: the six groups' plans), which the memory tests hold under 4 MiB.
-DRAW_UNIFORMS = 2**16
+#: Most bytes of one draw's workspace in run_protocol (2.25 MiB). A kept
+#: shot's column takes 8 W bytes of float64 uniforms and 4 depth bytes of
+#: float32 kernel rows (_program_steps), so a draw runs
+#: min(shots, DRAW_BYTES // (8 W + 4 depth)) columns: 8548-13 107 on
+#: paper-2015, 65 536 on ideal. Counts do not depend on it. It bounds the
+#: workspace of a call, one flat buffer sized once for the largest draw of
+#: the six groups, which the memory tests hold under 4 MiB.
+DRAW_BYTES = 9 * 2**18
 
 
 def normal_uniforms(n: int) -> int:
@@ -232,10 +234,10 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     order and of how many windows are drawn at once; identical
     configurations reproduce identical counts. The windows
     of each draw run together as array steps (_run_rows), one per pulse
-    step and readout, in a workspace of flat buffers that the call owns and
-    drops on return, so that glibc does not trim the heap and fault it back
-    in between draws. The result is table_estimates of the count tables, as
-    for the exact backend's expected counts.
+    step and readout, in one flat workspace of at most DRAW_BYTES that the
+    call owns and drops on return, so that glibc does not trim the heap and
+    fault it back in between draws. The result is table_estimates of the
+    count tables, as for the exact backend's expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -252,11 +254,13 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     on = tuple(q is not None for q in channels)
     programs = shot_programs(config.pair_order)
     plans = [_program_steps(prog, noise.pulse_angle_error_std, on) for prog in programs]
-    # the call's workspace: two flat buffers, each sized once for the
-    # largest draw of the six groups, min(shots, DRAW_UNIFORMS // W) windows
-    draws = [min(shots, DRAW_UNIFORMS // layout[-1]) for layout, _, _ in plans]
-    drawn = np.empty(max(n * layout[-1] for n, (layout, _, _) in zip(draws, plans)))
-    kernel = np.empty(max(n * depth for n, (_, _, depth) in zip(draws, plans)), np.float32)
+    # the call's workspace: one flat buffer, sized once for the largest
+    # draw of the six groups. A draw of n columns views its float64
+    # uniforms in the first 8 n W bytes and its float32 kernel rows in the
+    # next 4 n depth, so DRAW_BYTES bounds both together
+    column_bytes = [8 * layout[-1] + 4 * depth for layout, _, depth in plans]
+    draws = [min(shots, DRAW_BYTES // size) for size in column_bytes]
+    workspace = np.empty(max(n * size for n, size in zip(draws, column_bytes)), np.uint8)
     tables = np.zeros((len(programs), 4), dtype=np.int64)
     discarded = 0
     for group, ((layout, steps, depth), per_draw, table) in enumerate(zip(plans, draws, tables)):
@@ -264,8 +268,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
         width = layout[-1]
         for start in range(0, shots, per_draw):
             n = min(per_draw, shots - start)
-            u = rng.random(out=drawn[: n * width].reshape(n, width))
-            b1, b2 = _run_rows(layout, steps, channels, u.T, kernel[: depth * n].reshape(depth, n))
+            u = rng.random(out=np.ndarray((n, width), np.float64, workspace))
+            ws = np.ndarray((depth, n), np.float32, workspace, 8 * n * width)
+            b1, b2 = _run_rows(layout, steps, channels, u.T, ws)
             # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)

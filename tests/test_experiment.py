@@ -19,7 +19,7 @@ from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData
 from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms
-from kcbsim.experiment import DRAW_UNIFORMS, group_rng, normal_uniforms
+from kcbsim.experiment import DRAW_BYTES, group_rng, normal_uniforms
 from kcbsim.experiment import run_protocol
 from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _readout_rows, _steps
 from kcbsim.model import (
@@ -45,11 +45,13 @@ IDEAL = NoiseModel()  # defaults are the noise-free model
 PULSE_NOISE = NoiseModel(pulse_angle_error_std=0.02)
 #: Every channel on: init errors, nuclear flips and misassignment.
 ALL_ON = (True, True, True)
-#: Uniforms of the widest attempt window, the forward correction group's
-#: with pulse noise and every channel on: DRAW_UNIFORMS = WIDEST draws one
-#: window at a time, and anything smaller draws no window of that group.
-WIDEST = max(_program_steps(p, PULSE_NOISE.pulse_angle_error_std, ALL_ON)[0][-1]
-             for o in ("forward", "reverse") for p in shot_programs(o))
+#: Workspace bytes of the widest column, 8 W + 4 depth, the forward
+#: correction group's with pulse noise and every channel on: DRAW_BYTES =
+#: WIDEST draws one window at a time, and anything smaller draws no window
+#: of that group.
+WIDEST = max(8 * layout[-1] + 4 * depth
+             for o in ("forward", "reverse") for p in shot_programs(o)
+             for layout, _, depth in [_program_steps(p, PULSE_NOISE.pulse_angle_error_std, ALL_ON)])
 
 
 def poisson_tail_above(threshold, lam):
@@ -148,8 +150,8 @@ class TestChargeCheck:
             rng.bit_generator.advance(shots * width)
             discarded += int(rng.negative_binomial(shots, p))
         # at 7 widest windows a draw each group takes dozens of draws
-        for draw in (DRAW_UNIFORMS, 7 * WIDEST):
-            monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
+        for draw in (DRAW_BYTES, 7 * WIDEST):
+            monkeypatch.setattr(experiment, "DRAW_BYTES", draw)
             res = run_protocol(cfg)
             assert (res.kept_shots, res.discarded_shots) == (6 * shots, discarded)
         assert discarded > 0
@@ -773,7 +775,7 @@ class TestGroupRng:
                 widths.setdefault((std, on), set()).add(width)
         assert widths[0.0, (False, False, False)] == {2}
         noisy = widths[0.02, ALL_ON]
-        assert (min(noisy), max(noisy)) == (14, 20) == (14, WIDEST)
+        assert (min(noisy), max(noisy)) == (14, 20)
 
     def test_a_channel_is_on_from_2_to_the_minus_53(self, monkeypatch):
         # Generator.random draws multiples of 2^-53, so below that a
@@ -819,7 +821,7 @@ class TestGroupRng:
     def test_counts_do_not_depend_on_the_draw_size(self, monkeypatch):
         cfg = build_run_config(load_preset("paper-2015"), seed=21, shots=300)
         default = run_protocol(cfg)
-        monkeypatch.setattr(experiment, "DRAW_UNIFORMS", 7 * WIDEST)
+        monkeypatch.setattr(experiment, "DRAW_BYTES", 7 * WIDEST)
         small_draws = run_protocol(cfg)
         assert small_draws.successes == default.successes
         assert small_draws.discarded_shots == default.discarded_shots
@@ -829,11 +831,11 @@ class TestGroupRng:
         runs = [(STRESS, 300, "forward"), (STRESS, 300, "reverse"), (low_charge, 200, "forward")]
         for noise, shots, pair_order in runs:
             cfg = build_run_config({"noise": noise}, seed=21, shots=shots, pair_order=pair_order)
-            monkeypatch.setattr(experiment, "DRAW_UNIFORMS", DRAW_UNIFORMS)
+            monkeypatch.setattr(experiment, "DRAW_BYTES", DRAW_BYTES)
             default = run_protocol(cfg)
             # one window a draw, dozens of draws, and four times the default
-            for draw in (WIDEST, 7 * WIDEST, 4 * DRAW_UNIFORMS):
-                monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
+            for draw in (WIDEST, 7 * WIDEST, 4 * DRAW_BYTES):
+                monkeypatch.setattr(experiment, "DRAW_BYTES", draw)
                 res = run_protocol(cfg)
                 assert (res.successes, res.kept_shots, res.discarded_shots) == (
                     default.successes, default.kept_shots, default.discarded_shots
@@ -898,6 +900,23 @@ def channels_on(config, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(experiment, "_program_steps", spy)
+        run_protocol(config)
+    return seen
+
+
+def draw_workspaces(config, monkeypatch):
+    """The workspace of each draw of one run_protocol call, in draw order:
+    the flat buffer that both the draw's uniforms and its kernel rows view,
+    side by side."""
+    run_rows, seen = experiment._run_rows, []
+
+    def spy(layout, steps, channels, u, ws):
+        assert u.base is ws.base and not np.shares_memory(u, ws)
+        seen.append(u.base)
+        return run_rows(layout, steps, channels, u, ws)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "_run_rows", spy)
         run_protocol(config)
     return seen
 
@@ -996,11 +1015,34 @@ class TestArrayKernel:
         assert peak < 4 * 2**20 and held < 64 * 2**10
 
     def test_memory_bound_holds_with_every_channel_on(self):
-        # noisy angles, Box-Muller normals and flips grow with the draw too
-        cfg = build_run_config(load_preset("paper-2015"), seed=3)
-        assert cfg.shots_per_term == 8000
-        peak, held = traced_memory(cfg)
-        assert peak < 4 * 2**20 and held < 64 * 2**10
+        # noisy angles, Box-Muller normals and flips grow with the draw too;
+        # at the preset's 8000 shots a group is one draw, at 20 000 two or
+        # three, and the workspace is all but DRAW_BYTES
+        for shots in (None, 20_000):
+            cfg = build_run_config(load_preset("paper-2015"), seed=3, shots=shots)
+            assert cfg.shots_per_term == (shots or 8000)
+            peak, held = traced_memory(cfg)
+            assert peak < 4 * 2**20 and held < 64 * 2**10, cfg.shots_per_term
+
+    def test_shipped_sizes_run_each_group_in_one_draw(self, monkeypatch):
+        # the presets' shot counts fit DRAW_BYTES: six draws a call, each
+        # paying the kernel's fixed ufunc calls once
+        for preset, shots, pair_order in [("paper-2015", 8000, "forward"), ("paper-2015", 8000, "reverse"),
+                                          ("ideal", 10_000, "forward")]:
+            cfg = build_run_config(load_preset(preset), seed=3, pair_order=pair_order)
+            assert cfg.shots_per_term == shots
+            assert len(draw_workspaces(cfg, monkeypatch)) == 6, (preset, pair_order)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_workspace_stays_within_the_draw_bytes(self, pair_order, monkeypatch):
+        # one buffer a call, DRAW_BYTES at most even where every group takes
+        # more than one draw (70 000 shots: over ideal's 65 536 columns)
+        models = [load_preset("ideal"), load_preset("paper-2015"), {"noise": STRESS}, {"noise": STRESS_DARK}]
+        for data, shots in itertools.product(models, (300, 70_000)):
+            cfg = build_run_config(data, seed=3, shots=shots, pair_order=pair_order)
+            workspaces = draw_workspaces(cfg, monkeypatch)
+            assert len({id(w) for w in workspaces}) == 1
+            assert workspaces[0].nbytes <= DRAW_BYTES, (data, shots)
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
@@ -1011,8 +1053,9 @@ class TestArrayKernel:
         # glibc returns the idle top of its heap to the kernel, so arrays
         # freed and allocated again on every draw fault their pages back in:
         # thousands of minor faults per call, where a workspace reused
-        # across the call's draws takes a few hundred. ideal at 100 000
-        # shots runs the widest draws, 32 768 two-uniform windows. The call
+        # across the call's draws takes a few hundred: mapping the 2.25 MiB
+        # of DRAW_BYTES afresh costs 500-580. ideal at 100 000 shots runs
+        # the widest draws, 65 536 columns. The call
         # runs in a fresh interpreter: once a process has freed a large
         # mapped block, as earlier tests do, glibc raises its trim threshold
         # and the churn no longer shows.
@@ -1033,11 +1076,11 @@ class TestArrayKernel:
 def assert_counts_match_the_scalar_helpers(config, monkeypatch):
     # every cell of every table, not just the recorded terms
     tables, kept, discarded = scalar_counts(config)
-    # at the default DRAW_UNIFORMS a group takes one or two draws; at 7
-    # widest windows it takes dozens, so counts carried across draws and the
-    # cut in the last are checked
-    for draw in (DRAW_UNIFORMS, 7 * WIDEST):
-        monkeypatch.setattr(experiment, "DRAW_UNIFORMS", draw)
+    # at the default DRAW_BYTES a group takes one draw; at 7 widest
+    # columns it takes dozens, so counts carried across draws and the cut
+    # in the last are checked
+    for draw in (DRAW_BYTES, 7 * WIDEST):
+        monkeypatch.setattr(experiment, "DRAW_BYTES", draw)
         res = run_protocol(config)
         assert np.array_equal(res.tables, tables), draw
         assert (res.kept_shots, res.discarded_shots) == (kept, discarded), draw
