@@ -8,6 +8,7 @@ mirror the NoiseModel fields. Command-line flags override file values.
 from __future__ import annotations
 
 import dataclasses
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +19,17 @@ from .model import _REJECTED, NoiseModel, RunConfig
 
 _NOISE_FIELDS = {f.name for f in dataclasses.fields(NoiseModel)}
 _TOP_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that reads every number in exponent form as a float,
+    as JSON and YAML 1.2 do. YAML 1.1 asks for a dot and a signed exponent,
+    so it reads 1e-05 and 1.0e9 as strings; a record writes every float
+    below 1e-4 as 1e-05 is written, and its config block reads back."""
+
+
+_EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789"))
 
 
 def available_presets() -> list[str]:
@@ -47,7 +59,7 @@ def load_config_file(path: str | Path) -> dict:
 
 def _parse(text: str, source: str) -> dict:
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer too long to convert
         raise ConfigError(f"{source}: not valid YAML ({exc})") from exc
     if not isinstance(data, dict):

@@ -13,9 +13,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from .errors import InsufficientData
-from .model import ExperimentResult, RunConfig, misassignment_probabilities
-from .model import estimate_stats, shot_programs, table_estimates  # noqa: F401 (perfbench traces estimate_stats)
+from .model import ExperimentResult, RunConfig, misassignment_probabilities, shot_programs, table_estimates
 
 
 def group_rng(seed: int, group: int) -> np.random.Generator:
@@ -229,21 +227,18 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     group then draws its failed checks before the shots-th pass from the
     same stream at once, NB(shots, charge_good_prob) of them, and discards
     them (numpy samples NB as a Poisson-Gamma mixture, exact in
-    distribution); at charge_good_prob 0 no check can pass and the run raises
-    InsufficientData before any draw. Results are independent of execution
-    order and of how many windows are drawn at once; identical
-    configurations reproduce identical counts. The windows
-    of each draw run together as array steps (_run_rows), one per pulse
-    step and readout, in one flat workspace of at most DRAW_BYTES that the
-    call owns and drops on return, so that glibc does not trim the heap and
-    fault it back in between draws. The result is table_estimates of the
-    count tables, as for the exact backend's expected counts.
+    distribution). RunConfig admits only runs that finish, so this raises
+    nothing of its own. Results are independent of execution order and of
+    how many windows are drawn at once; identical configurations reproduce
+    identical counts. The windows of each draw run together as array steps
+    (_run_rows), one per pulse step and readout, in one flat workspace of at
+    most DRAW_BYTES that the call owns and drops on return, so that glibc
+    does not trim the heap and fault it back in between draws. The result
+    is table_estimates of the count tables, as for the exact backend's
+    expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
-    p_charge = noise.charge_good_prob
-    if not p_charge:  # no check can pass: fail before any draw
-        raise InsufficientData(f"only 0 of {shots} shots kept (charge_good_prob = {p_charge})")
     # a channel is on at a probability of 2^-53 or more: Generator.random
     # draws multiples of 2^-53, so below that u < p could hold only at
     # u = 0.0, and off it never does, less than 2^-53 from the model's
@@ -275,5 +270,5 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)
             table += (n - ones - twos + both, twos - both, ones - both, both)
-        discarded += int(rng.negative_binomial(shots, p_charge))
+        discarded += int(rng.negative_binomial(shots, noise.charge_good_prob))
     return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

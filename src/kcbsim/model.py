@@ -23,23 +23,11 @@ from .pentagram import SLOT_TARGETS, inverse, psi0_pulses, setting_pulses, swap_
 LAMBDA_MAX = 1e9
 #: Most expected attempts of a group.
 MAX_ATTEMPTS = 1e8
+#: Fewest kept shots per term: estimate_stats needs two.
+MIN_SHOTS = 2
 #: Shows a rejected value in its ConfigError, cut below two levels of nesting.
 _REJECTED = reprlib.Repr()
 _REJECTED.maxlevel = 2
-
-
-def _rejected_number(v) -> str:
-    """A rejected number shown in its ConfigError. A string that float()
-    reads gets a hint: PyYAML reads YAML 1.1, where 1e9 and 1.0e9 are
-    strings and only 1.0e+9 is a float."""
-    shown = _REJECTED.repr(v)
-    if isinstance(v, str):
-        try:
-            float(v)
-        except ValueError:
-            return shown
-        shown += " (a string: YAML 1.1 reads a float as 1.0e+9 and an integer in digits)"
-    return shown
 
 
 def _finite(v: Real) -> bool:
@@ -90,7 +78,7 @@ class NoiseModel:
                 if not isinstance(v, bool):
                     raise ConfigError(f"{f.name} must be true or false, got {_REJECTED.repr(v)}")
             elif isinstance(v, bool) or not isinstance(v, Real) or not _finite(v):
-                raise ConfigError(f"{f.name} must be a finite number, got {_rejected_number(v)}")
+                raise ConfigError(f"{f.name} must be a finite number, got {_REJECTED.repr(v)}")
         probabilities = ("init_error_prob", "nuclear_flip_prob", "charge_good_prob")
         for name in ("pulse_angle_error_std", *probabilities):
             v = getattr(self, name)
@@ -108,10 +96,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full description of one protocol run. A run is refused when its
-    expected attempts per group, shots_per_term / charge_good_prob, exceed
-    MAX_ATTEMPTS; at charge_good_prob 0, run_protocol raises InsufficientData
-    before any draw instead."""
+    """Full description of one protocol run, and the one place a run is
+    refused: shots_per_term must lie in [MIN_SHOTS, MAX_ATTEMPTS] and the
+    expected attempts per group, shots_per_term / charge_good_prob (infinite
+    at 0), be at most MAX_ATTEMPTS. Every RunConfig runs to a result."""
 
     seed: int = 0
     shots_per_term: int = 10_000
@@ -122,18 +110,21 @@ class RunConfig:
         for name in ("seed", "shots_per_term"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ConfigError(f"{name} must be an integer, got {_rejected_number(v)}")
+                raise ConfigError(f"{name} must be an integer, got {_REJECTED.repr(v)}")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        if not 1 <= self.shots_per_term <= MAX_ATTEMPTS:
-            raise ConfigError(f"shots_per_term must lie in [1, {MAX_ATTEMPTS:.0e}]")
+        if not MIN_SHOTS <= self.shots_per_term <= MAX_ATTEMPTS:
+            raise ConfigError(f"shots_per_term must lie in [{MIN_SHOTS}, {MAX_ATTEMPTS:.0e}]")
         if self.pair_order not in ("forward", "reverse"):
             raise ConfigError("pair_order must be 'forward' or 'reverse'")
+        if not isinstance(self.noise, NoiseModel):
+            raise ConfigError(f"noise must be a NoiseModel, got {_REJECTED.repr(self.noise)}")
         p, s = self.noise.charge_good_prob, self.shots_per_term
-        if p and s / p > MAX_ATTEMPTS:  # the quotient: s > MAX_ATTEMPTS * p rounds differently
+        attempts = s / p if p else math.inf  # the quotient: s > MAX_ATTEMPTS * p rounds differently
+        if attempts > MAX_ATTEMPTS:
             raise ConfigError(
                 f"charge_good_prob = {p!r} at {s} shots per term "
-                f"expects {s / p:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
+                f"expects {attempts:.3g} attempts per group, above {MAX_ATTEMPTS:.0e}"
             )
 
 
@@ -190,10 +181,10 @@ def estimate_stats(successes, shots: int) -> tuple[np.ndarray, np.ndarray, float
 
     For the standard error only, the success fraction is clamped to
     [1/(2n), 1 - 1/(2n)] so that degenerate counts still carry a nonzero
-    uncertainty. Raises InsufficientData below two kept shots.
+    uncertainty. Raises InsufficientData below MIN_SHOTS kept shots.
     """
-    if shots < 2:
-        raise InsufficientData("need at least 2 kept shots per term")
+    if shots < MIN_SHOTS:
+        raise InsufficientData(f"need at least {MIN_SHOTS} kept shots per term")
     means = np.asarray(successes, dtype=float) / shots
     p_err = np.clip(means, 1.0 / (2.0 * shots), 1.0 - 1.0 / (2.0 * shots))
     stderrs = np.sqrt(p_err * (1.0 - p_err) / shots)

@@ -39,10 +39,10 @@ class PentagramAngles:
 
 @dataclass(frozen=True)
 class Quintuplet:
-    """Ordered basis cycle l1..l6 with l6 closing back onto l1.
-
-    Adjacent states are orthogonal and |<l6|l1>| = 1, both within 1e-10.
-    """
+    """Ordered basis cycle l1..l6, l6 meant to close back onto l1. Only
+    build_pulse_quintuplet checks that adjacent states are orthogonal and
+    |<l6|l1>| = 1, within GEOMETRY_ATOL; pulse_cycle and
+    build_cartesian_quintuplet return unchecked cycles."""
 
     states: tuple
 

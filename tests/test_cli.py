@@ -13,13 +13,14 @@ from contextlib import redirect_stdout
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from kcbsim import errors
 from kcbsim.cli import main
+from kcbsim.config import build_run_config, load_config_file
 from kcbsim.errors import ConfigError, NonFinite
-from kcbsim.model import NoiseModel
+from kcbsim.model import LAMBDA_MAX, MAX_ATTEMPTS, MIN_SHOTS, NoiseModel, RunConfig
 from kcbsim.kcbs import TERM_NAMES
 from kcbsim.spectrum import NvParameters, nmr_frequencies
 
@@ -38,6 +39,30 @@ def run_cli(*argv):
         code = main(list(argv))
     out = buf.getvalue()
     return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None)
+
+
+def below_1e4_argv(tmp_path) -> list[str]:
+    """simulate's options for a config file whose probabilities a record
+    writes in exponent form, 1e-05 and 3e-05."""
+    cfg = tmp_path / "below-1e-4.yaml"
+    cfg.write_text("shots_per_term: 500\nnoise: {init_error_prob: 1.0e-05, nuclear_flip_prob: 3.0e-05, "
+                   "lambda_bright: 10.5, lambda_dark: 1.55, readout_threshold: 4}\n")
+    return ["--config", str(cfg)]
+
+
+def assert_record_reruns(tmp_path, *argv):
+    """The record of `simulate *argv`, its config block saved as a JSON file
+    and passed to --config, reruns to the same record, less preset,
+    config_file and wall_clock_seconds."""
+    code, rec = run_cli("simulate", *argv)
+    assert code == 0
+    path = tmp_path / "record-config.json"
+    path.write_text(json.dumps(rec["config"], indent=2))
+    code, again = run_cli("simulate", "--config", str(path))
+    assert code == 0
+    for key in ("preset", "config_file", "wall_clock_seconds"):
+        del rec[key], again[key]
+    assert again == rec
 
 
 @pytest.fixture
@@ -194,6 +219,11 @@ class TestSimulate:
         assert rec["seed"] == 11
         assert rec["config"]["noise"]["lambda_bright"] == 50.0
 
+    @pytest.mark.parametrize("source", ["paper-2015", "ideal", "below-1e-4"])
+    def test_record_config_reruns_to_the_same_record(self, tmp_path, source):
+        argv = below_1e4_argv(tmp_path) if source == "below-1e-4" else ["--preset", source]
+        assert_record_reruns(tmp_path, *argv)
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("shots_per_term: 400\nseed: 11\n")
@@ -202,13 +232,6 @@ class TestSimulate:
         assert code == 0
         assert rec["seed"] == 99
         assert rec["shots_per_term"] == 300
-
-    def test_insufficient_data_exit(self, tmp_path, capsys):
-        cfg = tmp_path / "blocked.yaml"
-        cfg.write_text("shots_per_term: 10\nnoise:\n  charge_good_prob: 0.0\n")
-        code, _ = run_cli("simulate", "--config", str(cfg))
-        assert code == 2
-        assert "InsufficientData" in capsys.readouterr().err
 
     def test_config_error_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -223,12 +246,15 @@ class TestSimulate:
         [
             pytest.param("seed: true\n", "seed", id="seed-bool"),
             pytest.param("shots_per_term: true\n", "shots_per_term", id="shots-bool"),
+            pytest.param("shots_per_term: 1\n", "shots_per_term", id="one-shot"),
             pytest.param("noise: {readout_threshold: .nan}\n", "readout_threshold", id="threshold-nan"),
             pytest.param("noise: {lambda_bright: 1.0e+30}\n", "lambda_bright", id="lambda-huge"),
-            # YAML 1.1 reads 1e30 (no dot, no exponent sign) as a string
+            # 1e30, the form a record writes, is a float too, out of range
             pytest.param("noise: {lambda_bright: 1e30}\n", "lambda_bright", id="lambda-string"),
             pytest.param("noise: {charge_good_prob: 1.0e-320}\n", "charge_good_prob",
                          id="expected-attempts-inf"),
+            pytest.param("shots_per_term: 10\nnoise:\n  charge_good_prob: 0.0\n", "charge_good_prob",
+                         id="charge-never-passes"),
             pytest.param("noise: {charge_good_prob: 1.0e-6}\n", "charge_good_prob",
                          id="expected-attempts-1e10"),
             pytest.param("noise: {readout_thresh: 4}\n", "readout_thresh", id="unknown-noise-key"),
@@ -256,16 +282,20 @@ class TestSimulate:
         assert code == 2
         assert "ConfigError" in err and field in err
 
-    @pytest.mark.parametrize("text, field", [("noise: {lambda_bright: 1e9}\n", "lambda_bright"),
-                                             ("shots_per_term: 1e4\n", "shots_per_term")])
-    def test_number_read_as_a_string_names_the_float_form(self, tmp_path, capsys, no_shot_loop, text, field):
-        # YAML 1.1 reads 1e9 as a string: the error says so, and how to write it
-        cfg = tmp_path / "string.yaml"
-        cfg.write_text(text)
+    def test_exponent_form_reads_as_a_float(self, tmp_path):
+        # as in JSON and YAML 1.2; YAML 1.1 reads both as strings
+        cfg = tmp_path / "exponent.yaml"
+        cfg.write_text("noise: {lambda_bright: 1e9, init_error_prob: 1e-05}\n")
+        noise = build_run_config(load_config_file(cfg)).noise
+        assert (noise.lambda_bright, noise.init_error_prob) == (1e9, 1e-05)
+
+    def test_float_shots_name_the_integer_rule(self, tmp_path, capsys, no_shot_loop):
+        cfg = tmp_path / "float-shots.yaml"
+        cfg.write_text("shots_per_term: 1e4\n")
         code, rec = run_cli("simulate", "--config", str(cfg))
         err = capsys.readouterr().err
         assert code == 2 and rec is None
-        assert f"ConfigError: {field} must be" in err and "a string" in err and "1.0e+9" in err
+        assert "ConfigError: shots_per_term must be an integer, got 10000.0" in err
 
     @pytest.mark.parametrize("doc", ["seed: {}\n", "noise: {{lambda_bright: {}}}\n"],
                              ids=["seed", "lambda_bright"])
@@ -531,6 +561,41 @@ _DOCS = st.builds(
     _NOISE,
     st.booleans(),
 )
+
+
+#: A probability drawn as 10^U, U in [-12, 0]: below 1e-4 a record writes
+#: it in exponent form.
+_PROBABILITIES = st.floats(-12.0, 0.0).map(lambda u: 10.0**u)
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    """RunConfigs whose probabilities are _PROBABILITIES, charge_good_prob
+    raised to at least MIN_SHOTS / MAX_ATTEMPTS, so that some shot count
+    keeps the expected attempts within MAX_ATTEMPTS."""
+    std, init, flip, charge = (draw(_PROBABILITIES) for _ in range(4))
+    charge = max(charge, MIN_SHOTS / MAX_ATTEMPTS)
+    shots = draw(st.integers(MIN_SHOTS, int(MAX_ATTEMPTS * charge)))
+    assume(shots / charge <= MAX_ATTEMPTS)  # rounding at the edge
+    noise = NoiseModel(
+        pulse_angle_error_std=std, init_error_prob=init, nuclear_flip_prob=flip, charge_good_prob=charge,
+        lambda_bright=draw(st.floats(0.0, LAMBDA_MAX)), lambda_dark=draw(st.floats(0.0, LAMBDA_MAX)),
+        readout_threshold=draw(st.integers(0, 10**12)), bright_state_is_one=draw(st.booleans()),
+    )
+    seed = draw(st.integers(0, 2**64 - 1))
+    return RunConfig(seed, shots, noise, draw(st.sampled_from(["forward", "reverse"])))
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=run_configs())
+    def test_json_config_loads_back_to_an_equal_run_config(self, tmp_path, config):
+        # JSON writes each float as its repr, as a record does
+        fd, path = tempfile.mkstemp(suffix=".json", dir=tmp_path)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(dataclasses.asdict(config)))
+        assert build_run_config(load_config_file(path)) == config
 
 
 class TestConfigFuzz:

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import chi2, nbinom, poisson
@@ -25,6 +27,7 @@ from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _read
 from kcbsim.model import (
     LAMBDA_MAX,
     MAX_ATTEMPTS,
+    MIN_SHOTS,
     NoiseModel,
     RunConfig,
     estimate_stats,
@@ -40,6 +43,8 @@ from kcbsim.qutrit import GEOMETRY_ATOL, KET_PLUS, KET_ZERO, compose, dagger, ov
 from scalar_reference import initialize, noisy_apply, single_shot_readout
 
 SQRT5 = math.sqrt(5.0)
+#: The NoiseModel fields that lie in [0, 1].
+PROBABILITIES = ("pulse_angle_error_std", "init_error_prob", "nuclear_flip_prob", "charge_good_prob")
 
 IDEAL = NoiseModel()  # defaults are the noise-free model
 PULSE_NOISE = NoiseModel(pulse_angle_error_std=0.02)
@@ -52,18 +57,6 @@ ALL_ON = (True, True, True)
 WIDEST = max(8 * layout[-1] + 4 * depth
              for o in ("forward", "reverse") for p in shot_programs(o)
              for layout, _, depth in [_program_steps(p, PULSE_NOISE.pulse_angle_error_std, ALL_ON)])
-
-
-def poisson_tail_above(threshold, lam):
-    # brute-force mass of P(N > threshold) for N ~ Poisson(lam)
-    if lam == 0.0:
-        return 0.0
-    term = math.exp(-lam)
-    below = term
-    for k in range(1, threshold + 1):
-        term *= lam / k
-        below += term
-    return 1.0 - below
 
 
 class TestNoiseModelValidation:
@@ -88,6 +81,11 @@ class TestNoiseModelValidation:
             RunConfig(seed=-1, shots_per_term=10)
         with pytest.raises(ConfigError):
             RunConfig(seed=1, shots_per_term=10, pair_order="sideways")
+
+    @pytest.mark.parametrize("noise", [{"charge_good_prob": 0.5}, None], ids=["dict", "none"])
+    def test_run_config_refuses_a_noise_that_is_no_noise_model(self, noise):
+        with pytest.raises(ConfigError, match="noise must be a NoiseModel"):
+            RunConfig(noise=noise)
 
     @pytest.mark.parametrize("data, key", [({"foo": 1}, "foo"), ({"noise": {"bogus": 1}}, "bogus")])
     def test_build_run_config_rejects_unknown_keys(self, data, key):
@@ -124,17 +122,17 @@ class TestInitialize:
 
 class TestChargeCheck:
     def test_never_keep(self):
+        # no check can pass: RunConfig refuses the run
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = 0.0
-        cfg = build_run_config(data, seed=1, shots=100)
-        with pytest.raises(InsufficientData, match="only 0 of 100 shots kept"):
-            run_protocol(cfg)
+        with pytest.raises(ConfigError, match="charge_good_prob = 0.0 at 100 shots per term expects inf"):
+            build_run_config(data, seed=1, shots=100)
 
     def test_never_keep_fails_before_any_attempt(self):
-        cfg = RunConfig(seed=1, shots_per_term=10**8, noise=NoiseModel(charge_good_prob=0.0))
+        # the refusal comes at construction, at once even at 1e8 shots
         t0 = time.perf_counter()
-        with pytest.raises(InsufficientData, match="only 0 of 100000000 shots kept"):
-            run_protocol(cfg)
+        with pytest.raises(ConfigError, match="charge_good_prob = 0.0 at 100000000 shots per term expects inf"):
+            RunConfig(seed=1, shots_per_term=10**8, noise=NoiseModel(charge_good_prob=0.0))
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("p", [0.3, 0.97])
@@ -169,18 +167,13 @@ class TestAttemptBudget:
         with pytest.raises(ConfigError, match="charge_good_prob = 1e-06 at 10000 shots"):
             RunConfig(seed=1, shots_per_term=10_000, noise=NoiseModel(charge_good_prob=1e-6))
 
-    @pytest.mark.parametrize("shots", [1, 2, 10_000])
+    @pytest.mark.parametrize("shots", [2, 10_000])
     def test_smallest_accepted_charge_good_prob_runs(self, shots):
         # at MAX_ATTEMPTS expected attempts the discard draw stays far
         # inside numpy's range
         p = smallest_accepted_charge_good_prob(shots)
         assert shots / p <= MAX_ATTEMPTS < shots / np.nextafter(p, 0.0)
-        cfg = RunConfig(seed=1, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
-        if shots == 1:  # every draw taken, then too few shots for the statistics
-            with pytest.raises(InsufficientData, match="at least 2 kept shots"):
-                run_protocol(cfg)
-            return
-        res = run_protocol(cfg)
+        res = run_protocol(RunConfig(seed=1, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p)))
         assert res.kept_shots == 6 * shots
         assert res.discarded_shots > 0
 
@@ -258,13 +251,13 @@ class TestSingleShotReadout:
         windows = readout_windows(17, 2 * n)
         # true outcome 1 on |+1>: misassigned iff the count fell at or below threshold
         miss1 = sum(1 - read(KET_PLUS, u)[0] for u in windows[:n]) / n
-        expect1 = 1.0 - poisson_tail_above(threshold, lam_b)
+        expect1 = poisson.cdf(threshold, lam_b)
         assert abs(miss1 - expect1) < 4.0 * math.sqrt(expect1 * (1 - expect1) / n) + 1e-9
         # true outcome 0 on |0>: misassigned iff the count exceeded threshold
         miss0 = sum(read(KET_ZERO, u)[0] for u in windows[n:]) / n
-        expect0 = poisson_tail_above(threshold, lam_d)
+        expect0 = poisson.sf(threshold, lam_d)
         assert abs(miss0 - expect0) < 4.0 * math.sqrt(expect0 * (1 - expect0) / n) + 1e-9
-        # the analytic helper agrees with the brute-force sums
+        # the analytic helper agrees with scipy's tails
         eps0, eps1 = misassignment_probabilities(noise)
         assert eps0 == pytest.approx(expect0, abs=1e-12)
         assert eps1 == pytest.approx(expect1, abs=1e-12)
@@ -532,13 +525,35 @@ class TestRunProtocol:
     def test_charge_block_raises(self):
         data = load_preset("ideal")
         data["noise"]["charge_good_prob"] = 0.0
-        cfg = build_run_config(data, seed=10, shots=50)
-        with pytest.raises(InsufficientData):
-            run_protocol(cfg)
+        with pytest.raises(ConfigError, match="charge_good_prob = 0.0 at 50 shots"):
+            build_run_config(data, seed=10, shots=50)
 
     def test_single_shot_insufficient(self):
-        with pytest.raises(InsufficientData):
-            run_protocol(ideal_config(seed=11, shots=1))
+        # estimate_stats needs MIN_SHOTS: RunConfig refuses the run
+        with pytest.raises(ConfigError, match=rf"shots_per_term must lie in \[{MIN_SHOTS}, "):
+            ideal_config(seed=11, shots=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        shots=st.integers(MIN_SHOTS, 30),
+        noise=st.fixed_dictionaries({
+            **{name: st.floats(0.0, 1.0) for name in PROBABILITIES},
+            # photon counts capped to keep the Poisson tails cheap
+            "lambda_bright": st.floats(0.0, 1e3),
+            "lambda_dark": st.floats(0.0, 1e3),
+            "readout_threshold": st.integers(0, 10**4),
+            "bright_state_is_one": st.booleans(),
+        }),
+        pair_order=st.sampled_from(["forward", "reverse"]),
+    )
+    def test_every_run_config_that_constructs_runs(self, seed, shots, noise, pair_order):
+        try:
+            config = RunConfig(seed, shots, NoiseModel(**noise), pair_order)
+        except ConfigError:
+            reject()
+        res = run_protocol(config)
+        assert res.kept_shots == 6 * shots and math.isfinite(res.violation_sigma)
 
     def test_sigma_definition(self):
         res = run_protocol(ideal_config(seed=12, shots=2000))

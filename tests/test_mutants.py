@@ -1,7 +1,8 @@
-"""Standing mutants of the gates. Each test breaks the sampler, or code that
-both backends share, in one known way with monkeypatch and asserts that
-the gate it names fails, through the gate's own helper or test: a gate
-weakened later shows here as a mutant that survives."""
+"""Standing mutants of the gates. Each test breaks the sampler, code that
+both backends share, or the config loader, in one known way with
+monkeypatch and asserts that the gate it names fails, through the gate's
+own helper or test: a gate weakened later shows here as a mutant that
+survives."""
 
 import dataclasses
 import functools
@@ -10,9 +11,11 @@ import types
 
 import numpy as np
 import pytest
+import yaml
 
+import test_cli
 import test_experiment
-from kcbsim import experiment, model
+from kcbsim import config, experiment, model
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.pentagram import swap_pulses
 from test_experiment import assert_tables_pass_a_g_test, assert_terms_within_five_sigma, run_against_exact
@@ -255,3 +258,11 @@ def test_closing_slots_swapped_fail_the_paper_value_test(pair_order, monkeypatch
         test_experiment.TestExactTables().test_paper_preset_modified_value(
             pair_order, test_experiment.PAPER_MODIFIED[pair_order]
         )
+
+
+def test_yaml_1_1_loader_fails_the_record_round_trip(tmp_path, monkeypatch):
+    # plain SafeLoader reads the record's 1e-05 as a string, so the
+    # record's own config block exits 2
+    monkeypatch.setattr(config, "_Loader", yaml.SafeLoader)
+    with pytest.raises(AssertionError):
+        test_cli.assert_record_reruns(tmp_path, *test_cli.below_1e4_argv(tmp_path))

@@ -19,7 +19,7 @@ import kcbsim
 from kcbsim.cli import build_parser, main
 from kcbsim.config import available_presets, load_preset
 from kcbsim.errors import ConfigError
-from kcbsim.model import LAMBDA_MAX, MAX_ATTEMPTS, ExperimentResult, RunConfig
+from kcbsim.model import LAMBDA_MAX, MAX_ATTEMPTS, MIN_SHOTS, ExperimentResult, RunConfig
 from kcbsim.spectrum import NvParameters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,7 +150,7 @@ def test_documented_defaults_and_limits():
         f"`seed: {run.seed}`",
         f"`shots_per_term: {run.shots_per_term}`",
         f"`pair_order: {run.pair_order}`",
-        f"integer in [1, {power(MAX_ATTEMPTS)}]",
+        f"integer in [{MIN_SHOTS}, {power(MAX_ATTEMPTS)}]",
         f"above {power(MAX_ATTEMPTS)};",
         f"mean outside [0, {power(LAMBDA_MAX)}]",
         f"default {nv.quadrupole_mhz:g})",

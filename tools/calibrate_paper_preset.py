@@ -25,7 +25,7 @@ import itertools
 import statistics
 
 from kcbsim.config import load_preset
-from kcbsim.model import NoiseModel, RunConfig, exact_tables
+from kcbsim.model import MIN_SHOTS, NoiseModel, RunConfig, exact_tables
 from kcbsim.model import shot_programs, table_estimates
 
 TARGET_VALUE = 2.117
@@ -104,8 +104,8 @@ def main() -> None:
     parser.add_argument("--verify", action="store_true",
                         help="check the shipped preset over Monte Carlo seeds 1..10 instead")
     args = parser.parse_args()
-    if args.shots is not None and args.shots < 2:  # estimate_stats needs two kept shots
-        parser.error(f"--shots must be at least 2, got {args.shots}")
+    if args.shots is not None and args.shots < MIN_SHOTS:
+        parser.error(f"--shots must be at least {MIN_SHOTS}, got {args.shots}")
     shots = load_preset("paper-2015")["shots_per_term"] if args.shots is None else args.shots
     if args.verify:
         verify(shots)
