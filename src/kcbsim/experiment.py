@@ -3,13 +3,25 @@ float32 array steps over many kept shots at once, each on its own window
 of its group's random stream, into the count tables of a run; a group's
 discarded attempts are one negative-binomial draw after its last window.
 The uniforms stay float64, so that advance(j * W) and every comparison with
-a uniform are those of a float64 sampler; only the kernel's rows are float32."""
+a uniform are those of a float64 sampler; only the kernel's rows are float32.
+
+Without angle noise (pulse_angle_error_std 0) a shot's state before each
+readout is one of a few state classes: its prepared state before readout 1,
+and that times its first outcome and flip before readout 2. Each program
+then runs the kernel once, on one column per class, for the Born
+probabilities of its classes (_born_tables), and every shot reads its
+class's probability by per-column compares and table lookups
+(_run_classes). Every float32 operation of the kernel is correctly rounded,
+so a class's column and each of its shots compute the same bits: the
+counts are those of the row kernel, bit for bit, at a fraction of its
+cost."""
 
 from __future__ import annotations
 
 import functools
 import math
 from itertools import accumulate, groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,19 +94,26 @@ def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     """(layout, steps, depth) of a shot program at pulse_angle_error_std
     std and channels on = (init error, nuclear flip, misassignment), as
     run_protocol decides them, memoised on those flags alone, its arrays
-    read-only. steps are _steps of its pre and mid pulses. A kept shot's
-    window holds only the uniforms of the channels on, in order: init, the
-    pre-step normals (with angle noise), readout 1 (Born, flip,
-    assignment), the mid-step normals and readout 2 (Born, assignment:
-    nothing collapses after it). The uniforms of a branch not taken are
-    skipped, never reused, so that a kept shot's randomness is fixed by
-    (seed, group, shot) alone. layout: the offsets of all but the first
-    part, and the width W. depth: the workspace rows _run_rows uses."""
-    steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
-    for _, x, y in steps:
-        x.flags.writeable = y.flags.writeable = False
-    normals = [normal_uniforms(len(first)) if std > 0.0 else 0 for first, _, _ in steps]
+    read-only. steps are _steps of its pre and mid pulses; without angle
+    noise, their _born_tables instead, which _run_rows reads per column.
+    A kept shot's window holds only the uniforms of the channels on, in
+    order: init, the pre-step normals (with angle noise), readout 1 (Born,
+    flip, assignment), the mid-step normals and readout 2 (Born,
+    assignment: nothing collapses after it). The uniforms of a branch not
+    taken are skipped, never reused, so that a kept shot's randomness is
+    fixed by (seed, group, shot) alone. layout: the offsets of all but the
+    first part, and the width W. depth: the float32 workspace rows a column
+    takes, 5 without angle noise, of which the class path uses 3."""
     init, flip, assign = on
+    steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
+    if std == 0.0:
+        steps = _born_tables(steps, flip)
+        arrays, normals = steps, (0, 0)
+    else:
+        arrays = [a for _, x, y in steps for a in (x, y)]
+        normals = [normal_uniforms(len(first)) for first, _, _ in steps]
+    for a in arrays:
+        a.flags.writeable = False
     layout = tuple(accumulate((int(init), normals[0], 1 + flip + assign, normals[1], 1 + assign)))
     return layout, steps, 5 + 3 * max(normals)
 
@@ -144,21 +163,27 @@ def _readout_rows(u, rows, misassignment: tuple[float, float] | None):
     drifts by about 1e-7 a pulse, where leakage between levels stays near
     1e-15: so a population that is 1 exactly reads 1, not the 0.9999998 of
     a plain a^2. Both float32 effects sit far below the ~1e-4 resolution
-    of the largest run allowed, MAX_ATTEMPTS attempts a group. With
-    misassignment on, the last uniform u[-1] then
-    misassigns the outcome with the Poisson tail probabilities
-    `misassignment` = (P(assign 1 | true 0), P(assign 0 | true 1)) that
-    misassignment_probabilities gives; off (None), the bit is the outcome."""
+    of the largest run allowed, MAX_ATTEMPTS attempts a group. The last
+    uniform u[-1] then assigns the bit (_assigned)."""
     a, b, c, p, norm = rows
     np.multiply(b, b, norm)
     norm += np.multiply(c, c, p)
     norm += np.multiply(a, a, p)
     one = u[0] < np.divide(p, norm, p)
+    return one, _assigned(one, u[-1], misassignment)
+
+
+def _assigned(one, u, misassignment: tuple[float, float] | None):
+    """The bits assigned to the true outcomes `one` (True for |+1>) from
+    their assignment uniforms u: u below its outcome's Poisson tail
+    probability in `misassignment` = (P(assign 1 | true 0),
+    P(assign 0 | true 1)), as misassignment_probabilities gives them,
+    misassigns it; off (None), the bit is the outcome."""
     if misassignment is None:
-        return one, one
+        return one
     # not np.where(one, ...): a select over three bool arrays runs numpy's
     # generic loop, about 5.7 ns a column, where & | ~ run 2-3x faster
-    return one, (one & (u[-1] >= misassignment[1])) | (~one & (u[-1] < misassignment[0]))
+    return (one & (u >= misassignment[1])) | (~one & (u < misassignment[0]))
 
 
 def _collapse_rows(u, one, rows, flip_prob: float | None):
@@ -187,10 +212,76 @@ def _collapse_rows(u, one, rows, flip_prob: float | None):
         c += flip ^ zero
 
 
+class _Born(NamedTuple):
+    """The Born probabilities of a shot program without angle noise, one
+    per state class, as _readout_rows computes them in float32. first[c]:
+    readout 1 of prepared class c (0, 1, 2 for |+1>, |0>, |-1>).
+    second[6 c + 3 o + d]: readout 2 after true outcome o of readout 1 (1
+    for |+1>) and dark class d (0 kept, 1 flipped to |-1>, 2 flipped to
+    |0>), which a |+1> outcome ignores."""
+
+    first: np.ndarray
+    second: np.ndarray
+
+
+def _born_tables(steps, flips: bool) -> _Born:
+    """_Born of the steps (_steps, no angle noise) of a program's pre and
+    mid pulses, from the sampler's own _noisy_apply_rows, _readout_rows and
+    _collapse_rows run on one column per class (c, o, d), 18 in all; never
+    from exact_tables, which the sampler is checked against. A column's
+    flip is decided at flip_prob 1 from flip uniform 1.0, 0.75 or 0.0 for
+    d = 0, 1, 2: a flip leaves the same basis state at any flip_prob, and
+    a kept state the same projection. With flips off (flips False) no
+    column flips, and no run reads d = 1, 2."""
+    c, o, d = np.indices((3, 2, 3)).reshape(3, -1)
+    ws = np.zeros((5, len(c)), np.float32)
+    ws[c, np.arange(len(c))] = 1.0  # the prepared basis state of class c
+    rows, u = list(ws), np.array([np.zeros(len(c)), np.array([1.0, 0.75, 0.0])[d]])
+    _noisy_apply_rows(steps[0], u[:0], rows, ws[5:])
+    _readout_rows(u, rows, None)
+    first = rows[3][::6].copy()  # _readout_rows leaves the Born probability in rows[3]
+    _collapse_rows(u, o == 1, rows, 1.0 if flips else None)
+    _noisy_apply_rows(steps[1], u[:0], rows, ws[5:])
+    _readout_rows(u, rows, None)
+    return _Born(first, rows[3].copy())
+
+
+def _run_classes(layout, born, channels, u, ws):
+    """_run_rows without angle noise: every column of a state class has
+    the same state before each readout, so it reads its Born probability
+    from the program's _Born tables instead of running the pulses. The
+    classes come from the uniforms by the kernel's own decisions, and each
+    readout is the kernel's compare with the same float32 probability:
+    every float32 operation is correctly rounded, so a class's one column
+    in _born_tables computes its members' bits exactly, and the assigned
+    bits are the kernel's, bit for bit. The per-column scratch is ws's
+    first three rows: the columns' int64 class keys, then their Born
+    probabilities."""
+    _, first, mid, second, _ = layout
+    p, flip, tails = channels
+    key, born_p = ws[:2].reshape(-1).view(np.int64), ws[2]
+    if p is None:  # every column in class 0
+        one = u[first] < born.first[0]
+        np.multiply(one, 3, key)  # 6 c + 3 o
+    else:  # class 0, 1, 2 below 1 - p, below 1 - p / 2, above
+        np.greater_equal(u[0], 1.0 - p, key)
+        key += u[0] >= 1.0 - p / 2.0
+        one = u[first] < np.take(born.first, key, out=born_p)
+        key *= 2
+        key += one
+        key *= 3  # 6 c + 3 o
+    b1 = _assigned(one, u[mid - 1], tails)
+    if flip is not None:  # + d
+        key += u[first + 1] < flip
+        key += u[first + 1] < 0.5 * flip
+    one = u[second] < np.take(born.second, key, out=born_p)
+    return b1, _assigned(one, u[-1], tails)
+
+
 def _run_rows(layout, steps, channels, u, ws):
     """Assigned bits (b1, b2) of the attempts whose windows are the columns
     of u, run as array steps over all of them; steps are _steps of the
-    program's pre and mid pulses, and its layout (_program_steps) only
+    program's pre and mid pulses (_program_steps), and its layout only
     slices u. channels = (init_error_prob, nuclear_flip_prob, misassignment
     tails) are the channels applied, each None where off. With init errors
     on, u[0] sets the prepared state: |+1> below 1 - init_error_prob, else
@@ -202,7 +293,13 @@ def _run_rows(layout, steps, channels, u, ws):
     amplitudes are held as real rows, one column per attempt, in place in
     the float32 workspace ws: the rows a, b, c, two scratch rows, then the
     blocks of _noisy_apply_rows. Only the readouts normalise: a state
-    after the first readout keeps the norm of its projection."""
+    after the first readout keeps the norm of its projection.
+
+    Without angle noise the plan holds a program's _Born tables in place of
+    its steps, and the same decisions run as per-column compares and table
+    lookups (_run_classes), to the same bits."""
+    if isinstance(steps, _Born):
+        return _run_classes(layout, steps, channels, u, ws)
     pre, first, mid, second, _ = layout
     p, flip, tails = channels
     plus, below = (u[0] < 1.0 - p, u[0] < 1.0 - p / 2.0) if p is not None else (np.True_, np.True_)
@@ -231,7 +328,9 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     nothing of its own. Results are independent of execution order and of
     how many windows are drawn at once; identical configurations reproduce
     identical counts. The windows of each draw run together as array steps
-    (_run_rows), one per pulse step and readout, in one flat workspace of at
+    (_run_rows), one per pulse step and readout, or, without angle noise,
+    as per-column lookups of their state classes' Born probabilities, to
+    the same counts bit for bit (_run_classes), in one flat workspace of at
     most DRAW_BYTES that the call owns and drops on return, so that glibc
     does not trim the heap and fault it back in between draws. The result
     is table_estimates of the count tables, as for the exact backend's

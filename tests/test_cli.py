@@ -13,10 +13,10 @@ from contextlib import redirect_stdout
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from kcbsim import errors
+from kcbsim import config, errors
 from kcbsim.cli import main
 from kcbsim.config import build_run_config, load_config_file
 from kcbsim.errors import ConfigError, NonFinite
@@ -598,16 +598,37 @@ class TestConfigRoundTrip:
         assert build_run_config(load_config_file(path)) == config
 
 
+class _Dumper(yaml.SafeDumper):
+    """yaml.SafeDumper that resolves plain scalars as the config loader
+    does, so that it quotes every string the loader would read as another
+    type: '1e5', which YAML 1.1 leaves a string, is a float there."""
+
+    yaml_implicit_resolvers = config._Loader.yaml_implicit_resolvers
+
+
+def same_document(a, b) -> bool:
+    """a == b, types included, with NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_document(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_document, a, b))
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
 class TestConfigFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=_DOCS)
+    @example(doc={"pair_order": "1e5"})
     def test_any_mapping_gives_a_record_or_exit_2(self, tmp_path, capsys, doc):
         # a fresh file per example: on ext4, a file truncated and rewritten
         # is flushed to disk at close, tens of ms per example
         fd, path = tempfile.mkstemp(suffix=".yaml", dir=tmp_path)
         with os.fdopen(fd, "w") as fh:
-            fh.write(yaml.safe_dump(doc))
+            fh.write(yaml.dump(doc, Dumper=_Dumper))
+        assert same_document(load_config_file(path), doc)
         code, rec = run_cli("simulate", "--config", path, "--shots", "20")
         err = capsys.readouterr().err
         if code == 0:

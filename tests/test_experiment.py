@@ -663,9 +663,9 @@ class TestExactTables:
 
 
 def run_against_exact(preset, pair_order, seed):
-    """(run_protocol result, exact tables) of one preset, or of STRESS or
-    STRESS_DARK, at 8000 shots."""
-    stress = {"stress": STRESS, "stress-dark": STRESS_DARK}
+    """(run_protocol result, exact tables) of one preset, or of STRESS,
+    STRESS_DARK or STRESS_NOISE_FREE, at 8000 shots."""
+    stress = {"stress": STRESS, "stress-dark": STRESS_DARK, "stress-noise-free": STRESS_NOISE_FREE}
     data = {"noise": stress[preset]} if preset in stress else load_preset(preset)
     cfg = build_run_config(data, seed=seed, shots=8000, pair_order=pair_order)
     return run_protocol(cfg), exact_tables(cfg.noise, pair_order)
@@ -710,7 +710,7 @@ def assert_tables_pass_a_g_test(res, tables) -> int:
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
-@pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress", "stress-dark"])
+@pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress", "stress-dark", "stress-noise-free"])
 class TestAgainstExactTables:
     def test_terms_within_five_sigma(self, preset, pair_order, seed):
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
@@ -719,7 +719,7 @@ class TestAgainstExactTables:
     def test_tables_pass_a_g_test(self, preset, pair_order, seed):
         res, tables = monte_carlo_and_exact(preset, pair_order, seed)
         dof = assert_tables_pass_a_g_test(res, tables)
-        assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18, "stress-dark": 18}[preset]
+        assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18, "stress-dark": 18, "stress-noise-free": 18}[preset]
 
 
 def first_uniforms(seed, group, n):
@@ -805,15 +805,15 @@ class TestGroupRng:
 
     def test_program_steps_are_shared_and_read_only(self):
         # memoised per shot program and angle spread: every call gets the
-        # same steps, which none of them can write
+        # same steps, or without angle noise the same Born tables, which
+        # none of them can write
         for prog, again in zip(shot_programs(), shot_programs()):
-            steps = _program_steps(prog, 0.02, ALL_ON)[1]
-            assert _program_steps(again, 0.02, ALL_ON)[1] is steps
-            for _, x, y in steps:
-                with pytest.raises(ValueError):
-                    x[0] = 0.0
-                with pytest.raises(ValueError):
-                    y[0] = 0.0
+            for std in (0.0, 0.02):
+                steps = _program_steps(prog, std, ALL_ON)[1]
+                assert _program_steps(again, std, ALL_ON)[1] is steps
+                for array in steps if std == 0.0 else [a for _, x, y in steps for a in (x, y)]:
+                    with pytest.raises(ValueError):
+                        array[0] = 0.0
 
     def test_program_steps_are_keyed_on_the_channels(self):
         # not on the noise model: the calibration grid's 27 noise points
@@ -945,33 +945,46 @@ STRESS = dict(pulse_angle_error_std=0.2, init_error_prob=0.3, nuclear_flip_prob=
 # other gate model's two tails agree to 1e-4: a readout that swaps the
 # tails shows only here
 STRESS_DARK = dict(STRESS, lambda_dark=0.3)
+# STRESS without angle noise: every channel the sampler's class path
+# (_run_classes) decides is on, far from ideal, where all of them are off
+STRESS_NOISE_FREE = dict(STRESS, pulse_angle_error_std=0.0)
 # STRESS's angle noise and discards, every other channel off
 PULSES_ONLY = dict(pulse_angle_error_std=0.2, charge_good_prob=0.3)
+#: The edge models of the count-for-count test, by id.
+EDGES = {
+    "no-flip": dict(STRESS, nuclear_flip_prob=0.0),
+    "every-dark-outcome-flips": dict(STRESS, nuclear_flip_prob=1.0),
+    "angles-across-tangent-poles": dict(STRESS, pulse_angle_error_std=1.0),
+    "init-only": dict(PULSES_ONLY, init_error_prob=0.3),
+    "flip-only": dict(PULSES_ONLY, nuclear_flip_prob=0.5),
+    "misassignment-only": dict(PULSES_ONLY, lambda_bright=10.5, lambda_dark=0.3, readout_threshold=4,
+                               bright_state_is_one=False),
+}
+#: The edges that the count-for-count test also runs without angle noise.
+NOISE_FREE_TWINS = ("every-dark-outcome-flips", "init-only", "flip-only", "misassignment-only")
 
 
 class TestArrayKernel:
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     @pytest.mark.parametrize("seed", [1, 7])
-    @pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress"])
+    @pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress", "stress-noise-free"])
     def test_counts_match_the_scalar_helpers(self, preset, seed, pair_order, monkeypatch):
-        data = {"noise": STRESS} if preset == "stress" else load_preset(preset)
+        stress = {"stress": STRESS, "stress-noise-free": STRESS_NOISE_FREE}
+        data = {"noise": stress[preset]} if preset in stress else load_preset(preset)
         cfg = build_run_config(data, seed=seed, shots=400, pair_order=pair_order)
         assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     @pytest.mark.parametrize(
         "noise",
-        [dict(STRESS, nuclear_flip_prob=0.0), dict(STRESS, nuclear_flip_prob=1.0),
-         dict(STRESS, pulse_angle_error_std=1.0), dict(PULSES_ONLY, init_error_prob=0.3),
-         dict(PULSES_ONLY, nuclear_flip_prob=0.5),
-         dict(PULSES_ONLY, lambda_bright=10.5, lambda_dark=0.3, readout_threshold=4, bright_state_is_one=False)],
-        ids=["no-flip", "every-dark-outcome-flips", "angles-across-tangent-poles", "init-only", "flip-only",
-             "misassignment-only"],
+        [*EDGES.values(), *(dict(EDGES[name], pulse_angle_error_std=0.0) for name in NOISE_FREE_TWINS)],
+        ids=[*EDGES, *(f"{name}-noise-free" for name in NOISE_FREE_TWINS)],
     )
     def test_counts_match_the_scalar_helpers_at_the_edges(self, noise, pair_order, monkeypatch):
         # no flip at all, a flip on every dark outcome, noisy angles spread
         # across the poles of tan(t / 4), and one channel on at a time, so
-        # that every window layout between ideal's and STRESS's is checked
+        # that every window layout between ideal's and STRESS's is checked;
+        # the noise-free twins check the same on the class path
         cfg = build_run_config({"noise": noise}, seed=5, shots=400, pair_order=pair_order)
         assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
 

@@ -109,6 +109,53 @@ def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypat
     assert_both_gates_fail("stress", pair_order)
 
 
+def ignore_the_init_class(first, second):
+    first[:] = first[0]
+    second[:] = second[0]
+
+
+def swap_the_flip_classes(first, second):
+    second[:, 0, 1:] = second[:, 0, :0:-1]
+
+
+def swap_bright_and_dark(first, second):
+    second[:] = second[:, ::-1]
+
+
+def class_path_mutant(mutate, monkeypatch):
+    """Run the class path (_run_classes) on Born tables changed in place by
+    mutate(first, second), second as (init class, outcome, dark class): a
+    wrong table entry is the same as a wrong per-column decision."""
+    run_rows = experiment._run_rows
+
+    def mutant(layout, born, channels, u, ws):
+        first, second = born.first.copy(), born.second.reshape(3, 2, 3).copy()
+        mutate(first, second)
+        return run_rows(layout, experiment._Born(first, second.ravel()), channels, u, ws)
+
+    monkeypatch.setattr(experiment, "_run_rows", mutant)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("mutate", [ignore_the_init_class, swap_bright_and_dark])
+def test_class_path_decision_made_wrong_fails_the_exact_gate(mutate, pair_order, monkeypatch):
+    # every column read as prepared in |+1>, or readout 2 looked up under
+    # the other outcome of readout 1
+    class_path_mutant(mutate, monkeypatch)
+    assert_both_gates_fail("stress-noise-free", pair_order)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_class_path_flip_classes_swapped_fail_the_scalar_test(pair_order, monkeypatch):
+    # |-1> below flip_prob / 2 and |0> above: still a fair pick, so exact
+    # in distribution and no exact-gate test can see it; the count-for-count
+    # test does
+    class_path_mutant(swap_the_flip_classes, monkeypatch)
+    cfg = build_run_config({"noise": test_experiment.STRESS_NOISE_FREE}, seed=1, shots=400, pair_order=pair_order)
+    with pytest.raises(AssertionError):
+        test_experiment.assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+
+
 def sampler_without(channel, monkeypatch):
     """Turn one channel off in the sampler alone: run_protocol runs with
     that noise field at 0, or with misassignment tails of 0, while the exact
