@@ -3,18 +3,7 @@ float32 array steps over many kept shots at once, each on its own window
 of its group's random stream, into the count tables of a run; a group's
 discarded attempts are one negative-binomial draw after its last window.
 The uniforms stay float64, so that advance(j * W) and every comparison with
-a uniform are those of a float64 sampler; only the kernel's rows are float32.
-
-Without angle noise (pulse_angle_error_std 0) a shot's state before each
-readout is one of a few state classes: its prepared state before readout 1,
-and that times its first outcome and flip before readout 2. Each program
-then runs the kernel once, on one column per class, for the Born
-probabilities of its classes (_born_tables), and every shot reads its
-class's probability by per-column compares and table lookups
-(_run_classes). Every float32 operation of the kernel is correctly rounded,
-so a class's column and each of its shots compute the same bits: the
-counts are those of the row kernel, bit for bit, at a fraction of its
-cost."""
+a uniform are those of a float64 sampler; only the kernel's rows are float32."""
 
 from __future__ import annotations
 
@@ -80,12 +69,10 @@ def _steps(pulses, std: float):
     applies one channel per pulse, so the exact backend checks the merge
     independently. Returns (rows, x, y): step k rotates amplitude rows
     rows[k] and rows[k] + 1; x, y are (steps, 1) float32 columns, T / 4 and
-    std w / 4 with angle noise on, else the fixed (cos, sin)(T / 2)."""
+    std w / 4."""
     runs = [(axis, [t for _, t in run]) for axis, run in groupby(pulses, lambda pulse: pulse[0])]
     xy = np.array([(0.25 * sum(ts), 0.25 * std * math.hypot(*ts)) for _, ts in runs], np.float32)
     x, y = xy.reshape(-1, 2).T[:, :, None]
-    if std == 0.0:
-        x, y = _cos_sin(x, y, np.empty_like(x))
     return tuple(axis != "a" for axis, _ in runs), x, y
 
 
@@ -107,7 +94,7 @@ def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     init, flip, assign = on
     steps = _steps(prog.pre_pulses, std), _steps(prog.mid_pulses, std)
     if std == 0.0:
-        steps = _born_tables(steps, flip)
+        steps = _born_tables(steps)
         arrays, normals = steps, (0, 0)
     else:
         arrays = [a for _, x, y in steps for a in (x, y)]
@@ -126,25 +113,23 @@ def _noisy_apply_rows(steps, u, rows, ws):
     per state, then two scratch rows; rows trade places in the list as
     steps run. A step of angle T on axis "a" (or "b") maps (a, b) (or
     (b, c)) to (ch*a + sh*b, ch*b - sh*a), with ch, sh = _cos_sin(T / 4).
-    With angle noise on, step k runs at T + std w e_k, the normals e_k
-    coming in Box-Muller pairs r * (cos, sin)(2 pi u'), with
-    r = sqrt(-2 log(1 - u)), from column j of u: the normal_uniforms(steps)
-    float64 uniforms of column j's attempt, none without angle noise.
-    1 - u and pi u' are rounded to float32 once; the rest runs in float32,
-    its (steps x attempts) blocks in the first 3 * len(u) rows of the
-    workspace ws."""
+    Step k runs at T + std w e_k, the normals e_k coming in Box-Muller
+    pairs r * (cos, sin)(2 pi u'), with r = sqrt(-2 log(1 - u)), from
+    column j of u: the normal_uniforms(steps) float64 uniforms of column
+    j's attempt. 1 - u and pi u' are rounded to float32 once; the rest runs
+    in float32, its (steps x attempts) blocks in the first 3 * len(u) rows
+    of the workspace ws."""
     first, ch, sh = steps
-    if len(u):
-        e, cos, d = ws[: 3 * len(u)].reshape(3, len(u), -1)
-        r = d[::2]
-        _cos_sin(np.multiply(math.pi, u[1::2], e[1::2]), e[::2], r)  # half of 2 pi u'
-        np.sqrt(np.multiply(-2.0, np.log(np.subtract(1.0, u[::2], r), r), r), r)
-        e[::2] *= r
-        e[1::2] *= r
-        m = len(first)
-        e = e[:m]  # (m, n): step k's normal in every column
-        # from T / 4 and std w / 4 to the tangent's argument (T + std w e) / 4
-        ch, sh = _cos_sin(np.add(ch, np.multiply(sh, e, e), e), cos[:m], d[:m])
+    e, cos, d = ws[: 3 * len(u)].reshape(3, len(u), -1)
+    r = d[::2]
+    _cos_sin(np.multiply(math.pi, u[1::2], e[1::2]), e[::2], r)  # half of 2 pi u'
+    np.sqrt(np.multiply(-2.0, np.log(np.subtract(1.0, u[::2], r), r), r), r)
+    e[::2] *= r
+    e[1::2] *= r
+    m = len(first)
+    e = e[:m]  # (m, n): step k's normal in every column
+    # from T / 4 and std w / 4 to the tangent's argument (T + std w e) / 4
+    ch, sh = _cos_sin(np.add(ch, np.multiply(sh, e, e), e), cos[:m], d[:m])
     for k, i in enumerate(first):  # step k rotates rows[i] and rows[i + 1]
         x, y, s, tmp = rows[i], rows[i + 1], rows[3], rows[4]
         np.multiply(ch[k], x, s)
@@ -154,23 +139,27 @@ def _noisy_apply_rows(steps, u, rows, ws):
         rows[i], rows[3] = s, x
 
 
-def _readout_rows(u, rows, misassignment: tuple[float, float] | None):
-    """True outcomes (True for |+1>) and assigned bits of one readout of
-    the attempts whose readout uniforms are the columns of u and whose
-    states are the float32 rows = [a, b, c, s1, s2]. u[0] below the |+1>
-    population relative to the norm, a^2 / ((b^2 + c^2) + a^2), computed
-    in the scratch rows s1, s2, gives the |+1> outcome. In float32 the norm
-    drifts by about 1e-7 a pulse, where leakage between levels stays near
-    1e-15: so a population that is 1 exactly reads 1, not the 0.9999998 of
-    a plain a^2. Both float32 effects sit far below the ~1e-4 resolution
-    of the largest run allowed, MAX_ATTEMPTS attempts a group. The last
-    uniform u[-1] then assigns the bit (_assigned)."""
+def _prepared(u, p: float):
+    """The prepared states of the attempts whose init uniforms are u, as
+    the masks (away, minus): |+1> below 1 - p, else |0> below 1 - p / 2,
+    else |-1>. away marks |0> and |-1>, minus |-1> alone."""
+    return u >= 1.0 - p, u >= 1.0 - p / 2.0
+
+
+def _born_rows(rows):
+    """The |+1> Born probabilities of the states in the float32 rows
+    [a, b, c, s1, s2]: the |+1> population relative to the norm,
+    a^2 / ((b^2 + c^2) + a^2), computed in the scratch rows and returned
+    in s1. In float32 the norm drifts by about 1e-7 a pulse, where leakage
+    between levels stays near 1e-15: so a population that is 1 exactly
+    reads 1, not the 0.9999998 of a plain a^2. Both float32 effects sit far
+    below the ~1e-4 resolution of the largest run allowed, MAX_ATTEMPTS
+    attempts a group."""
     a, b, c, p, norm = rows
     np.multiply(b, b, norm)
     norm += np.multiply(c, c, p)
     norm += np.multiply(a, a, p)
-    one = u[0] < np.divide(p, norm, p)
-    return one, _assigned(one, u[-1], misassignment)
+    return np.divide(p, norm, p)
 
 
 def _assigned(one, u, misassignment: tuple[float, float] | None):
@@ -186,20 +175,26 @@ def _assigned(one, u, misassignment: tuple[float, float] | None):
     return (one & (u >= misassignment[1])) | (~one & (u < misassignment[0]))
 
 
-def _collapse_rows(u, one, rows, flip_prob: float | None):
+def _flips(u, flip_prob: float):
+    """The flip masks (flip, zero) of the attempts whose flip uniforms are
+    u: a dark outcome flips where u < flip_prob, to |0> where
+    u < flip_prob / 2, else to |-1>. Given the flip, u / flip_prob is
+    uniform on [0, 1), so the pick is fair. A bright outcome ignores both."""
+    return u < flip_prob, u < 0.5 * flip_prob
+
+
+def _collapse_rows(one, flips, rows):
     """Replace the states in the amplitude rows a, b, c of rows by the
-    post-measurement states of the readout whose uniforms are the columns
-    of u and whose true outcomes are `one`: |+1> on that outcome, else the
-    projection (0, b, c), left unnormalised because _readout_rows reads
-    populations relative to the norm. With flips on, a dark outcome with
-    u[1] < flip_prob is a nuclear flip instead: |0> where
-    u[1] < flip_prob / 2, else |-1>. Given the flip, u[1] / flip_prob is
-    uniform on [0, 1), so the pick is fair. Off (None), nothing flips."""
+    post-measurement states of a readout whose true outcomes are `one`:
+    |+1> on that outcome, else the projection (0, b, c), left unnormalised
+    because _born_rows reads populations relative to the norm. With flips
+    on, a dark outcome whose flip mask (_flips) is set becomes |0> or |-1>
+    instead; off (None), nothing flips."""
     a, b, c = rows[:3]
     kept = ~one  # the states left projected
-    if flip_prob is not None:
-        flip = kept & (u[1] < flip_prob)
-        zero = flip & (u[1] < 0.5 * flip_prob)
+    if flips is not None:
+        flip = kept & flips[0]
+        zero = flip & flips[1]
         kept ^= flip
     np.copyto(a, one)
     # not np.copyto(..., where=): a masked copy runs numpy's slow generic
@@ -207,14 +202,14 @@ def _collapse_rows(u, one, rows, flip_prob: float | None):
     # exact basis vector, its zeros +0.0: x * 0 + 0.0 is +0.0 for any x
     b *= kept
     c *= kept
-    if flip_prob is not None:
+    if flips is not None:
         b += zero  # 1 on a flip to |0>
         c += flip ^ zero
 
 
 class _Born(NamedTuple):
     """The Born probabilities of a shot program without angle noise, one
-    per state class, as _readout_rows computes them in float32. first[c]:
+    per state class, as _born_rows computes them in float32. first[c]:
     readout 1 of prepared class c (0, 1, 2 for |+1>, |0>, |-1>).
     second[6 c + 3 o + d]: readout 2 after true outcome o of readout 1 (1
     for |+1>) and dark class d (0 kept, 1 flipped to |-1>, 2 flipped to
@@ -224,93 +219,90 @@ class _Born(NamedTuple):
     second: np.ndarray
 
 
-def _born_tables(steps, flips: bool) -> _Born:
-    """_Born of the steps (_steps, no angle noise) of a program's pre and
-    mid pulses, from the sampler's own _noisy_apply_rows, _readout_rows and
+def _born_tables(steps) -> _Born:
+    """_Born of the steps (_steps at std 0) of a program's pre and mid
+    pulses, from the sampler's own _noisy_apply_rows, _born_rows and
     _collapse_rows run on one column per class (c, o, d), 18 in all; never
-    from exact_tables, which the sampler is checked against. A column's
-    flip is decided at flip_prob 1 from flip uniform 1.0, 0.75 or 0.0 for
-    d = 0, 1, 2: a flip leaves the same basis state at any flip_prob, and
-    a kept state the same projection. With flips off (flips False) no
-    column flips, and no run reads d = 1, 2."""
+    from exact_tables, which the sampler is checked against. Zero uniforms
+    make every normal exactly 0, and the class masks (d > 0, d == 2) stand
+    in for the flip masks: a flip leaves the same basis state whatever its
+    uniform. A run without flips reads only d = 0."""
     c, o, d = np.indices((3, 2, 3)).reshape(3, -1)
-    ws = np.zeros((5, len(c)), np.float32)
+    u = np.zeros((normal_uniforms(max(len(first) for first, _, _ in steps)), len(c)))
+    ws = np.zeros((5 + 3 * len(u), len(c)), np.float32)
     ws[c, np.arange(len(c))] = 1.0  # the prepared basis state of class c
-    rows, u = list(ws), np.array([np.zeros(len(c)), np.array([1.0, 0.75, 0.0])[d]])
-    _noisy_apply_rows(steps[0], u[:0], rows, ws[5:])
-    _readout_rows(u, rows, None)
-    first = rows[3][::6].copy()  # _readout_rows leaves the Born probability in rows[3]
-    _collapse_rows(u, o == 1, rows, 1.0 if flips else None)
-    _noisy_apply_rows(steps[1], u[:0], rows, ws[5:])
-    _readout_rows(u, rows, None)
-    return _Born(first, rows[3].copy())
-
-
-def _run_classes(layout, born, channels, u, ws):
-    """_run_rows without angle noise: every column of a state class has
-    the same state before each readout, so it reads its Born probability
-    from the program's _Born tables instead of running the pulses. The
-    classes come from the uniforms by the kernel's own decisions, and each
-    readout is the kernel's compare with the same float32 probability:
-    every float32 operation is correctly rounded, so a class's one column
-    in _born_tables computes its members' bits exactly, and the assigned
-    bits are the kernel's, bit for bit. The per-column scratch is ws's
-    first three rows: the columns' int64 class keys, then their Born
-    probabilities."""
-    _, first, mid, second, _ = layout
-    p, flip, tails = channels
-    key, born_p = ws[:2].reshape(-1).view(np.int64), ws[2]
-    if p is None:  # every column in class 0
-        one = u[first] < born.first[0]
-        np.multiply(one, 3, key)  # 6 c + 3 o
-    else:  # class 0, 1, 2 below 1 - p, below 1 - p / 2, above
-        np.greater_equal(u[0], 1.0 - p, key)
-        key += u[0] >= 1.0 - p / 2.0
-        one = u[first] < np.take(born.first, key, out=born_p)
-        key *= 2
-        key += one
-        key *= 3  # 6 c + 3 o
-    b1 = _assigned(one, u[mid - 1], tails)
-    if flip is not None:  # + d
-        key += u[first + 1] < flip
-        key += u[first + 1] < 0.5 * flip
-    one = u[second] < np.take(born.second, key, out=born_p)
-    return b1, _assigned(one, u[-1], tails)
+    rows = list(ws[:5])
+    _noisy_apply_rows(steps[0], u, rows, ws[5:])
+    first = _born_rows(rows)[::6].copy()
+    _collapse_rows(o == 1, (d > 0, d == 2), rows)
+    _noisy_apply_rows(steps[1], u, rows, ws[5:])
+    return _Born(first, _born_rows(rows).copy())
 
 
 def _run_rows(layout, steps, channels, u, ws):
     """Assigned bits (b1, b2) of the attempts whose windows are the columns
-    of u, run as array steps over all of them; steps are _steps of the
-    program's pre and mid pulses (_program_steps), and its layout only
-    slices u. channels = (init_error_prob, nuclear_flip_prob, misassignment
-    tails) are the channels applied, each None where off. With init errors
-    on, u[0] sets the prepared state: |+1> below 1 - init_error_prob, else
-    |0> below 1 - init_error_prob / 2, else |-1>; off, every state is |+1>.
-    The pre-readout pulses, readout 1 and its collapse, the mid pulses and
-    readout 2 follow, each on its own uniforms.
+    of u; the program's layout (_program_steps) only slices u. channels =
+    (init_error_prob, nuclear_flip_prob, misassignment tails) are the
+    channels applied, each None where off. Every per-shot rule runs here
+    once, each on its own uniforms: the prepared state (_prepared; |+1>
+    with init errors off), readout 1's compare u < P with its Born
+    probability P and its assignment (_assigned), a dark outcome's flip
+    (_flips), then readout 2's compare and assignment. The two paths below
+    differ only in where each P comes from.
 
-    The prepared states are real and every pulse is a real rotation, so
-    amplitudes are held as real rows, one column per attempt, in place in
-    the float32 workspace ws: the rows a, b, c, two scratch rows, then the
-    blocks of _noisy_apply_rows. Only the readouts normalise: a state
-    after the first readout keeps the norm of its projection.
+    With angle noise, steps are _steps of the program's pre and mid pulses,
+    run as array steps over all the columns. The prepared states are real
+    and every pulse is a real rotation, so amplitudes are held as real
+    rows, one column per attempt, in place in the float32 workspace ws:
+    the rows a, b, c, two scratch rows, then the blocks of
+    _noisy_apply_rows. P is _born_rows after the pulses, and
+    _collapse_rows sets the states that readout 1 and the flips leave. Only
+    the readouts normalise: a state after the first readout keeps the norm
+    of its projection.
 
-    Without angle noise the plan holds a program's _Born tables in place of
-    its steps, and the same decisions run as per-column compares and table
-    lookups (_run_classes), to the same bits."""
-    if isinstance(steps, _Born):
-        return _run_classes(layout, steps, channels, u, ws)
+    Without angle noise (the class path), a column's state before each
+    readout is one of a few state classes: its prepared state c before
+    readout 1, and (c, its outcome o, its dark class d) before readout 2.
+    steps are then the program's _Born tables, and P is the entry of the
+    column's class, looked up by the int64 key 6 c + 3 o + d in ws's first
+    two rows into its third. Every float32 operation of the kernel is
+    correctly rounded, so a class's one column in _born_tables computes
+    each member's P bit for bit: the counts are the row kernel's, at a
+    fraction of its cost."""
     pre, first, mid, second, _ = layout
     p, flip, tails = channels
-    plus, below = (u[0] < 1.0 - p, u[0] < 1.0 - p / 2.0) if p is not None else (np.True_, np.True_)
-    ws[0], ws[1], ws[2] = plus, below & ~plus, ~below
-    rows, ws = list(ws[:5]), ws[5:]
-    _noisy_apply_rows(steps[0], u[pre:first], rows, ws)
-    one, b1 = _readout_rows(u[first:mid], rows, tails)
-    _collapse_rows(u[first:mid], one, rows, flip)
-    _noisy_apply_rows(steps[1], u[mid:second], rows, ws)
-    _, b2 = _readout_rows(u[second:], rows, tails)
-    return b1, b2
+    if classes := isinstance(steps, _Born):
+        key, born = ws[:2].reshape(-1).view(np.int64), ws[2]
+        if p is None:  # every column in class 0
+            p1 = steps.first[0]
+        else:
+            np.add(*_prepared(u[0], p), key, dtype=np.int64)  # c
+            p1 = np.take(steps.first, key, out=born)
+    else:
+        away, minus = _prepared(u[0], p) if p is not None else (np.False_, np.False_)
+        ws[0], ws[1], ws[2] = ~away, away ^ minus, minus
+        rows, ws = list(ws[:5]), ws[5:]
+        _noisy_apply_rows(steps[0], u[pre:first], rows, ws)
+        p1 = _born_rows(rows)
+    one = u[first] < p1
+    b1 = _assigned(one, u[mid - 1], tails)
+    flips = _flips(u[first + 1], flip) if flip is not None else None
+    if classes:
+        if p is None:
+            np.multiply(one, 3, key)  # 6 c + 3 o
+        else:
+            key *= 2
+            key += one
+            key *= 3
+        if flips is not None:  # + d
+            key += flips[0]
+            key += flips[1]
+        p2 = np.take(steps.second, key, out=born)
+    else:
+        _collapse_rows(one, flips, rows)
+        _noisy_apply_rows(steps[1], u[mid:second], rows, ws)
+        p2 = _born_rows(rows)
+    return b1, _assigned(u[second] < p2, u[-1], tails)
 
 
 def run_protocol(config: RunConfig) -> ExperimentResult:
@@ -327,11 +319,8 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     distribution). RunConfig admits only runs that finish, so this raises
     nothing of its own. Results are independent of execution order and of
     how many windows are drawn at once; identical configurations reproduce
-    identical counts. The windows of each draw run together as array steps
-    (_run_rows), one per pulse step and readout, or, without angle noise,
-    as per-column lookups of their state classes' Born probabilities, to
-    the same counts bit for bit (_run_classes), in one flat workspace of at
-    most DRAW_BYTES that the call owns and drops on return, so that glibc
+    identical counts. The windows of each draw run together (_run_rows),
+    in one flat workspace of at most DRAW_BYTES that the call owns and drops on return, so that glibc
     does not trim the heap and fault it back in between draws. The result
     is table_estimates of the count tables, as for the exact backend's
     expected counts.

@@ -23,7 +23,7 @@ from kcbsim.errors import ConfigError, InsufficientData
 from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms
 from kcbsim.experiment import DRAW_BYTES, group_rng, normal_uniforms
 from kcbsim.experiment import run_protocol
-from kcbsim.experiment import _cos_sin, _noisy_apply_rows, _program_steps, _readout_rows, _steps
+from kcbsim.experiment import _born_rows, _cos_sin, _noisy_apply_rows, _program_steps, _steps
 from kcbsim.model import (
     LAMBDA_MAX,
     MAX_ATTEMPTS,
@@ -945,8 +945,9 @@ STRESS = dict(pulse_angle_error_std=0.2, init_error_prob=0.3, nuclear_flip_prob=
 # other gate model's two tails agree to 1e-4: a readout that swaps the
 # tails shows only here
 STRESS_DARK = dict(STRESS, lambda_dark=0.3)
-# STRESS without angle noise: every channel the sampler's class path
-# (_run_classes) decides is on, far from ideal, where all of them are off
+# STRESS without angle noise: every channel that the sampler's class path
+# (_run_rows on _Born tables) decides is on, far from ideal, where all of
+# them are off
 STRESS_NOISE_FREE = dict(STRESS, pulse_angle_error_std=0.0)
 # STRESS's angle noise and discards, every other channel off
 PULSES_ONLY = dict(pulse_angle_error_std=0.2, charge_good_prob=0.3)
@@ -962,6 +963,19 @@ EDGES = {
 }
 #: The edges that the count-for-count test also runs without angle noise.
 NOISE_FREE_TWINS = ("every-dark-outcome-flips", "init-only", "flip-only", "misassignment-only")
+
+
+def noise_free_rows(pulses, states):
+    """The float32 rows [a, b, c, s1, s2] that _noisy_apply_rows leaves
+    after the steps of `pulses` at std 0 on the columns of `states` (3 x n),
+    from zero uniforms: every normal is then exactly 0."""
+    steps = _steps(pulses, 0.0)
+    u = np.zeros((normal_uniforms(len(steps[0])), states.shape[1]))
+    ws = np.zeros((5 + 3 * len(u), states.shape[1]), np.float32)
+    ws[:3] = states
+    rows = list(ws[:5])
+    _noisy_apply_rows(steps, u, rows, ws[5:])
+    return rows
 
 
 class TestArrayKernel:
@@ -1006,13 +1020,9 @@ class TestArrayKernel:
         # product of the pulses' own rotations does, to float32 resolution
         for prog in shot_programs(pair_order):
             for pulses in (prog.pre_pulses, prog.mid_pulses):
-                ws = np.zeros((5, 3), np.float32)
-                ws[:3] = np.eye(3)
-                rows = list(ws)
-                steps = _steps(pulses, 0.0)
-                _noisy_apply_rows(steps, np.empty((0, 3)), rows, ws[5:])
-                assert len(steps[0]) == axis_runs(pulses)
+                assert len(_steps(pulses, 0.0)[0]) == axis_runs(pulses)
                 expected = compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]).real
+                rows = noise_free_rows(pulses, np.eye(3))
                 assert_allclose(np.array(rows[:3]), expected, rtol=0, atol=10 * np.finfo(np.float32).eps)
         merged = sum(axis_runs(p.pre_pulses) + axis_runs(p.mid_pulses) for p in shot_programs(pair_order))
         pulses = sum(len(p.pre_pulses) + len(p.mid_pulses) for p in shot_programs(pair_order))
@@ -1026,13 +1036,33 @@ class TestArrayKernel:
         prog = shot_programs(pair_order)[5]
         exact = compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in prog.mid_pulses]) @ KET_PLUS
         assert abs(exact[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
-        ws = np.zeros((5, 1), np.float32)
-        ws[0] = 1.0
-        rows = list(ws)
-        _noisy_apply_rows(_steps(prog.mid_pulses, 0.0), np.empty((0, 1)), rows, ws[5:])
-        u = np.array([[np.nextafter(1.0, 0.0)], [1.0], [0.5]])
-        one, bit = _readout_rows(u, rows, (0.0, 0.0))
-        assert one.all() and bit.all()
+        rows = noise_free_rows(prog.mid_pulses, np.eye(3)[:, :1])
+        assert (np.nextafter(1.0, 0.0) < _born_rows(rows)).all()
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_born_tables_match_the_unitaries(self, pair_order):
+        # every class of every program, flips included, against float64
+        # products of the pulses' unitaries on the basis kets, with the
+        # collapse and the flips done here by hand; the bound, 50 float32
+        # ulp of 1, was fixed beforehand
+        kets = np.eye(3)  # |+1>, |0>, |-1>
+
+        def born(psi):
+            return abs(psi[0]) ** 2 / np.vdot(psi, psi).real
+
+        for prog in shot_programs(pair_order):
+            tables = experiment._born_tables((_steps(prog.pre_pulses, 0.0), _steps(prog.mid_pulses, 0.0)))
+            pre, mid = pulse_unitary(prog.pre_pulses), pulse_unitary(prog.mid_pulses)
+            first, second = [], []
+            for psi in (pre @ ket for ket in kets):
+                first.append(born(psi))
+                projected = np.array([0.0, psi[1], psi[2]])
+                # outcome 0 kept, flipped to |-1>, flipped to |0>; outcome 1 ignores d
+                posts = [projected, kets[2], kets[1]] + [kets[0]] * 3
+                second += [born(mid @ post) for post in posts]
+            atol = 50 * np.finfo(np.float32).eps
+            assert_allclose(tables.first, first, rtol=0, atol=atol)
+            assert_allclose(tables.second, second, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("shots, charge_good_prob", [(100_000, 1.0), (20, 1e-4)])
     def test_memory_does_not_grow_with_shots_or_discards(self, shots, charge_good_prob):
