@@ -2,8 +2,11 @@
 float32 array steps over many kept shots at once, each on its own window
 of its group's random stream, into the count tables of a run; a group's
 discarded attempts are one negative-binomial draw after its last window.
-The uniforms stay float64, so that advance(j * W) and every comparison with
-a uniform are those of a float64 sampler; only the kernel's rows are float32."""
+The windows run in draws (_draws): with angle noise, whole groups share a
+draw while it fits DRAW_BYTES, and each step of the row kernel runs once a
+draw over the columns of all its groups. The uniforms stay float64, so that
+advance(j * W) and every comparison with a uniform are those of a float64
+sampler; only the kernel's rows are float32."""
 
 from __future__ import annotations
 
@@ -33,11 +36,14 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 
 #: Most bytes of one draw's workspace in run_protocol (2.25 MiB). A kept
 #: shot's column takes 8 W bytes of float64 uniforms and 4 depth bytes of
-#: float32 kernel rows (_program_steps), so a draw runs
-#: min(shots, DRAW_BYTES // (8 W + 4 depth)) columns: 8548-13 107 on
-#: paper-2015, 65 536 on ideal. Counts do not depend on it. It bounds the
-#: workspace of a call, one flat buffer sized once for the largest draw of
-#: the six groups, which the memory tests hold under 4 MiB.
+#: float32 kernel rows (_program_steps), depth being the deepest of its
+#: draw's groups, so a group fits one draw up to DRAW_BYTES // (8 W + 4 depth)
+#: columns: 8548-13 107 on paper-2015, 65 536 on ideal; a larger one is
+#: split (_draws). With angle noise, whole groups share a draw while it
+#: fits: paper-2015's six up to 1577 shots in either pair order, one a draw
+#: at its preset 8000. Counts do not depend on it. It bounds the workspace of
+#: a call, one flat buffer sized once for the largest draw, which the
+#: memory tests hold under 4 MiB.
 DRAW_BYTES = 9 * 2**18
 
 
@@ -67,13 +73,13 @@ def _steps(pulses, std: float):
     Rotations on one axis compose, and sum t_i (1 + std e_i) is normal with
     that mean and spread, so this is exact in distribution; exact_tables
     applies one channel per pulse, so the exact backend checks the merge
-    independently. Returns (rows, x, y): step k rotates amplitude rows
-    rows[k] and rows[k] + 1; x, y are (steps, 1) float32 columns, T / 4 and
-    std w / 4."""
+    independently. Returns (first, x, y): step k rotates amplitude rows
+    first[k] and first[k] + 1, 0 on axis "a" and 1 on "b"; x, y are
+    (steps, 1) float32 columns, T / 4 and std w / 4."""
     runs = [(axis, [t for _, t in run]) for axis, run in groupby(pulses, lambda pulse: pulse[0])]
     xy = np.array([(0.25 * sum(ts), 0.25 * std * math.hypot(*ts)) for _, ts in runs], np.float32)
     x, y = xy.reshape(-1, 2).T[:, :, None]
-    return tuple(axis != "a" for axis, _ in runs), x, y
+    return tuple(int(axis != "a") for axis, _ in runs), x, y
 
 
 @functools.lru_cache(maxsize=64)
@@ -105,38 +111,90 @@ def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     return layout, steps, 5 + 3 * max(normals)
 
 
-def _noisy_apply_rows(steps, u, rows, ws):
-    """Apply the steps of a pulse string (_steps) to many attempts at once,
-    in place.
+def _step_runs(strings):
+    """For each step k of the pulse strings of a draw's segments (as
+    _noisy_apply_rows takes them), the [row, lo, hi] of each maximal run of
+    neighbouring segments whose k-th step is on one axis: columns lo:hi,
+    from that axis' first amplitude row (_steps). Segments without a k-th
+    step are in no run."""
+    runs, lo = [], 0
+    for (first, _, _), u in strings:
+        hi = lo + u.shape[1]
+        for k, i in enumerate(first):
+            if k == len(runs):
+                runs.append([])
+            if runs[k] and runs[k][-1][0] == i and runs[k][-1][2] == lo:
+                runs[k][-1][2] = hi
+            else:
+                runs[k].append([i, lo, hi])
+        lo = hi
+    return runs
+
+
+def _noisy_apply_rows(strings, rows, ws):
+    """Apply pulse strings to the columns of the amplitude rows, in place:
+    strings holds, segment by segment, the steps (_steps) of one segment's
+    string and the (normal uniforms x columns) block u of its normals, the
+    segments taking the draw's columns in order.
 
     rows = [a, b, c, s1, s2] holds the float32 amplitude rows, one column
-    per state, then two scratch rows; rows trade places in the list as
-    steps run. A step of angle T on axis "a" (or "b") maps (a, b) (or
-    (b, c)) to (ch*a + sh*b, ch*b - sh*a), with ch, sh = _cos_sin(T / 4).
-    Step k runs at T + std w e_k, the normals e_k coming in Box-Muller
-    pairs r * (cos, sin)(2 pi u'), with r = sqrt(-2 log(1 - u)), from
-    column j of u: the normal_uniforms(steps) float64 uniforms of column
-    j's attempt. 1 - u and pi u' are rounded to float32 once; the rest runs
-    in float32, its (steps x attempts) blocks in the first 3 * len(u) rows
-    of the workspace ws."""
-    first, ch, sh = steps
-    e, cos, d = ws[: 3 * len(u)].reshape(3, len(u), -1)
+    per state, then two scratch rows. A step of angle T on axis "a" (or
+    "b") maps (a, b) (or (b, c)) to (ch*a + sh*b, ch*b - sh*a), with
+    ch, sh = _cos_sin(T / 4), in place, since a step may rotate only part
+    of a row: t = sh*a, a = ch*a + sh*b, b = ch*b - t. Step k runs at
+    T + std w e_k, the normals e_k coming in Box-Muller pairs
+    r * (cos, sin)(2 pi u'), with r = sqrt(-2 log(1 - u)), from the
+    segment's column j of u: the normal_uniforms(steps) float64 uniforms of
+    column j's attempt. 1 - u and pi u' are rounded to float32 once; the
+    rest runs in float32, its (steps x columns) blocks in the first rows of
+    the workspace ws.
+
+    Only what reads a segment's own rows runs per segment: filling the
+    Box-Muller inputs (its cells beyond its own normals get u' = 0 and
+    1 - u = 1, so tan and log read no leftover workspace) and adding its
+    own step angles. The Box-Muller transform and the cosines and sines
+    of the step angles run once over all columns. Step k runs once per
+    maximal run of neighbouring segments whose k-th step is on one axis.
+    A string without steps in any segment does nothing."""
+    m = max(len(first) for (first, _, _), _ in strings)
+    if m == 0:
+        return
+    h = (m + 1) // 2  # Box-Muller pairs
+    e, cos, d = ws[: 6 * h].reshape(3, 2 * h, -1)
     r = d[::2]
-    _cos_sin(np.multiply(math.pi, u[1::2], e[1::2]), e[::2], r)  # half of 2 pi u'
-    np.sqrt(np.multiply(-2.0, np.log(np.subtract(1.0, u[::2], r), r), r), r)
+    lo = 0
+    for _, u in strings:
+        hi, k = lo + u.shape[1], len(u) // 2  # k: the segment's own pairs
+        np.multiply(math.pi, u[1::2], e[1 : 2 * k : 2, lo:hi])  # half of 2 pi u'
+        np.subtract(1.0, u[::2], r[:k, lo:hi])
+        if k < h:
+            e[2 * k + 1 :: 2, lo:hi] = 0.0
+            r[k:, lo:hi] = 1.0
+        lo = hi
+    _cos_sin(e[1::2], e[::2], cos[::2])
+    np.sqrt(np.multiply(-2.0, np.log(r, r), r), r)
     e[::2] *= r
     e[1::2] *= r
-    m = len(first)
-    e = e[:m]  # (m, n): step k's normal in every column
     # from T / 4 and std w / 4 to the tangent's argument (T + std w e) / 4
-    ch, sh = _cos_sin(np.add(ch, np.multiply(sh, e, e), e), cos[:m], d[:m])
-    for k, i in enumerate(first):  # step k rotates rows[i] and rows[i + 1]
-        x, y, s, tmp = rows[i], rows[i + 1], rows[3], rows[4]
-        np.multiply(ch[k], x, s)
-        s += np.multiply(sh[k], y, tmp)
-        np.multiply(sh[k], x, tmp)
-        np.subtract(np.multiply(ch[k], y, x), tmp, y)
-        rows[i], rows[3] = s, x
+    lo = 0
+    for (first, x, y), u in strings:
+        hi = lo + u.shape[1]
+        own = e[: len(first), lo:hi]
+        np.add(x, np.multiply(y, own, own), own)
+        lo = hi
+    ch, sh = _cos_sin(e[:m], cos[:m], d[:m])
+    t, s = rows[3], rows[4]
+    for k, runs in enumerate(_step_runs(strings)):
+        for i, lo, hi in runs:
+            if hi - lo == len(t):  # whole rows, as in every draw of one group: no views to make
+                x, y, c, sn, tk, sk = rows[i], rows[i + 1], ch[k], sh[k], t, s
+            else:
+                x, y, c, sn, tk, sk = rows[i][lo:hi], rows[i + 1][lo:hi], ch[k, lo:hi], sh[k, lo:hi], t[lo:hi], s[lo:hi]
+            np.multiply(sn, x, tk)
+            x *= c
+            x += np.multiply(sn, y, sk)
+            y *= c
+            y -= tk
 
 
 def _prepared(u, p: float):
@@ -228,81 +286,146 @@ def _born_tables(steps) -> _Born:
     in for the flip masks: a flip leaves the same basis state whatever its
     uniform. A run without flips reads only d = 0."""
     c, o, d = np.indices((3, 2, 3)).reshape(3, -1)
-    u = np.zeros((normal_uniforms(max(len(first) for first, _, _ in steps)), len(c)))
-    ws = np.zeros((5 + 3 * len(u), len(c)), np.float32)
+    u = [np.zeros((normal_uniforms(len(first)), len(c))) for first, _, _ in steps]
+    ws = np.zeros((5 + 3 * max(map(len, u)), len(c)), np.float32)
     ws[c, np.arange(len(c))] = 1.0  # the prepared basis state of class c
-    rows = list(ws[:5])
-    _noisy_apply_rows(steps[0], u, rows, ws[5:])
+    rows = ws[:5]
+    _noisy_apply_rows([(steps[0], u[0])], rows, ws[5:])
     first = _born_rows(rows)[::6].copy()
     _collapse_rows(o == 1, (d > 0, d == 2), rows)
-    _noisy_apply_rows(steps[1], u, rows, ws[5:])
-    return _Born(first, _born_rows(rows).copy())
+    _noisy_apply_rows([(steps[1], u[1])], rows, ws[5:])
+    with np.errstate(invalid="ignore"):  # 0 / 0: a dark class of norm 0
+        second = _born_rows(rows)
+    return _Born(first, np.nan_to_num(second, nan=0.0))
 
 
-def _run_rows(layout, steps, channels, u, ws):
-    """Assigned bits (b1, b2) of the attempts whose windows are the columns
-    of u; the program's layout (_program_steps) only slices u. channels =
+def _run_rows(segments, channels, ws):
+    """Assigned bits [(b1, b2), ...] of the attempts of a draw, segment by
+    segment: segments holds (layout, steps, u) of each group in the draw,
+    u's columns the windows of its attempts, and the segments take the
+    draw's columns of the float32 workspace ws in order; a program's
+    layout (_program_steps) only slices its u. channels =
     (init_error_prob, nuclear_flip_prob, misassignment tails) are the
     channels applied, each None where off. Every per-shot rule runs here
-    once, each on its own uniforms: the prepared state (_prepared; |+1>
-    with init errors off), readout 1's compare u < P with its Born
+    once, on each segment's own uniforms: the prepared state (_prepared;
+    |+1> with init errors off), readout 1's compare u < P with its Born
     probability P and its assignment (_assigned), a dark outcome's flip
     (_flips), then readout 2's compare and assignment. The two paths below
     differ only in where each P comes from.
 
     With angle noise, steps are _steps of the program's pre and mid pulses,
-    run as array steps over all the columns. The prepared states are real
-    and every pulse is a real rotation, so amplitudes are held as real
-    rows, one column per attempt, in place in the float32 workspace ws:
-    the rows a, b, c, two scratch rows, then the blocks of
-    _noisy_apply_rows. P is _born_rows after the pulses, and
-    _collapse_rows sets the states that readout 1 and the flips leave. Only
-    the readouts normalise: a state after the first readout keeps the norm
-    of its projection.
+    run as array steps over all the draw's columns (_noisy_apply_rows). The
+    prepared states are real and every pulse is a real rotation, so
+    amplitudes are held as real rows, one column per attempt, in place in
+    ws: the rows a, b, c, two scratch rows, then the blocks of
+    _noisy_apply_rows. P is _born_rows after the pulses, and _collapse_rows
+    sets the states that readout 1 and the flips leave; both run once over
+    all the columns. Only the readouts normalise: a state after the first
+    readout keeps the norm of its projection.
 
-    Without angle noise (the class path), a column's state before each
-    readout is one of a few state classes: its prepared state c before
-    readout 1, and (c, its outcome o, its dark class d) before readout 2.
-    steps are then the program's _Born tables, and P is the entry of the
-    column's class, looked up by the int64 key 6 c + 3 o + d in ws's first
-    two rows into its third. Every float32 operation of the kernel is
-    correctly rounded, so a class's one column in _born_tables computes
-    each member's P bit for bit: the counts are the row kernel's, at a
-    fraction of its cost."""
-    pre, first, mid, second, _ = layout
+    Without angle noise (the class path), a draw is one segment, and a
+    column's state before each readout is one of a few state classes: its
+    prepared state c before readout 1, and (c, its outcome o, its dark
+    class d) before readout 2. steps are then the program's _Born tables,
+    and P is the entry of the column's class, looked up by the int64 key
+    6 c + 3 o + d in ws's first two rows into its third. Every float32
+    operation of the kernel is correctly rounded, so a class's one column
+    in _born_tables computes each member's P bit for bit: the counts are
+    the row kernel's, at a fraction of its cost."""
     p, flip, tails = channels
-    if classes := isinstance(steps, _Born):
+    spans, lo = [], 0  # (lo, hi, layout, steps, u): the segment's columns lo:hi
+    for layout, steps, u in segments:
+        spans.append((lo, lo + u.shape[1], layout, steps, u))
+        lo += u.shape[1]
+    if classes := isinstance(segments[0][1], _Born):
+        ((_, _, _, tables, u),) = spans  # one segment a draw
         key, born = ws[:2].reshape(-1).view(np.int64), ws[2]
         if p is None:  # every column in class 0
-            p1 = steps.first[0]
+            born1 = [tables.first[0]]
         else:
             np.add(*_prepared(u[0], p), key, dtype=np.int64)  # c
-            p1 = np.take(steps.first, key, out=born)
+            born1 = [np.take(tables.first, key, out=born)]
     else:
-        away, minus = _prepared(u[0], p) if p is not None else (np.False_, np.False_)
-        ws[0], ws[1], ws[2] = ~away, away ^ minus, minus
-        rows, ws = list(ws[:5]), ws[5:]
-        _noisy_apply_rows(steps[0], u[pre:first], rows, ws)
-        p1 = _born_rows(rows)
-    one = u[first] < p1
-    b1 = _assigned(one, u[mid - 1], tails)
-    flips = _flips(u[first + 1], flip) if flip is not None else None
+        rows = list(ws[:5])
+        for lo, hi, _, _, u in spans:
+            away, minus = _prepared(u[0], p) if p is not None else (np.False_, np.False_)
+            rows[0][lo:hi], rows[1][lo:hi], rows[2][lo:hi] = ~away, away ^ minus, minus
+        _noisy_apply_rows([(steps[0], u[layout[0] : layout[1]]) for _, _, layout, steps, u in spans], rows, ws[5:])
+        born = _born_rows(rows)
+        born1 = [born[lo:hi] for lo, hi, _, _, _ in spans]
+    ones, b1, flips = [], [], []
+    for (_, _, (_, first, mid, _, _), _, u), p1 in zip(spans, born1):
+        ones.append(u[first] < p1)
+        b1.append(_assigned(ones[-1], u[mid - 1], tails))
+        flips.append(_flips(u[first + 1], flip) if flip is not None else None)
     if classes:
         if p is None:
-            np.multiply(one, 3, key)  # 6 c + 3 o
+            np.multiply(ones[0], 3, key)  # 6 c + 3 o
         else:
             key *= 2
-            key += one
+            key += ones[0]
             key *= 3
-        if flips is not None:  # + d
-            key += flips[0]
-            key += flips[1]
-        p2 = np.take(steps.second, key, out=born)
+        if flip is not None:  # + d
+            key += flips[0][0]
+            key += flips[0][1]
+        born2 = [np.take(tables.second, key, out=born)]
     else:
-        _collapse_rows(one, flips, rows)
-        _noisy_apply_rows(steps[1], u[mid:second], rows, ws)
-        p2 = _born_rows(rows)
-    return b1, _assigned(u[second] < p2, u[-1], tails)
+        _collapse_rows(_joined(ones), None if flip is None else tuple(map(_joined, zip(*flips))), rows)
+        _noisy_apply_rows([(steps[1], u[layout[2] : layout[3]]) for _, _, layout, steps, u in spans], rows, ws[5:])
+        born = _born_rows(rows)
+        born2 = [born[lo:hi] for lo, hi, _, _, _ in spans]
+    return [(bits, _assigned(u[layout[3]] < p2, u[-1], tails))
+            for (_, _, layout, _, u), bits, p2 in zip(spans, b1, born2)]
+
+
+def _joined(parts):
+    """The per-segment arrays parts as one array over the draw's columns:
+    a draw of one segment copies nothing."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _Draw(NamedTuple):
+    """One draw of run_protocol: its (group, columns) segments in column
+    order, the depth of its kernel rows (its deepest group's,
+    _program_steps), its columns, and the bytes of its float64 windows,
+    8 W a column."""
+
+    segments: list
+    depth: int
+    columns: int
+    windows: int
+
+    @property
+    def nbytes(self) -> int:
+        """The draw's workspace: its windows, then its float32 kernel rows."""
+        return self.windows + 4 * self.depth * self.columns
+
+
+def _draws(plans, shots: int, shared: bool) -> list[_Draw]:
+    """The draws of a call, in order, from the groups' plans
+    (_program_steps). A group that fits DRAW_BYTES whole joins the last
+    draw while that stays within DRAW_BYTES (shared: the row kernel, which
+    runs each step once a draw) or takes a draw of its own (the class path,
+    which shares no step between groups). A group that does not fit takes
+    as many draws as it needs, each as many columns as fit, the last the
+    rest."""
+    draws = []
+    for group, (layout, _, depth) in enumerate(plans):
+        window = 8 * layout[-1]
+        per_draw = min(shots, DRAW_BYTES // (window + 4 * depth))
+        if per_draw < shots:
+            draws += [_Draw([(group, n)], depth, n, window * n)
+                      for n in (min(per_draw, shots - start) for start in range(0, shots, per_draw))]
+            continue
+        if shared and draws:
+            last = draws[-1]
+            joined = _Draw([*last.segments, (group, shots)], max(last.depth, depth), last.columns + shots,
+                           last.windows + window * shots)
+            if joined.nbytes <= DRAW_BYTES:
+                draws[-1] = joined
+                continue
+        draws.append(_Draw([(group, shots)], depth, shots, window * shots))
+    return draws
 
 
 def run_protocol(config: RunConfig) -> ExperimentResult:
@@ -319,11 +442,13 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     distribution). RunConfig admits only runs that finish, so this raises
     nothing of its own. Results are independent of execution order and of
     how many windows are drawn at once; identical configurations reproduce
-    identical counts. The windows of each draw run together (_run_rows),
-    in one flat workspace of at most DRAW_BYTES that the call owns and drops on return, so that glibc
-    does not trim the heap and fault it back in between draws. The result
-    is table_estimates of the count tables, as for the exact backend's
-    expected counts.
+    identical counts. The windows run in the draws of _draws: each group's
+    block of windows comes from its own stream into its own part of the
+    draw, and the draw's groups run together (_run_rows), in one flat
+    workspace of at most DRAW_BYTES that the call owns and drops on return,
+    so that glibc does not trim the heap and fault it back in between
+    draws. The result is table_estimates of the count tables, as for the
+    exact backend's expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -337,26 +462,31 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     on = tuple(q is not None for q in channels)
     programs = shot_programs(config.pair_order)
     plans = [_program_steps(prog, noise.pulse_angle_error_std, on) for prog in programs]
+    draws = _draws(plans, shots, noise.pulse_angle_error_std > 0.0)
     # the call's workspace: one flat buffer, sized once for the largest
-    # draw of the six groups. A draw of n columns views its float64
-    # uniforms in the first 8 n W bytes and its float32 kernel rows in the
-    # next 4 n depth, so DRAW_BYTES bounds both together
-    column_bytes = [8 * layout[-1] + 4 * depth for layout, _, depth in plans]
-    draws = [min(shots, DRAW_BYTES // size) for size in column_bytes]
-    workspace = np.empty(max(n * size for n, size in zip(draws, column_bytes)), np.uint8)
+    # draw, and started on a 64-byte line where DRAW_BYTES leaves the room.
+    # malloc aligns to 16 bytes only, so the offset would follow the heap's
+    # history; on an AVX-512 host the row kernel ran 10-20 % slower off
+    # the line
+    size = max(draw.nbytes for draw in draws)
+    workspace = np.empty(min(size + 63, DRAW_BYTES), np.uint8)
+    skip = -workspace.ctypes.data % 64
+    workspace = workspace[skip if skip + size <= len(workspace) else 0 :][:size]
+    rngs = [group_rng(config.seed, group) for group in range(len(programs))]
     tables = np.zeros((len(programs), 4), dtype=np.int64)
-    discarded = 0
-    for group, ((layout, steps, depth), per_draw, table) in enumerate(zip(plans, draws, tables)):
-        rng = group_rng(config.seed, group)
-        width = layout[-1]
-        for start in range(0, shots, per_draw):
-            n = min(per_draw, shots - start)
-            u = rng.random(out=np.ndarray((n, width), np.float64, workspace))
-            ws = np.ndarray((depth, n), np.float32, workspace, 8 * n * width)
-            b1, b2 = _run_rows(layout, steps, channels, u.T, ws)
+    for draw in draws:
+        segments, start = [], 0
+        for group, n in draw.segments:
+            layout, steps, _ = plans[group]
+            u = rngs[group].random(out=np.ndarray((n, layout[-1]), np.float64, workspace, start))
+            segments.append((layout, steps, u.T))
+            start += u.nbytes
+        ws = np.ndarray((draw.depth, draw.columns), np.float32, workspace, start)
+        for (group, n), (b1, b2) in zip(draw.segments, _run_rows(segments, channels, ws)):
             # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)
-            table += (n - ones - twos + both, twos - both, ones - both, both)
-        discarded += int(rng.negative_binomial(shots, noise.charge_good_prob))
+            tables[group] += (n - ones - twos + both, twos - both, ones - both, both)
+    # each group's discards come after its last window in its stream
+    discarded = sum(int(rng.negative_binomial(shots, noise.charge_good_prob)) for rng in rngs)
     return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

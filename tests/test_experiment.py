@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from numpy.testing import assert_allclose
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import chi2, nbinom, poisson
 
-from kcbsim import experiment
+from kcbsim import experiment, model
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData
 from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms
@@ -722,6 +723,35 @@ class TestAgainstExactTables:
         assert dof == {"ideal": 11, "paper-2015": 18, "stress": 18, "stress-dark": 18, "stress-noise-free": 18}[preset]
 
 
+#: A DRAW_BYTES at which the six 8000-shot groups of every gate model share
+#: one draw: no column of a shared draw takes more than WIDEST bytes.
+ONE_DRAW_BYTES = 6 * 8000 * WIDEST
+
+
+@functools.cache
+def monte_carlo_in_one_draw_and_exact(preset, pair_order, seed):
+    """run_against_exact with the six groups in one draw (ONE_DRAW_BYTES)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiment, "DRAW_BYTES", ONE_DRAW_BYTES)
+        return run_against_exact(preset, pair_order, seed)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("preset", ["paper-2015", "stress", "stress-dark"])
+class TestAgainstExactTablesInOneDraw:
+    """The exact gate on the row kernel's shared-draw pass: the preset
+    sizes run one group a draw, short calls share one."""
+
+    def test_terms_within_five_sigma(self, preset, pair_order, seed):
+        res, tables = monte_carlo_in_one_draw_and_exact(preset, pair_order, seed)
+        assert_terms_within_five_sigma(res, tables, pair_order)
+
+    def test_tables_pass_a_g_test(self, preset, pair_order, seed):
+        res, tables = monte_carlo_in_one_draw_and_exact(preset, pair_order, seed)
+        assert assert_tables_pass_a_g_test(res, tables) == 18
+
+
 def first_uniforms(seed, group, n):
     """The first n uniforms of a group's stream."""
     return group_rng(seed, group).random(n)
@@ -919,21 +949,44 @@ def channels_on(config, monkeypatch):
     return seen
 
 
-def draw_workspaces(config, monkeypatch):
-    """The workspace of each draw of one run_protocol call, in draw order:
-    the flat buffer that both the draw's uniforms and its kernel rows view,
-    side by side."""
+def draws_of(config, monkeypatch):
+    """(workspace, columns) of each draw of one run_protocol call, in draw
+    order: the flat buffer that both the draw's uniforms and its kernel
+    rows view, side by side, and the columns of each of its segments."""
     run_rows, seen = experiment._run_rows, []
 
-    def spy(layout, steps, channels, u, ws):
-        assert u.base is ws.base and not np.shares_memory(u, ws)
-        seen.append(u.base)
-        return run_rows(layout, steps, channels, u, ws)
+    def spy(segments, channels, ws):
+        for _, _, u in segments:
+            assert u.base is ws.base and not np.shares_memory(u, ws)
+        seen.append((ws.base, [u.shape[1] for _, _, u in segments]))
+        return run_rows(segments, channels, ws)
 
     with monkeypatch.context() as m:
         m.setattr(experiment, "_run_rows", spy)
         run_protocol(config)
     return seen
+
+
+def draw_workspaces(config, monkeypatch):
+    """The workspace of each draw of one run_protocol call, in draw order."""
+    return [workspace for workspace, _ in draws_of(config, monkeypatch)]
+
+
+def draw_groups(config, monkeypatch):
+    """The draws of one run_protocol call as lists of (group, columns),
+    the groups read off the segments' columns: they come in group order,
+    and each group's add up to its shots."""
+    draws, group, left = [], 0, config.shots_per_term
+    for _, columns in draws_of(config, monkeypatch):
+        draws.append([])
+        for n in columns:
+            assert 0 < n <= left
+            draws[-1].append((group, n))
+            left -= n
+            if left == 0:
+                group, left = group + 1, config.shots_per_term
+    assert group == 6
+    return draws
 
 
 # every channel on and far from the presets: frequent init errors, flips
@@ -963,6 +1016,15 @@ EDGES = {
 }
 #: The edges that the count-for-count test also runs without angle noise.
 NOISE_FREE_TWINS = ("every-dark-outcome-flips", "init-only", "flip-only", "misassignment-only")
+#: Shot programs with empty pulse strings, by id: (group, program) to the
+#: program that the group runs instead.
+EMPTY_STRINGS = {
+    "pre-empty": lambda group, prog: dataclasses.replace(prog, pre_pulses=()),
+    "mid-empty": lambda group, prog: dataclasses.replace(prog, mid_pulses=()),
+    "both-empty": lambda group, prog: dataclasses.replace(prog, pre_pulses=(), mid_pulses=()),
+    "both-empty-in-every-other-group": lambda group, prog: (
+        prog if group % 2 else dataclasses.replace(prog, pre_pulses=(), mid_pulses=())),
+}
 
 
 def noise_free_rows(pulses, states):
@@ -973,9 +1035,8 @@ def noise_free_rows(pulses, states):
     u = np.zeros((normal_uniforms(len(steps[0])), states.shape[1]))
     ws = np.zeros((5 + 3 * len(u), states.shape[1]), np.float32)
     ws[:3] = states
-    rows = list(ws[:5])
-    _noisy_apply_rows(steps, u, rows, ws[5:])
-    return rows
+    _noisy_apply_rows([(steps, u)], ws[:5], ws[5:])
+    return ws[:5]
 
 
 class TestArrayKernel:
@@ -1101,6 +1162,85 @@ class TestArrayKernel:
             workspaces = draw_workspaces(cfg, monkeypatch)
             assert len({id(w) for w in workspaces}) == 1
             assert workspaces[0].nbytes <= DRAW_BYTES, (data, shots)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_short_calls_share_one_draw(self, pair_order, monkeypatch):
+        # the row kernel runs each step once per draw, so with angle noise
+        # the six 300-shot groups share one draw (about 0.43 MB); the class
+        # path shares no step, so without it each group keeps its own
+        for data, draws in [(load_preset("paper-2015"), [[300] * 6]), ({"noise": STRESS}, [[300] * 6]),
+                            (load_preset("ideal"), [[300]] * 6), ({"noise": STRESS_NOISE_FREE}, [[300]] * 6)]:
+            cfg = build_run_config(data, seed=3, shots=300, pair_order=pair_order)
+            assert [columns for _, columns in draws_of(cfg, monkeypatch)] == draws, data
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_whole_groups_share_a_draw_while_it_fits(self, pair_order, monkeypatch):
+        # a draw of (group, columns) takes 8 W n bytes of windows a segment
+        # and 4 depth bytes a column of kernel rows, depth its deepest
+        # group's. A whole group joins the last draw while that stays
+        # within DRAW_BYTES, else starts the next; a group that does not
+        # fit alone is split, each part a draw
+        plans = [_program_steps(prog, PULSE_NOISE.pulse_angle_error_std, ALL_ON) for prog in shot_programs(pair_order)]
+
+        def nbytes(draw):
+            depth = max(plans[group][2] for group, _ in draw)
+            return sum((8 * plans[group][0][-1] + 4 * depth) * n for group, n in draw)
+
+        for shots in (2, 300, 1000, 3000, 8000, 20_000):
+            cfg = build_run_config(load_preset("paper-2015"), seed=3, shots=shots, pair_order=pair_order)
+            draws = draw_groups(cfg, monkeypatch)
+            for draw in draws:
+                assert nbytes(draw) <= DRAW_BYTES
+                assert all(n == shots for _, n in draw[1:]), (shots, draw)
+            for last, draw in zip(draws, draws[1:]):
+                if draw[0][1] == shots:  # a whole group that did not fit the draw before
+                    assert nbytes(last + draw[:1]) > DRAW_BYTES, (shots, last, draw)
+                else:  # a part of a group that fits no draw whole
+                    assert nbytes([(draw[0][0], shots)]) > DRAW_BYTES
+            assert len(draws) == {2: 1, 300: 1, 1000: 1, 3000: 2, 8000: 6}.get(shots, len(draws)), (shots, draws)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_the_one_draw_gate_runs_one_draw(self, pair_order, monkeypatch):
+        # TestAgainstExactTablesInOneDraw sees the shared-draw pass
+        monkeypatch.setattr(experiment, "DRAW_BYTES", ONE_DRAW_BYTES)
+        for noise in (load_preset("paper-2015")["noise"], STRESS, STRESS_DARK):
+            cfg = build_run_config({"noise": noise}, seed=11, shots=8000, pair_order=pair_order)
+            assert [columns for _, columns in draws_of(cfg, monkeypatch)] == [[8000] * 6]
+
+    @pytest.mark.parametrize("std", [0.02, 0.0])
+    @pytest.mark.parametrize("strings", list(EMPTY_STRINGS))
+    def test_empty_pulse_strings(self, strings, std, monkeypatch):
+        # no shipped program has an empty string, but both backends take
+        # any: the kernel skips a string with no step in any segment of a
+        # draw, and leaves alone the segments without a step. Without angle
+        # noise a |+1> preparation under an empty pre string leaves a dark
+        # class of norm 0, which _born_tables stores as 0 without a warning
+        programs = tuple(EMPTY_STRINGS[strings](group, prog) for group, prog in enumerate(shot_programs("forward")))
+        for module in (model, experiment):
+            monkeypatch.setattr(module, "shot_programs", lambda order: programs)
+        monkeypatch.setitem(globals(), "shot_programs", lambda order: programs)
+        experiment._program_steps.cache_clear()
+        noise = dict(STRESS, pulse_angle_error_std=std)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_counts_match_the_scalar_helpers(build_run_config({"noise": noise}, seed=5, shots=400), monkeypatch)
+            cfg = build_run_config({"noise": noise}, seed=11, shots=8000)
+            res, tables = run_protocol(cfg), exact_tables(cfg.noise)
+        assert_tables_pass_a_g_test(res, tables)
+        assert_terms_within_five_sigma(res, tables, "forward")
+
+    @pytest.mark.parametrize("shots", [300, 8000])
+    def test_gate_models_raise_no_runtime_warning(self, shots):
+        # at 300 shots the groups share a draw, so a group's cells beyond
+        # its own normals reach tan and log; at 8000 each has its own draw.
+        # The Born tables are built afresh, here
+        experiment._program_steps.cache_clear()
+        models = [load_preset("ideal"), load_preset("paper-2015"), *({"noise": m} for m in
+                  (STRESS, STRESS_DARK, STRESS_NOISE_FREE))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for data, pair_order in itertools.product(models, ("forward", "reverse")):
+                run_protocol(build_run_config(data, seed=3, shots=shots, pair_order=pair_order))
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",

@@ -63,8 +63,7 @@ def test_second_bit_inverted_after_a_dark_first_fails_the_g_test(monkeypatch):
     run_rows = experiment._run_rows
 
     def mutant(*args):
-        b1, b2 = run_rows(*args)
-        return b1, np.where(b1, b2, ~b2)
+        return [(b1, np.where(b1, b2, ~b2)) for b1, b2 in run_rows(*args)]
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
     res, tables = run_against_exact("paper-2015", "forward", seed=11)
@@ -113,11 +112,14 @@ def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypat
     # uniform, so its readout 1 opens the window: there is no slot before it
     run_rows = experiment._run_rows
 
-    def mutant(layout, steps, channels, u, ws):
+    def early(layout, u):
         first, mid = layout[1:3]
         v = u.copy()
         v[first:mid] = u[first - 1:mid - 1]
-        return run_rows(layout, steps, channels, v, ws)
+        return v
+
+    def mutant(segments, channels, ws):
+        return run_rows([(layout, steps, early(layout, u)) for layout, steps, u in segments], channels, ws)
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
     assert_both_gates_fail("stress", pair_order)
@@ -150,8 +152,8 @@ def class_path_mutant(mutate, monkeypatch):
     mutate."""
     run_rows = experiment._run_rows
 
-    def mutant(layout, born, channels, u, ws):
-        return run_rows(layout, mutated(born, mutate), channels, u, ws)
+    def mutant(segments, channels, ws):
+        return run_rows([(layout, mutated(born, mutate), u) for layout, born, u in segments], channels, ws)
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
 
@@ -230,15 +232,69 @@ def test_box_muller_radius_from_the_angle_column_fails_the_g_test(pair_order, mo
     # wide angle noise shows it: paper-2015 and ideal pass both gates
     noisy_apply_rows = experiment._noisy_apply_rows
 
-    def mutant(steps, u, rows, ws):
+    def radius_from_the_angle(u):
         v = u.copy()
         v[::2] = u[1::2]
-        return noisy_apply_rows(steps, v, rows, ws)
+        return v
+
+    def mutant(strings, rows, ws):
+        return noisy_apply_rows([(steps, radius_from_the_angle(u)) for steps, u in strings], rows, ws)
 
     monkeypatch.setattr(experiment, "_noisy_apply_rows", mutant)
     res, tables = run_against_exact("stress", pair_order, seed=11)
     with pytest.raises(AssertionError):
         assert_tables_pass_a_g_test(res, tables)
+
+
+def runs_across_axes(step_runs):
+    """_step_runs with neighbouring runs of a step joined whatever their
+    axis, on the axis of the first."""
+    def mutant(strings):
+        joined = []
+        for runs in step_runs(strings):
+            merged = [list(runs[0])]
+            for i, lo, hi in runs[1:]:
+                if merged[-1][2] == lo:
+                    merged[-1][2] = hi
+                else:
+                    merged.append([i, lo, hi])
+            joined.append(merged)
+        return joined
+
+    return mutant
+
+
+def first_groups_step_angles(noisy_apply_rows):
+    """_noisy_apply_rows with every segment of a draw run at the step
+    angles (T / 4, std w / 4) of the draw's first segment, repeated to
+    the segment's own number of steps."""
+    def mutant(strings, rows, ws):
+        (_, x, y), _ = strings[0]
+        return noisy_apply_rows([((first, np.resize(x, (len(first), 1)), np.resize(y, (len(first), 1))), u)
+                                 for (first, _, _), u in strings], rows, ws)
+
+    return mutant
+
+
+# shared-draw mutants: each changes only a draw that holds more than one
+# group, so the count-for-count test must see it at 400 shots, where the
+# six groups share one draw
+@pytest.mark.parametrize("preset", ["paper-2015", "stress"])
+def test_step_run_across_axes_fails_the_scalar_test(preset, monkeypatch):
+    # only the reverse order's mid strings change axis between neighbouring
+    # groups at the same step (steps 0-2: b a b against a b a); forward, the
+    # mutant leaves every count as it is
+    monkeypatch.setattr(experiment, "_step_runs", runs_across_axes(experiment._step_runs))
+    with pytest.raises(AssertionError):
+        test_experiment.TestArrayKernel().test_counts_match_the_scalar_helpers(preset, 1, "reverse", monkeypatch)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("preset", ["paper-2015", "stress"])
+def test_first_groups_step_angles_everywhere_fail_the_scalar_test(preset, pair_order, monkeypatch):
+    monkeypatch.setattr(experiment, "_noisy_apply_rows", first_groups_step_angles(experiment._noisy_apply_rows))
+    with pytest.raises(AssertionError):
+        test_experiment.TestArrayKernel().test_counts_match_the_scalar_helpers(preset, 1, pair_order, monkeypatch)
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
