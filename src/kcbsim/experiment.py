@@ -42,8 +42,9 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 #: split (_draws). With angle noise, whole groups share a draw while it
 #: fits: paper-2015's six up to 1577 shots in either pair order, one a draw
 #: at its preset 8000. Counts do not depend on it. It bounds the workspace of
-#: a call, one flat buffer sized once for the largest draw, which the
-#: memory tests hold under 4 MiB.
+#: a call, one flat buffer sized once for the largest draw and allocated
+#: with 63 bytes to spare (at most DRAW_BYTES + 63), which the memory tests
+#: hold under 4 MiB.
 DRAW_BYTES = 9 * 2**18
 
 
@@ -117,9 +118,8 @@ def _step_runs(strings):
     neighbouring segments whose k-th step is on one axis: columns lo:hi,
     from that axis' first amplitude row (_steps). Segments without a k-th
     step are in no run."""
-    runs, lo = [], 0
-    for (first, _, _), u in strings:
-        hi = lo + u.shape[1]
+    runs = []
+    for lo, hi, (first, _, _), _ in strings:
         for k, i in enumerate(first):
             if k == len(runs):
                 runs.append([])
@@ -127,15 +127,14 @@ def _step_runs(strings):
                 runs[k][-1][2] = hi
             else:
                 runs[k].append([i, lo, hi])
-        lo = hi
     return runs
 
 
 def _noisy_apply_rows(strings, rows, ws):
     """Apply pulse strings to the columns of the amplitude rows, in place:
-    strings holds, segment by segment, the steps (_steps) of one segment's
-    string and the (normal uniforms x columns) block u of its normals, the
-    segments taking the draw's columns in order.
+    strings holds, segment by segment, (lo, hi, steps, u): the segment's
+    columns lo:hi of the draw, the steps (_steps) of its string and the
+    (normal uniforms x columns) block u of its normals.
 
     rows = [a, b, c, s1, s2] holds the float32 amplitude rows, one column
     per state, then two scratch rows. A step of angle T on axis "a" (or
@@ -156,32 +155,27 @@ def _noisy_apply_rows(strings, rows, ws):
     of the step angles run once over all columns. Step k runs once per
     maximal run of neighbouring segments whose k-th step is on one axis.
     A string without steps in any segment does nothing."""
-    m = max(len(first) for (first, _, _), _ in strings)
+    m = max(len(first) for _, _, (first, _, _), _ in strings)
     if m == 0:
         return
     h = (m + 1) // 2  # Box-Muller pairs
     e, cos, d = ws[: 6 * h].reshape(3, 2 * h, -1)
     r = d[::2]
-    lo = 0
-    for _, u in strings:
-        hi, k = lo + u.shape[1], len(u) // 2  # k: the segment's own pairs
+    for lo, hi, _, u in strings:
+        k = len(u) // 2  # the segment's own pairs
         np.multiply(math.pi, u[1::2], e[1 : 2 * k : 2, lo:hi])  # half of 2 pi u'
         np.subtract(1.0, u[::2], r[:k, lo:hi])
         if k < h:
             e[2 * k + 1 :: 2, lo:hi] = 0.0
             r[k:, lo:hi] = 1.0
-        lo = hi
     _cos_sin(e[1::2], e[::2], cos[::2])
     np.sqrt(np.multiply(-2.0, np.log(r, r), r), r)
     e[::2] *= r
     e[1::2] *= r
     # from T / 4 and std w / 4 to the tangent's argument (T + std w e) / 4
-    lo = 0
-    for (first, x, y), u in strings:
-        hi = lo + u.shape[1]
+    for lo, hi, (first, x, y), _ in strings:
         own = e[: len(first), lo:hi]
         np.add(x, np.multiply(y, own, own), own)
-        lo = hi
     ch, sh = _cos_sin(e[:m], cos[:m], d[:m])
     t, s = rows[3], rows[4]
     for k, runs in enumerate(_step_runs(strings)):
@@ -290,28 +284,28 @@ def _born_tables(steps) -> _Born:
     ws = np.zeros((5 + 3 * max(map(len, u)), len(c)), np.float32)
     ws[c, np.arange(len(c))] = 1.0  # the prepared basis state of class c
     rows = ws[:5]
-    _noisy_apply_rows([(steps[0], u[0])], rows, ws[5:])
+    _noisy_apply_rows([(0, len(c), steps[0], u[0])], rows, ws[5:])
     first = _born_rows(rows)[::6].copy()
     _collapse_rows(o == 1, (d > 0, d == 2), rows)
-    _noisy_apply_rows([(steps[1], u[1])], rows, ws[5:])
+    _noisy_apply_rows([(0, len(c), steps[1], u[1])], rows, ws[5:])
     with np.errstate(invalid="ignore"):  # 0 / 0: a dark class of norm 0
         second = _born_rows(rows)
     return _Born(first, np.nan_to_num(second, nan=0.0))
 
 
-def _run_rows(segments, channels, ws):
+def _run_rows(spans, channels, ws):
     """Assigned bits [(b1, b2), ...] of the attempts of a draw, segment by
-    segment: segments holds (layout, steps, u) of each group in the draw,
-    u's columns the windows of its attempts, and the segments take the
-    draw's columns of the float32 workspace ws in order; a program's
-    layout (_program_steps) only slices its u. channels =
-    (init_error_prob, nuclear_flip_prob, misassignment tails) are the
-    channels applied, each None where off. Every per-shot rule runs here
-    once, on each segment's own uniforms: the prepared state (_prepared;
-    |+1> with init errors off), readout 1's compare u < P with its Born
-    probability P and its assignment (_assigned), a dark outcome's flip
-    (_flips), then readout 2's compare and assignment. The two paths below
-    differ only in where each P comes from.
+    segment: spans holds (lo, hi, layout, steps, u) of each group in the
+    draw, lo:hi its columns of the float32 workspace ws as run_protocol
+    lays them out, u's columns the windows of its attempts; a program's
+    layout (_program_steps) only slices its u. channels = (init_error_prob,
+    nuclear_flip_prob, misassignment tails) are the channels applied, each
+    None where off. Every per-shot rule runs here once, on each segment's
+    own uniforms: the prepared state (_prepared; |+1> with init errors
+    off), readout 1's compare u < P with its Born probability P and its
+    assignment (_assigned), a dark outcome's flip (_flips), then readout
+    2's compare and assignment. The two paths below differ only in where
+    each P comes from.
 
     With angle noise, steps are _steps of the program's pre and mid pulses,
     run as array steps over all the draw's columns (_noisy_apply_rows). The
@@ -333,11 +327,7 @@ def _run_rows(segments, channels, ws):
     in _born_tables computes each member's P bit for bit: the counts are
     the row kernel's, at a fraction of its cost."""
     p, flip, tails = channels
-    spans, lo = [], 0  # (lo, hi, layout, steps, u): the segment's columns lo:hi
-    for layout, steps, u in segments:
-        spans.append((lo, lo + u.shape[1], layout, steps, u))
-        lo += u.shape[1]
-    if classes := isinstance(segments[0][1], _Born):
+    if classes := isinstance(spans[0][3], _Born):
         ((_, _, _, tables, u),) = spans  # one segment a draw
         key, born = ws[:2].reshape(-1).view(np.int64), ws[2]
         if p is None:  # every column in class 0
@@ -346,11 +336,12 @@ def _run_rows(segments, channels, ws):
             np.add(*_prepared(u[0], p), key, dtype=np.int64)  # c
             born1 = [np.take(tables.first, key, out=born)]
     else:
-        rows = list(ws[:5])
+        rows = ws[:5]
         for lo, hi, _, _, u in spans:
             away, minus = _prepared(u[0], p) if p is not None else (np.False_, np.False_)
             rows[0][lo:hi], rows[1][lo:hi], rows[2][lo:hi] = ~away, away ^ minus, minus
-        _noisy_apply_rows([(steps[0], u[layout[0] : layout[1]]) for _, _, layout, steps, u in spans], rows, ws[5:])
+        _noisy_apply_rows([(lo, hi, steps[0], u[layout[0] : layout[1]]) for lo, hi, layout, steps, u in spans],
+                          rows, ws[5:])
         born = _born_rows(rows)
         born1 = [born[lo:hi] for lo, hi, _, _, _ in spans]
     ones, b1, flips = [], [], []
@@ -371,7 +362,8 @@ def _run_rows(segments, channels, ws):
         born2 = [np.take(tables.second, key, out=born)]
     else:
         _collapse_rows(_joined(ones), None if flip is None else tuple(map(_joined, zip(*flips))), rows)
-        _noisy_apply_rows([(steps[1], u[layout[2] : layout[3]]) for _, _, layout, steps, u in spans], rows, ws[5:])
+        _noisy_apply_rows([(lo, hi, steps[1], u[layout[2] : layout[3]]) for lo, hi, layout, steps, u in spans],
+                          rows, ws[5:])
         born = _born_rows(rows)
         born2 = [born[lo:hi] for lo, hi, _, _, _ in spans]
     return [(bits, _assigned(u[layout[3]] < p2, u[-1], tails))
@@ -405,10 +397,13 @@ def _draws(plans, shots: int, shared: bool) -> list[_Draw]:
     """The draws of a call, in order, from the groups' plans
     (_program_steps). A group that fits DRAW_BYTES whole joins the last
     draw while that stays within DRAW_BYTES (shared: the row kernel, which
-    runs each step once a draw) or takes a draw of its own (the class path,
-    which shares no step between groups). A group that does not fit takes
-    as many draws as it needs, each as many columns as fit, the last the
-    rest."""
+    runs each step once a draw) or takes a draw of its own (the class path).
+    Sharing draws, the class path ran ideal 7 % faster at 300 shots and 3 %
+    at 3000, but 5 % slower at its 10 000 (0.82 to 0.86 ms a call, slower
+    in 33 of 40 alternated rounds, on a Xeon with 2 MiB of L2 cache a
+    core): there the six groups fill one 2.16 MB draw, which no longer fits
+    in L2. A group that does not fit takes as many draws as it needs, each
+    as many columns as fit, the last the rest."""
     draws = []
     for group, (layout, _, depth) in enumerate(plans):
         window = 8 * layout[-1]
@@ -464,25 +459,25 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     plans = [_program_steps(prog, noise.pulse_angle_error_std, on) for prog in programs]
     draws = _draws(plans, shots, noise.pulse_angle_error_std > 0.0)
     # the call's workspace: one flat buffer, sized once for the largest
-    # draw, and started on a 64-byte line where DRAW_BYTES leaves the room.
-    # malloc aligns to 16 bytes only, so the offset would follow the heap's
-    # history; on an AVX-512 host the row kernel ran 10-20 % slower off
-    # the line
+    # draw and started on a 64-byte line. malloc aligns to 16 bytes only,
+    # so the offset would follow the heap's history; on an AVX-512 host the
+    # row kernel ran 10-20 % slower off the line
     size = max(draw.nbytes for draw in draws)
-    workspace = np.empty(min(size + 63, DRAW_BYTES), np.uint8)
-    skip = -workspace.ctypes.data % 64
-    workspace = workspace[skip if skip + size <= len(workspace) else 0 :][:size]
+    workspace = np.empty(size + 63, np.uint8)
+    workspace = workspace[-workspace.ctypes.data % 64 :][:size]
     rngs = [group_rng(config.seed, group) for group in range(len(programs))]
     tables = np.zeros((len(programs), 4), dtype=np.int64)
     for draw in draws:
-        segments, start = [], 0
+        # the draw's layout: segment by segment, its block of windows, then
+        # its columns lo:hi of the kernel rows that follow the windows
+        spans, lo, start = [], 0, 0
         for group, n in draw.segments:
             layout, steps, _ = plans[group]
             u = rngs[group].random(out=np.ndarray((n, layout[-1]), np.float64, workspace, start))
-            segments.append((layout, steps, u.T))
-            start += u.nbytes
+            spans.append((lo, lo + n, layout, steps, u.T))
+            lo, start = lo + n, start + u.nbytes
         ws = np.ndarray((draw.depth, draw.columns), np.float32, workspace, start)
-        for (group, n), (b1, b2) in zip(draw.segments, _run_rows(segments, channels, ws)):
+        for (group, n), (b1, b2) in zip(draw.segments, _run_rows(spans, channels, ws)):
             # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
             # of 2 b1 + b2, whose integer arithmetic and histogram cost more
             ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)

@@ -955,11 +955,12 @@ def draws_of(config, monkeypatch):
     rows view, side by side, and the columns of each of its segments."""
     run_rows, seen = experiment._run_rows, []
 
-    def spy(segments, channels, ws):
-        for _, _, u in segments:
-            assert u.base is ws.base and not np.shares_memory(u, ws)
-        seen.append((ws.base, [u.shape[1] for _, _, u in segments]))
-        return run_rows(segments, channels, ws)
+    def spy(spans, channels, ws):
+        for lo, hi, _, _, u in spans:
+            assert u.base is ws.base and not np.shares_memory(u, ws) and u.shape[1] == hi - lo
+        assert [lo for lo, *_ in spans] == [0, *(hi for _, hi, *_ in spans[:-1])] and spans[-1][1] == ws.shape[1]
+        seen.append((ws.base, [hi - lo for lo, hi, *_ in spans]))
+        return run_rows(spans, channels, ws)
 
     with monkeypatch.context() as m:
         m.setattr(experiment, "_run_rows", spy)
@@ -1035,7 +1036,7 @@ def noise_free_rows(pulses, states):
     u = np.zeros((normal_uniforms(len(steps[0])), states.shape[1]))
     ws = np.zeros((5 + 3 * len(u), states.shape[1]), np.float32)
     ws[:3] = states
-    _noisy_apply_rows([(steps, u)], ws[:5], ws[5:])
+    _noisy_apply_rows([(0, states.shape[1], steps, u)], ws[:5], ws[5:])
     return ws[:5]
 
 
@@ -1154,20 +1155,36 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_workspace_stays_within_the_draw_bytes(self, pair_order, monkeypatch):
-        # one buffer a call, DRAW_BYTES at most even where every group takes
-        # more than one draw (70 000 shots: over ideal's 65 536 columns)
+        # one buffer a call, DRAW_BYTES at most, plus the 63 bytes that let
+        # it start on a 64-byte line, even where every group takes more
+        # than one draw (70 000 shots: over ideal's 65 536 columns)
         models = [load_preset("ideal"), load_preset("paper-2015"), {"noise": STRESS}, {"noise": STRESS_DARK}]
         for data, shots in itertools.product(models, (300, 70_000)):
             cfg = build_run_config(data, seed=3, shots=shots, pair_order=pair_order)
             workspaces = draw_workspaces(cfg, monkeypatch)
             assert len({id(w) for w in workspaces}) == 1
-            assert workspaces[0].nbytes <= DRAW_BYTES, (data, shots)
+            assert workspaces[0].nbytes <= DRAW_BYTES + 63, (data, shots)
+
+    @pytest.mark.parametrize("preset, shots", [("paper-2015", 20_000), ("ideal", 100_000)])
+    def test_workspace_starts_on_a_cache_line(self, preset, shots, monkeypatch):
+        # the sizes whose largest draw is within 63 bytes of DRAW_BYTES
+        # (2 359 280 bytes on paper-2015, DRAW_BYTES itself on ideal): each
+        # group is split, and the workspace still starts on a 64-byte line
+        run_rows, starts = experiment._run_rows, []
+
+        def spy(spans, channels, ws):
+            starts.append(spans[0][4].ctypes.data)  # the draw's first window
+            return run_rows(spans, channels, ws)
+
+        monkeypatch.setattr(experiment, "_run_rows", spy)
+        run_protocol(build_run_config(load_preset(preset), seed=3, shots=shots))
+        assert len(starts) > 6 and all(start % 64 == 0 for start in starts), [start % 64 for start in starts]
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_short_calls_share_one_draw(self, pair_order, monkeypatch):
         # the row kernel runs each step once per draw, so with angle noise
-        # the six 300-shot groups share one draw (about 0.43 MB); the class
-        # path shares no step, so without it each group keeps its own
+        # the six 300-shot groups share one draw (about 0.43 MB); without
+        # it each group keeps its own, the class path's policy (_draws)
         for data, draws in [(load_preset("paper-2015"), [[300] * 6]), ({"noise": STRESS}, [[300] * 6]),
                             (load_preset("ideal"), [[300]] * 6), ({"noise": STRESS_NOISE_FREE}, [[300]] * 6)]:
             cfg = build_run_config(data, seed=3, shots=300, pair_order=pair_order)

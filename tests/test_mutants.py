@@ -118,8 +118,8 @@ def test_first_readout_one_slot_early_fails_the_exact_gate(pair_order, monkeypat
         v[first:mid] = u[first - 1:mid - 1]
         return v
 
-    def mutant(segments, channels, ws):
-        return run_rows([(layout, steps, early(layout, u)) for layout, steps, u in segments], channels, ws)
+    def mutant(spans, channels, ws):
+        return run_rows([(lo, hi, layout, steps, early(layout, u)) for lo, hi, layout, steps, u in spans], channels, ws)
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
     assert_both_gates_fail("stress", pair_order)
@@ -152,8 +152,8 @@ def class_path_mutant(mutate, monkeypatch):
     mutate."""
     run_rows = experiment._run_rows
 
-    def mutant(segments, channels, ws):
-        return run_rows([(layout, mutated(born, mutate), u) for layout, born, u in segments], channels, ws)
+    def mutant(spans, channels, ws):
+        return run_rows([(lo, hi, layout, mutated(born, mutate), u) for lo, hi, layout, born, u in spans], channels, ws)
 
     monkeypatch.setattr(experiment, "_run_rows", mutant)
 
@@ -238,7 +238,7 @@ def test_box_muller_radius_from_the_angle_column_fails_the_g_test(pair_order, mo
         return v
 
     def mutant(strings, rows, ws):
-        return noisy_apply_rows([(steps, radius_from_the_angle(u)) for steps, u in strings], rows, ws)
+        return noisy_apply_rows([(lo, hi, steps, radius_from_the_angle(u)) for lo, hi, steps, u in strings], rows, ws)
 
     monkeypatch.setattr(experiment, "_noisy_apply_rows", mutant)
     res, tables = run_against_exact("stress", pair_order, seed=11)
@@ -269,9 +269,21 @@ def first_groups_step_angles(noisy_apply_rows):
     angles (T / 4, std w / 4) of the draw's first segment, repeated to
     the segment's own number of steps."""
     def mutant(strings, rows, ws):
-        (_, x, y), _ = strings[0]
-        return noisy_apply_rows([((first, np.resize(x, (len(first), 1)), np.resize(y, (len(first), 1))), u)
-                                 for (first, _, _), u in strings], rows, ws)
+        _, _, (_, x, y), _ = strings[0]
+        return noisy_apply_rows([(lo, hi, (first, np.resize(x, (len(first), 1)), np.resize(y, (len(first), 1))), u)
+                                 for lo, hi, (first, _, _), u in strings], rows, ws)
+
+    return mutant
+
+
+def first_segments_columns(noisy_apply_rows):
+    """_noisy_apply_rows with every segment of a draw given the columns
+    lo:hi of the draw's first segment, as if _run_rows passed on one span's
+    range for all: the other segments' pulses land on the first one's
+    columns, and their own columns keep their prepared states."""
+    def mutant(strings, rows, ws):
+        lo, hi, _, _ = strings[0]
+        return noisy_apply_rows([(lo, hi, steps, u) for _, _, steps, u in strings], rows, ws)
 
     return mutant
 
@@ -293,6 +305,18 @@ def test_step_run_across_axes_fails_the_scalar_test(preset, monkeypatch):
 @pytest.mark.parametrize("preset", ["paper-2015", "stress"])
 def test_first_groups_step_angles_everywhere_fail_the_scalar_test(preset, pair_order, monkeypatch):
     monkeypatch.setattr(experiment, "_noisy_apply_rows", first_groups_step_angles(experiment._noisy_apply_rows))
+    with pytest.raises(AssertionError):
+        test_experiment.TestArrayKernel().test_counts_match_the_scalar_helpers(preset, 1, pair_order, monkeypatch)
+
+
+# the mutant leaves the Box-Muller cells of every column past the first
+# segment's unwritten, so log may read leftover workspace there: the count
+# test, not that warning, is the gate that must catch it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+@pytest.mark.parametrize("preset", ["paper-2015", "stress"])
+def test_first_segments_columns_everywhere_fail_the_scalar_test(preset, pair_order, monkeypatch):
+    monkeypatch.setattr(experiment, "_noisy_apply_rows", first_segments_columns(experiment._noisy_apply_rows))
     with pytest.raises(AssertionError):
         test_experiment.TestArrayKernel().test_counts_match_the_scalar_helpers(preset, 1, pair_order, monkeypatch)
 

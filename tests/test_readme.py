@@ -86,6 +86,21 @@ def test_every_documented_tool_flag_exists():
             assert all(f'add_argument("{flag}"' in source for flag in FLAG.findall(span)), span
 
 
+def test_determinism_says_what_holds():
+    # the same counts on the same numpy build and dispatch targets; on
+    # another host numpy's transcendental loops may round differently
+    text = " ".join(section("Determinism").split())
+    for fact in ("in any process that runs the same numpy build on the same CPU dispatch targets",
+                 "on another host rare single shots can move between cells", "about one shot in 2·10⁷"):
+        assert fact in text, fact
+
+
+def test_every_tool_is_in_the_layout():
+    (block,) = (body for _, body in FENCED.findall(section("Layout")))
+    for tool in sorted((ROOT / "tools").glob("*.py")):
+        assert re.search(rf"^  {re.escape(tool.name)} ", block, re.M), tool.name
+
+
 def test_every_preset_is_named():
     for name in available_presets():
         assert name in SPANS, name
