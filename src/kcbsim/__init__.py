@@ -43,8 +43,9 @@ from .qutrit import (
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 
-# The Monte Carlo stack (model, experiment, and config with PyYAML) loads on
-# first use, so that `kcbsim exact` and `validate` start without it.
+# The Monte Carlo stack (model and experiment with numpy, and config with
+# PyYAML) loads on first use, so that `kcbsim exact` and `validate` start
+# without it.
 _LAZY_SUBMODULES = ("config", "experiment", "model")
 
 

@@ -8,11 +8,10 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .errors import ConfigError, KcbsimError
@@ -34,7 +33,7 @@ from .pentagram import (
     gram,
     slot_defect,
 )
-from .qutrit import ATOL, GEOMETRY_ATOL, spin_operators
+from .qutrit import ATOL, GEOMETRY_ATOL, IDENTITY, matmul, spin_operators
 
 
 def cmd_exact(args) -> dict:
@@ -56,9 +55,9 @@ def _validation_checks():
     """Yield (name, defect, tolerance) triples in one fixed order;
     cmd_validate stops at the first that fails."""
     ang = angles()
-    yield ("gamma_identity", abs(np.cos(ang.gamma) - (2 - np.sqrt(5))), 1e-15)
-    yield ("theta_identity", abs(np.cos(ang.theta) - (1 - 2 / np.sqrt(5))), 1e-15)
-    yield ("phi_identity", abs(np.cos(ang.phi) - (1 - np.sqrt(5)) / 2), 1e-15)
+    yield ("gamma_identity", abs(math.cos(ang.gamma) - (2 - math.sqrt(5))), 1e-15)
+    yield ("theta_identity", abs(math.cos(ang.theta) - (1 - 2 / math.sqrt(5))), 1e-15)
+    yield ("phi_identity", abs(math.cos(ang.phi) - (1 - math.sqrt(5)) / 2), 1e-15)
 
     q = build_pulse_quintuplet()  # raises ClosureFailure on a bad angle
     yield ("pulse_adjacent_orthogonality", adjacency_defect(q), GEOMETRY_ATOL)
@@ -66,25 +65,30 @@ def _validation_checks():
 
     dirs, qc = build_cartesian_quintuplet()
     yield ("cartesian_adjacent_orthogonality", adjacency_defect(qc), GEOMETRY_ATOL)
-    axis = np.array([0.0, 0.0, 1.0])
-    axis_overlap = max(abs(float(n @ axis) - 5**-0.25) for n in dirs)
+    axis_overlap = max(abs(n[2] - 5**-0.25) for n in dirs)  # n . z
     yield ("cartesian_axis_overlap", axis_overlap, ATOL)
     g_pulse = gram(q.states[:5])
     g_cart = gram(qc.states[:5])
-    yield ("gram_equivalence", float(np.max(np.abs(g_pulse - g_cart))), GEOMETRY_ATOL)
+    yield ("gram_equivalence", _max_abs(lambda p, c: p - c, g_pulse, g_cart), GEOMETRY_ATOL)
 
     psi0 = build_psi0()  # raises ConventionMismatch if the two forms split
     terms = exact_terms(psi0, q)
-    yield ("psi0_singles", float(np.max(np.abs(terms.singles - 5**-0.5))), GEOMETRY_ATOL)
-    yield ("psi0_pairs", float(np.max(np.abs(terms.pairs))), GEOMETRY_ATOL)
+    yield ("psi0_singles", max(abs(s - 5**-0.5) for s in terms.singles), GEOMETRY_ATOL)
+    yield ("psi0_pairs", max(abs(p) for p in terms.pairs), GEOMETRY_ATOL)
 
     yield ("readout_slots", slot_defect(q), GEOMETRY_ATOL)
 
     sx, sy, sz = spin_operators()
-    comm = sx @ sy - sy @ sx - 1j * sz
-    yield ("spin_commutator", float(np.max(np.abs(comm))), 1e-14)
-    casimir = sx @ sx + sy @ sy + sz @ sz - 2 * np.eye(3)
-    yield ("spin_casimir", float(np.max(np.abs(casimir))), 1e-14)
+    comm = (matmul(sx, sy), matmul(sy, sx), sz)
+    yield ("spin_commutator", _max_abs(lambda xy, yx, z: xy - yx - 1j * z, *comm), 1e-14)
+    casimir = (matmul(sx, sx), matmul(sy, sy), matmul(sz, sz), IDENTITY)
+    yield ("spin_casimir", _max_abs(lambda xx, yy, zz, i: xx + yy + zz - 2 * i, *casimir), 1e-14)
+
+
+def _max_abs(f, *matrices) -> float:
+    """Largest |f(a_ij, b_ij, ...)| over the entries of equally shaped
+    matrices given as rows."""
+    return max(abs(f(*entries)) for rows in zip(*matrices) for entries in zip(*rows))
 
 
 def cmd_validate(args) -> dict:

@@ -6,8 +6,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .pentagram import Quintuplet
 from .qutrit import overlap
 
@@ -25,10 +23,11 @@ NCHV_BOUND = 2
 
 @dataclass(frozen=True)
 class TermSet:
-    """Per-term values (expectations, estimates, or standard errors)."""
+    """Per-term values (expectations, estimates, or standard errors). The
+    exact reference gives tuples of floats, the Monte Carlo numpy arrays."""
 
-    singles: np.ndarray  # <L1>..<L5>
-    pairs: np.ndarray  # <L1 L2>..<L5 L6>
+    singles: tuple  # <L1>..<L5>
+    pairs: tuple  # <L1 L2>..<L5 L6>
     correction_single: float  # <L1> remeasured
     correction_pair: float  # <L1' L1>, L1' being the closing state l6
 
@@ -57,7 +56,7 @@ def sequential_pair_probability(psi, first, second) -> float:
     return abs(overlap(first, psi)) ** 2 * abs(overlap(second, first)) ** 2
 
 
-def exact_terms(psi: np.ndarray, q: Quintuplet) -> TermSet:
+def exact_terms(psi, q: Quintuplet) -> TermSet:
     """Exact quantum values of all twelve terms for state psi.
 
     Singles are Born probabilities |<l_i|psi>|^2; pairs are sequential
@@ -65,9 +64,9 @@ def exact_terms(psi: np.ndarray, q: Quintuplet) -> TermSet:
     first; the correction terms reuse the closing state l6 in the role of
     the remeasured first observable.
     """
-    singles = np.array([abs(overlap(q.states[i], psi)) ** 2 for i in range(5)])
-    pairs = np.array(
-        [sequential_pair_probability(psi, q.states[i], q.states[i + 1]) for i in range(5)]
+    singles = tuple(abs(overlap(q.states[i], psi)) ** 2 for i in range(5))
+    pairs = tuple(
+        sequential_pair_probability(psi, q.states[i], q.states[i + 1]) for i in range(5)
     )
     correction_single = abs(overlap(q.states[0], psi)) ** 2
     correction_pair = sequential_pair_probability(psi, q.states[5], q.states[0])
@@ -80,8 +79,10 @@ def exact_terms(psi: np.ndarray, q: Quintuplet) -> TermSet:
 
 
 def kcbs_value(t: TermSet) -> float:
-    """Sum of singles minus sum of sequential pairs."""
-    return float(np.sum(t.singles) - np.sum(t.pairs))
+    """Sum of singles minus sum of sequential pairs. Built-in sum adds in
+    sequence, as np.sum does on five values, so the Monte Carlo's numpy
+    TermSets get the bits that np.sum gives."""
+    return float(sum(t.singles) - sum(t.pairs))
 
 
 def modified_kcbs_value(t: TermSet) -> float:

@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import qutrit
 from .errors import ClosureFailure, ConventionMismatch
 from .qutrit import (
     GEOMETRY_ATOL,
     KET_MINUS,
     KET_PLUS,
+    apply,
     compose,
     dagger,
     fix_phase,
@@ -91,7 +90,7 @@ def swap_pulses() -> tuple[tuple[str, float], ...]:
     return (("b", math.pi), ("a", math.pi), ("b", math.pi))
 
 
-def pulse_unitary(pulses) -> np.ndarray:
+def pulse_unitary(pulses) -> tuple:
     """Matrix of a pulse string given in application order."""
     ops = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
     return compose(ops)
@@ -107,7 +106,7 @@ def _slot_states(gamma: float | None = None):
     for pulses, targets in zip(setting_pulses(gamma), SLOT_TARGETS):
         ud = dagger(pulse_unitary(pulses))
         for ket, k in zip((KET_PLUS, KET_MINUS), targets):
-            yield k, ud @ ket
+            yield k, apply(ud, ket)
 
 
 def pulse_cycle(gamma: float | None = None) -> Quintuplet:
@@ -151,7 +150,7 @@ def build_pulse_quintuplet(gamma: float | None = None) -> Quintuplet:
     return q
 
 
-def pentagram_directions() -> list[np.ndarray]:
+def pentagram_directions() -> list[tuple[float, float, float]]:
     """Five unit vectors at the vertices of the regular pentagram.
 
     All make angle alpha with +z where cos^2(alpha) = 1/sqrt(5); the
@@ -163,15 +162,11 @@ def pentagram_directions() -> list[np.ndarray]:
     dirs = []
     for j in range(1, 6):
         az = 4.0 * math.pi * j / 5.0
-        dirs.append(
-            np.array(
-                [sin_alpha * math.cos(az), sin_alpha * math.sin(az), cos_alpha]
-            )
-        )
+        dirs.append((sin_alpha * math.cos(az), sin_alpha * math.sin(az), cos_alpha))
     return dirs
 
 
-def build_cartesian_quintuplet() -> tuple[list[np.ndarray], Quintuplet]:
+def build_cartesian_quintuplet() -> tuple[list[tuple[float, float, float]], Quintuplet]:
     """Pentagram directions plus their m = 0 embeddings (l6 := l1)."""
     dirs = pentagram_directions()
     states = [qutrit.cartesian_embed(n) for n in dirs]
@@ -186,7 +181,7 @@ def psi0_pulses() -> tuple[tuple[str, float], ...]:
     return (("a", -math.pi), ("b", -ang.theta), ("a", ang.phi))
 
 
-def build_psi0() -> np.ndarray:
+def build_psi0() -> tuple:
     """Symmetry-axis state of the pentagram.
 
     Built both from its explicit amplitudes
@@ -196,7 +191,7 @@ def build_psi0() -> np.ndarray:
     sign bug).
     """
     coeff = qutrit.make_state(5.0 ** -0.25, math.sqrt(1.0 - 2.0 / SQRT5), 5.0 ** -0.25)
-    pulsed = pulse_unitary(psi0_pulses()) @ KET_PLUS
+    pulsed = apply(pulse_unitary(psi0_pulses()), KET_PLUS)
     if not qutrit.states_equal_up_to_phase(coeff, pulsed):
         raise ConventionMismatch(
             "pulse-built symmetry-axis state disagrees with its explicit "
@@ -205,14 +200,9 @@ def build_psi0() -> np.ndarray:
     return fix_phase(coeff)
 
 
-def gram(states) -> np.ndarray:
-    """Matrix of overlap magnitudes |<s_i|s_j>|."""
+def gram(states) -> tuple[tuple[float, ...], ...]:
+    """Matrix of overlap magnitudes |<s_i|s_j>|, as rows of tuples."""
     states = list(states)
     if not states:
         raise ValueError("gram of an empty state list")
-    n = len(states)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = abs(overlap(states[i], states[j]))
-    return g
+    return tuple(tuple(abs(overlap(a, b)) for b in states) for a in states)

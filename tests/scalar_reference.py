@@ -28,7 +28,7 @@ from kcbsim.qutrit import KET_MINUS, KET_PLUS, KET_ZERO
 #: could hold only at u = 0.0, since Generator.random draws multiples of it.
 ON = 2.0**-53
 
-_PLUS, _ZERO, _MINUS = (tuple(np.float32(x) for x in k.real) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
+_PLUS, _ZERO, _MINUS = (tuple(np.float32(x) for x in np.asarray(k).real) for k in (KET_PLUS, KET_ZERO, KET_MINUS))
 
 
 def initialize(noise: NoiseModel, u):

@@ -54,8 +54,8 @@ def test_criterion_1_exact_quantum_value():
 
 def test_criterion_2_exact_singles_and_pairs():
     terms = exact_terms(build_psi0(), build_pulse_quintuplet())
-    single_dev = float(np.max(np.abs(terms.singles - 1 / SQRT5)))
-    pair_dev = float(np.max(np.abs(terms.pairs)))
+    single_dev = float(np.max(np.abs(np.asarray(terms.singles) - 1 / SQRT5)))
+    pair_dev = float(np.max(np.abs(np.asarray(terms.pairs))))
     ok = single_dev < 1e-9 and pair_dev < 1e-12
     _report(2, ok, f"singles dev {single_dev:.2e} (<1e-9), pairs dev {pair_dev:.2e} (<1e-12)")
 
@@ -74,7 +74,7 @@ def test_criterion_4_construction_validity():
     adjacency = adjacency_defect(q)
     closure = abs(abs(overlap(q.states[5], q.states[0])) - 1.0)
     _, qc = build_cartesian_quintuplet()
-    gram_dev = float(np.max(np.abs(gram(q.states[:5]) - gram(qc.states[:5]))))
+    gram_dev = float(np.max(np.abs(np.asarray(gram(q.states[:5])) - np.asarray(gram(qc.states[:5])))))
     ok = adjacency < 1e-10 and closure < 1e-10 and gram_dev < 1e-10
     _report(
         4,

@@ -440,7 +440,7 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
 
 
 class TestImports:
-    MONTE_CARLO_STACK = ("yaml", "csv", "kcbsim.config", "kcbsim.model", "kcbsim.experiment")
+    MONTE_CARLO_STACK = ("numpy", "yaml", "csv", "kcbsim.config", "kcbsim.model", "kcbsim.experiment")
 
     def test_exact_and_validate_skip_the_monte_carlo_stack(self):
         loaded = run_fresh(
@@ -452,6 +452,19 @@ class TestImports:
             f"print(json.dumps([codes, [m for m in {self.MONTE_CARLO_STACK!r} if m in sys.modules]]))\n"
         )
         assert json.loads(loaded) == [[0, 0], []]
+
+    def test_spectrum_and_bare_import_skip_the_monte_carlo_stack(self):
+        loaded = run_fresh(
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import kcbsim\n"
+            f"bare = [m for m in {self.MONTE_CARLO_STACK!r} if m in sys.modules]\n"
+            "from kcbsim.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    code = main(['spectrum'])\n"
+            f"print(json.dumps([bare, code, [m for m in {self.MONTE_CARLO_STACK!r} if m in sys.modules]]))\n"
+        )
+        assert json.loads(loaded) == [[], 0, []]
 
     def test_submodules_resolve_on_attribute_access(self):
         out = run_fresh(

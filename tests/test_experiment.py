@@ -324,7 +324,7 @@ class TestNoisyApply:
         pulses = psi0_pulses() + swap_pulses()
         u = np.random.default_rng(29).random(normal_uniforms(len(pulses))).tolist()
         mats = [rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]
-        expected = compose(mats) @ KET_PLUS
+        expected = np.asarray(compose(mats)) @ KET_PLUS
         got = noisy_apply(pulses, IDEAL, iter(u), KET_PLUS)
         assert_allclose(got, expected, atol=1e-12)
 
@@ -592,9 +592,9 @@ def assert_slots_read_their_states(programs):
     for group, prog in enumerate(programs):
         assert prog.pre_pulses[: len(prep)] == prep
         u1 = pulse_unitary(prog.pre_pulses[len(prep):])
-        u2 = pulse_unitary(prog.mid_pulses) @ u1
+        u2 = np.asarray(pulse_unitary(prog.mid_pulses)) @ u1
         for k, u in zip(prog.slots, (u1, u2)):
-            defect = abs(1.0 - abs(overlap(states[k - 1], dagger(u) @ KET_PLUS)))
+            defect = abs(1.0 - abs(overlap(states[k - 1], np.asarray(dagger(u)) @ KET_PLUS)))
             assert defect < GEOMETRY_ATOL, (group, k, defect)
 
 
@@ -647,7 +647,7 @@ class TestExactTables:
             m = rng.normal(size=(3, 3))
             rho = m @ m.T / np.trace(m @ m.T)
             expected = sum(w * (r @ rho @ r.T) for w, e in zip(weights, nodes)
-                           for r in [rot(t * (1.0 + std * e)).real])
+                           for r in [np.asarray(rot(t * (1.0 + std * e))).real])
             assert np.max(np.abs(_pulse_channel(rho, axis, t, std) - expected)) < 1e-12
 
     @pytest.mark.parametrize("t1, t2, axis", [(0.4, 0.3, "a"), (1.9, -0.7, "b"), (-2.2, -1.1, "a")])
@@ -1083,7 +1083,7 @@ class TestArrayKernel:
         for prog in shot_programs(pair_order):
             for pulses in (prog.pre_pulses, prog.mid_pulses):
                 assert len(_steps(pulses, 0.0)[0]) == axis_runs(pulses)
-                expected = compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses]).real
+                expected = np.asarray(compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in pulses])).real
                 rows = noise_free_rows(pulses, np.eye(3))
                 assert_allclose(np.array(rows[:3]), expected, rtol=0, atol=10 * np.finfo(np.float32).eps)
         merged = sum(axis_runs(p.pre_pulses) + axis_runs(p.mid_pulses) for p in shot_programs(pair_order))
@@ -1096,7 +1096,7 @@ class TestArrayKernel:
         # a column left exactly |+1> by the first readout has population 1
         # at the second, and must read bright at any uniform below 1
         prog = shot_programs(pair_order)[5]
-        exact = compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in prog.mid_pulses]) @ KET_PLUS
+        exact = np.asarray(compose([rot_a(t) if ax == "a" else rot_b(t) for ax, t in prog.mid_pulses])) @ KET_PLUS
         assert abs(exact[0]) ** 2 == pytest.approx(1.0, abs=1e-15)
         rows = noise_free_rows(prog.mid_pulses, np.eye(3)[:, :1])
         assert (np.nextafter(1.0, 0.0) < _born_rows(rows)).all()

@@ -41,6 +41,19 @@ def make_terms(singles, pairs, correction_single, correction_pair):
 ZERO_TERMS = make_terms([0] * 5, [0] * 5, 0.0, 0.0)
 
 
+class TestNumpyTermSets:
+    def test_values_match_np_sum_bit_for_bit(self):
+        # the Monte Carlo builds its TermSets on numpy arrays; built-in sum
+        # adds five values in sequence, as np.sum does, so the records keep
+        # the bits that np.sum gave them
+        rng = np.random.default_rng(17)
+        for _ in range(20_000):
+            t = TermSet.from_vector(rng.random(12) * 10.0 ** rng.integers(-3, 4, 12))
+            value = float(np.sum(t.singles) - np.sum(t.pairs))
+            assert kcbs_value(t) == value
+            assert modified_kcbs_value(t) == value - t.correction_single + t.correction_pair
+
+
 class TestExactTerms:
     def test_symmetry_axis_state(self):
         terms = exact_terms(build_psi0(), build_pulse_quintuplet())
@@ -123,7 +136,7 @@ class TestSequentialPairs:
 
     def test_factorized_form(self):
         a = KET_PLUS
-        b = (KET_PLUS + KET_ZERO) / math.sqrt(2)
+        b = (np.asarray(KET_PLUS) + np.asarray(KET_ZERO)) / math.sqrt(2)
         psi = KET_PLUS
         assert sequential_pair_probability(psi, a, b) == pytest.approx(0.5, abs=1e-12)
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from kcbsim.errors import ClosureFailure, ConventionMismatch
+from kcbsim.model import shot_programs
 from kcbsim.pentagram import (
     SLOT_TARGETS,
     Quintuplet,
@@ -89,7 +91,7 @@ class TestReadoutSlots:
     def test_setting_unitaries_map_onto_cycle_states(self):
         q = build_pulse_quintuplet()
         for pulses, (first, second) in zip(setting_pulses(), SLOT_TARGETS):
-            ud = dagger(pulse_unitary(pulses))
+            ud = np.asarray(dagger(pulse_unitary(pulses)))
             assert states_equal_up_to_phase(ud @ KET_PLUS, q.states[first - 1])
             assert states_equal_up_to_phase(ud @ KET_MINUS, q.states[second - 1])
 
@@ -102,6 +104,22 @@ class TestReadoutSlots:
         assert settings[4] == (("a", g), ("b", g), ("a", g), ("b", g))
         for pulses in settings:
             assert_allclose(pulse_unitary(pulses + inverse(pulses)), np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_shot_program_unitaries_match_numpy_exponentials(self, pair_order):
+        # an oracle outside the plain-Python algebra: float64 numpy products
+        # of the generators' matrix exponentials, in application order
+        generators = {
+            "a": np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=float),
+            "b": np.array([[0, 0, 0], [0, 0, 1], [0, -1, 0]], dtype=float),
+        }
+        for prog in shot_programs(pair_order):
+            for pulses in (prog.pre_pulses, prog.mid_pulses):
+                expected = np.eye(3)
+                for axis, t in pulses:
+                    expected = expm(0.5 * t * generators[axis]) @ expected
+                got = np.asarray(pulse_unitary(pulses))
+                assert np.max(np.abs(got - expected)) < 1e-12, pulses
 
     def test_shuffled_cycle_has_slot_defect(self):
         q = build_pulse_quintuplet()
@@ -116,7 +134,7 @@ class TestCartesianQuintuplet:
     def test_adjacent_directions_orthogonal(self):
         dirs = pentagram_directions()
         for i in range(5):
-            assert float(dirs[i] @ dirs[(i + 1) % 5]) == pytest.approx(0.0, abs=1e-12)
+            assert float(np.asarray(dirs[i]) @ dirs[(i + 1) % 5]) == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_overlap(self):
         # every vertex makes the same angle with the symmetry axis
@@ -126,7 +144,7 @@ class TestCartesianQuintuplet:
     def test_next_nearest_overlap_is_golden(self):
         dirs = pentagram_directions()
         for i in range(5):
-            assert float(dirs[i] @ dirs[(i + 2) % 5]) == pytest.approx(
+            assert float(np.asarray(dirs[i]) @ dirs[(i + 2) % 5]) == pytest.approx(
                 GOLDEN_CONJ, abs=1e-12
             )
 
@@ -151,7 +169,7 @@ class TestPsi0:
     def test_zero_z_polarization(self):
         psi0 = build_psi0()
         _, _, sz = spin_operators()
-        assert np.vdot(psi0, sz @ psi0) == pytest.approx(0.0, abs=1e-12)
+        assert np.vdot(psi0, np.asarray(sz) @ psi0) == pytest.approx(0.0, abs=1e-12)
 
     def test_sequential_pair_expectations_vanish(self):
         # <psi0| L_i L_{i+1} |psi0> via the operator product
@@ -186,7 +204,7 @@ class TestGram:
         _, qc = build_cartesian_quintuplet()
         gp = gram(qp.states[:5])
         gc = gram(qc.states[:5])
-        assert np.max(np.abs(gp - gc)) < 1e-10
+        assert np.max(np.abs(np.asarray(gp) - np.asarray(gc))) < 1e-10
 
     def test_gram_structure(self):
         # 5-cycle: adjacent entries vanish, next-nearest are golden
