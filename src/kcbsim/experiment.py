@@ -4,15 +4,22 @@ of its group's random stream, into the count tables of a run; a group's
 discarded attempts are one negative-binomial draw after its last window.
 The windows run in draws (_draws): with angle noise, whole groups share a
 draw while it fits DRAW_BYTES, and each step of the row kernel runs once a
-draw over the columns of all its groups. The uniforms stay float64, so that
-advance(j * W) and every comparison with a uniform are those of a float64
-sampler; only the kernel's rows are float32."""
+draw over the columns of all its groups. A call with angle noise and more
+than two draws fills its first draw's windows itself and each next draw's
+in a second thread while the row kernel runs on this one (_ahead), at the
+other end of the call's workspace; every other call fills each draw in
+turn, in the calling thread. The uniforms stay float64, so that advance(j * W) and every
+comparison with a uniform are those of a float64 sampler; only the
+kernel's rows are float32."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from itertools import accumulate, groupby
+import queue
+import threading
+from itertools import accumulate, groupby, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -42,9 +49,13 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 #: split (_draws). With angle noise, whole groups share a draw while it
 #: fits: paper-2015's six up to 1577 shots in either pair order, one a draw
 #: at its preset 8000. Counts do not depend on it. It bounds the workspace of
-#: a call, one flat buffer sized once for the largest draw and allocated
-#: with 63 bytes to spare (at most DRAW_BYTES + 63), which the memory tests
-#: hold under 4 MiB.
+#: a call, one flat buffer allocated with 63 bytes to spare for its 64-byte
+#: line. Any other call than one that fills ahead holds one draw at a time,
+#: at most DRAW_BYTES. A call that fills ahead (angle noise, more than two
+#: draws: _filled) holds a draw and the next draw's windows at once, at
+#: opposite ends of the buffer, each of the three blocks in whole lines: at
+#: most DRAW_BYTES + its largest draw's windows + 3 x 63, 3.65 MiB on
+#: paper-2015 from 13 107 shots. The memory tests hold either under 4 MiB.
 DRAW_BYTES = 9 * 2**18
 
 
@@ -388,9 +399,14 @@ class _Draw(NamedTuple):
     windows: int
 
     @property
+    def rows(self) -> int:
+        """The bytes of the draw's float32 kernel rows."""
+        return 4 * self.depth * self.columns
+
+    @property
     def nbytes(self) -> int:
-        """The draw's workspace: its windows, then its float32 kernel rows."""
-        return self.windows + 4 * self.depth * self.columns
+        """The draw's workspace: its windows, then its kernel rows."""
+        return self.windows + self.rows
 
 
 def _draws(plans, shots: int, shared: bool) -> list[_Draw]:
@@ -423,6 +439,85 @@ def _draws(plans, shots: int, shared: bool) -> list[_Draw]:
     return draws
 
 
+def _lines(nbytes: int) -> int:
+    """nbytes rounded up to whole 64-byte lines."""
+    return -(-nbytes // 64) * 64
+
+
+def _filled(draws, plans, config, workspace, ahead: bool):
+    """Fill the windows of each draw of a call in turn, from the groups'
+    streams (group_rng, derived here), and yield its (spans, ws, discarded):
+    the spans and kernel rows ws that _run_rows takes, and the discards,
+    0 but with the last draw, which carries the call's: each group's one
+    negative-binomial draw from its stream, after its last window. Segment
+    by segment, a draw's windows lie side by side in one block, and its
+    kernel rows in another. Filling ahead (_ahead), each block takes whole
+    64-byte lines and the draws alternate between the two ends of the
+    workspace: an even draw from the bottom, its windows then its rows, an
+    odd one from the top, its windows last, its rows just below them.
+    Otherwise every draw starts at the bottom, its rows right after its
+    windows."""
+    rngs = [group_rng(config.seed, group) for group in range(len(plans))]
+    for i, draw in enumerate(draws):
+        if not ahead:
+            start, rows = 0, draw.windows
+        elif i % 2:
+            start = len(workspace) - _lines(draw.windows)
+            rows = start - _lines(draw.rows)
+        else:
+            start, rows = 0, _lines(draw.windows)
+        spans, lo, at = [], 0, start
+        for group, n in draw.segments:
+            layout, steps, _ = plans[group]
+            u = rngs[group].random(out=np.ndarray((n, layout[-1]), np.float64, workspace, at))
+            spans.append((lo, lo + n, layout, steps, u.T))
+            lo, at = lo + n, at + u.nbytes
+        ws = np.ndarray((draw.depth, draw.columns), np.float32, workspace, rows)
+        if i < len(draws) - 1:
+            yield spans, ws, 0
+        else:  # every group's discards, after its last window in its stream
+            shots, p = config.shots_per_term, config.noise.charge_good_prob
+            yield spans, ws, sum(int(rng.negative_binomial(shots, p)) for rng in rngs)
+
+
+def _ahead(draws):
+    """The items of the iterator draws: the first made here, each next one
+    in a second thread while the caller works on the item before. The
+    thread starts item i + 2 only once the caller has asked for item i + 1,
+    so that at most two are out at a time: the one the caller holds and the
+    one being made. It starts after the first item is made, so the caller
+    and the thread never advance draws at once. An exception in the thread
+    is raised here, in the caller; an exception in the caller, or closing
+    this generator, stops the thread. Either way the thread is joined before
+    this generator finishes."""
+    free, ready, stop, end = threading.Semaphore(1), queue.SimpleQueue(), threading.Event(), object()
+
+    def produce():
+        try:
+            while free.acquire() and not stop.is_set():
+                item = next(draws, end)
+                ready.put(item)
+                if item is end:
+                    return
+        except BaseException as exc:  # KeyboardInterrupt too: the caller raises it
+            ready.put(exc)
+
+    item = next(draws)
+    thread = threading.Thread(target=produce, name="kcbsim-fill", daemon=True)
+    thread.start()
+    try:
+        while item is not end:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            free.release()  # the caller is done with the item before
+            item = ready.get()
+    finally:
+        stop.set()
+        free.release()
+        thread.join()
+
+
 def run_protocol(config: RunConfig) -> ExperimentResult:
     """Run the full sequential-measurement protocol.
 
@@ -440,10 +535,17 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     identical counts. The windows run in the draws of _draws: each group's
     block of windows comes from its own stream into its own part of the
     draw, and the draw's groups run together (_run_rows), in one flat
-    workspace of at most DRAW_BYTES that the call owns and drops on return,
-    so that glibc does not trim the heap and fault it back in between
-    draws. The result is table_estimates of the count tables, as for the
-    exact backend's expected counts.
+    workspace that the call owns and drops on return, so that glibc does
+    not trim the heap and fault it back in between draws. A call with
+    angle noise and more than two draws fills its first draw itself and
+    each next one in one extra thread while the row kernel runs (_ahead),
+    and its workspace holds two draws' windows at once, at opposite ends,
+    with the kernel rows of the draw being run (_filled); once started, the
+    thread alone touches the streams, and it is joined before the call
+    returns or raises. Every other call fills its draws in turn, and its
+    workspace holds one draw, at most DRAW_BYTES. The result is
+    table_estimates of the count tables, as for the exact backend's
+    expected counts.
     """
     noise = config.noise
     shots = config.shots_per_term
@@ -458,30 +560,31 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     programs = shot_programs(config.pair_order)
     plans = [_program_steps(prog, noise.pulse_angle_error_std, on) for prog in programs]
     draws = _draws(plans, shots, noise.pulse_angle_error_std > 0.0)
-    # the call's workspace: one flat buffer, sized once for the largest
-    # draw and started on a 64-byte line. malloc aligns to 16 bytes only,
-    # so the offset would follow the heap's history; on an AVX-512 host the
-    # row kernel ran 10-20 % slower off the line
-    size = max(draw.nbytes for draw in draws)
+    # with two draws the thread would overlap one fill, which paid less
+    # than its start and the kernel's reads of windows filled on the other
+    # core: paper-2015 at 1578 and 3000 shots ran x0.89-0.99
+    ahead = noise.pulse_angle_error_std > 0.0 and len(draws) > 2
+    # the call's workspace: one flat buffer, sized once for its largest
+    # draw, and when filling ahead for the largest draw's blocks and the
+    # next draw's windows, in whole lines (_filled). It starts on a 64-byte
+    # line: malloc aligns to 16 bytes only, so the offset would follow the
+    # heap's history; on an AVX-512 host the row kernel ran 10-20 % slower
+    # off the line
+    if ahead:  # the last draw has no next draw's windows beside it
+        size = max(_lines(draw.windows) + _lines(draw.rows) + _lines(next_.windows)
+                   for draw, next_ in pairwise([*draws, _Draw([], 0, 0, 0)]))
+    else:
+        size = max(draw.nbytes for draw in draws)
     workspace = np.empty(size + 63, np.uint8)
     workspace = workspace[-workspace.ctypes.data % 64 :][:size]
-    rngs = [group_rng(config.seed, group) for group in range(len(programs))]
     tables = np.zeros((len(programs), 4), dtype=np.int64)
-    for draw in draws:
-        # the draw's layout: segment by segment, its block of windows, then
-        # its columns lo:hi of the kernel rows that follow the windows
-        spans, lo, start = [], 0, 0
-        for group, n in draw.segments:
-            layout, steps, _ = plans[group]
-            u = rngs[group].random(out=np.ndarray((n, layout[-1]), np.float64, workspace, start))
-            spans.append((lo, lo + n, layout, steps, u.T))
-            lo, start = lo + n, start + u.nbytes
-        ws = np.ndarray((draw.depth, draw.columns), np.float32, workspace, start)
-        for (group, n), (b1, b2) in zip(draw.segments, _run_rows(spans, channels, ws)):
-            # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
-            # of 2 b1 + b2, whose integer arithmetic and histogram cost more
-            ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)
-            tables[group] += (n - ones - twos + both, twos - both, ones - both, both)
-    # each group's discards come after its last window in its stream
-    discarded = sum(int(rng.negative_binomial(shots, noise.charge_good_prob)) for rng in rngs)
+    fills = _filled(draws, plans, config, workspace, ahead)
+    with contextlib.closing(_ahead(fills) if ahead else fills) as filled:
+        # the last draw carries the call's discards
+        for draw, (spans, ws, discarded) in zip(draws, filled):
+            for (group, n), (b1, b2) in zip(draw.segments, _run_rows(spans, channels, ws)):
+                # (0, 0), (0, 1), (1, 0), (1, 1) from three counts: no bincount
+                # of 2 b1 + b2, whose integer arithmetic and histogram cost more
+                ones, twos, both = np.count_nonzero(b1), np.count_nonzero(b2), np.count_nonzero(b1 & b2)
+                tables[group] += (n - ones - twos + both, twos - both, ones - both, both)
     return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)

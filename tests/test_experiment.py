@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -5,8 +6,10 @@ import math
 import platform
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 
@@ -58,6 +61,14 @@ ALL_ON = (True, True, True)
 WIDEST = max(8 * layout[-1] + 4 * depth
              for o in ("forward", "reverse") for p in shot_programs(o)
              for layout, _, depth in [_program_steps(p, PULSE_NOISE.pulse_angle_error_std, ALL_ON)])
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    # run_protocol joins the thread that fills ahead before it returns or raises
+    before = set(threading.enumerate())
+    yield
+    assert set(threading.enumerate()) == before
 
 
 class TestNoiseModelValidation:
@@ -968,6 +979,20 @@ def draws_of(config, monkeypatch):
     return seen
 
 
+@contextlib.contextmanager
+def started_threads(monkeypatch):
+    """The threads started in the block, in a list that fills as they
+    start."""
+    start, started = threading.Thread.start, []
+
+    def spy(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    yield started
+
+
 def draw_workspaces(config, monkeypatch):
     """The workspace of each draw of one run_protocol call, in draw order."""
     return [workspace for workspace, _ in draws_of(config, monkeypatch)]
@@ -1134,12 +1159,15 @@ class TestArrayKernel:
         peak, held = traced_memory(cfg)
         assert peak < 4 * 2**20 and held < 64 * 2**10
 
-    def test_memory_bound_holds_with_every_channel_on(self):
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_memory_bound_holds_with_every_channel_on(self, pair_order):
         # noisy angles, Box-Muller normals and flips grow with the draw too;
         # at the preset's 8000 shots a group is one draw, at 20 000 two or
-        # three, and the workspace is all but DRAW_BYTES
-        for shots in (None, 20_000):
-            cfg = build_run_config(load_preset("paper-2015"), seed=3, shots=shots)
+        # three. Filling ahead, the workspace holds a draw and the next
+        # draw's windows: from 13 107 shots on it is at its largest, 3.65
+        # MiB forward (DRAW_BYTES and the 1.40 MiB of a draw's windows)
+        for shots in (None, 13_107, 20_000, 50_000):
+            cfg = build_run_config(load_preset("paper-2015"), seed=3, shots=shots, pair_order=pair_order)
             assert cfg.shots_per_term == (shots or 8000)
             peak, held = traced_memory(cfg)
             assert peak < 4 * 2**20 and held < 64 * 2**10, cfg.shots_per_term
@@ -1155,15 +1183,33 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_workspace_stays_within_the_draw_bytes(self, pair_order, monkeypatch):
-        # one buffer a call, DRAW_BYTES at most, plus the 63 bytes that let
-        # it start on a 64-byte line, even where every group takes more
-        # than one draw (70 000 shots: over ideal's 65 536 columns)
+        # one buffer a call, even where every group takes more than one
+        # draw (70 000 shots: over ideal's 65 536 columns), and each draw's
+        # windows and kernel rows within DRAW_BYTES. Any other call than
+        # one that fills ahead holds DRAW_BYTES at most, plus the 63 bytes
+        # that let the buffer start on a 64-byte line. One that fills ahead
+        # holds the next draw's windows at the other end too, its largest
+        # draw's windows more, and rounds each of the three blocks it holds
+        # at once up to whole lines: 3 x 63 bytes more
+        run_rows = experiment._run_rows
         models = [load_preset("ideal"), load_preset("paper-2015"), {"noise": STRESS}, {"noise": STRESS_DARK}]
         for data, shots in itertools.product(models, (300, 70_000)):
             cfg = build_run_config(data, seed=3, shots=shots, pair_order=pair_order)
-            workspaces = draw_workspaces(cfg, monkeypatch)
+            workspaces, windows = [], []
+
+            def spy(spans, channels, ws):
+                workspaces.append(ws.base)
+                windows.append(sum(u.nbytes for *_, u in spans))
+                assert windows[-1] + ws.nbytes <= DRAW_BYTES
+                return run_rows(spans, channels, ws)
+
+            with monkeypatch.context() as m, started_threads(m) as threads:
+                m.setattr(experiment, "_run_rows", spy)
+                run_protocol(cfg)
             assert len({id(w) for w in workspaces}) == 1
-            assert workspaces[0].nbytes <= DRAW_BYTES + 63, (data, shots)
+            bound = DRAW_BYTES + (max(windows) + 3 * 63 if threads else 0) + 63
+            assert workspaces[0].nbytes <= bound, (data, shots)
+            assert len(threads) == (cfg.noise.pulse_angle_error_std > 0 and len(workspaces) > 2), (data, shots)
 
     @pytest.mark.parametrize("preset, shots", [("paper-2015", 20_000), ("ideal", 100_000)])
     def test_workspace_starts_on_a_cache_line(self, preset, shots, monkeypatch):
@@ -1286,6 +1332,134 @@ class TestArrayKernel:
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert int(out.stdout) < 1000
+
+
+def slow_kernel(delay, monkeypatch):
+    """Make _run_rows sleep `delay` seconds before each draw, so that the
+    thread that fills ahead runs as far as it may."""
+    run_rows = experiment._run_rows
+
+    def slow(spans, channels, ws):
+        time.sleep(delay)
+        return run_rows(spans, channels, ws)
+
+    monkeypatch.setattr(experiment, "_run_rows", slow)
+
+
+def before_each_fill(hook, monkeypatch):
+    """Make run_protocol call hook() before each window fill, in whichever
+    thread makes it."""
+    group_rng = experiment.group_rng
+
+    def hooked(seed, group):
+        rng = group_rng(seed, group)
+
+        def random(*, out):
+            hook()
+            return rng.random(out=out)
+
+        return types.SimpleNamespace(random=random, negative_binomial=rng.negative_binomial)
+
+    monkeypatch.setattr(experiment, "group_rng", hooked)
+
+
+def assert_counts_match_at_many_draws(config, monkeypatch):
+    """run_protocol's counts are the scalar helpers' at DRAW_BYTES =
+    7 WIDEST, dozens of draws a group, and the call fills ahead."""
+    tables, kept, discarded = scalar_counts(config)
+    monkeypatch.setattr(experiment, "DRAW_BYTES", 7 * WIDEST)
+    with started_threads(monkeypatch) as threads:
+        res = run_protocol(config)
+    assert len(threads) == 1
+    assert np.array_equal(res.tables, tables)
+    assert (res.kept_shots, res.discarded_shots) == (kept, discarded)
+
+
+class TestFillAhead:
+    """A call with angle noise and more than two draws fills each next
+    draw's windows in a second thread while the row kernel runs."""
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_counts_match_with_a_slow_kernel(self, pair_order, monkeypatch):
+        # the thread gets as far ahead as it may: a window block reused
+        # while the kernel still reads it changes the counts
+        slow_kernel(5e-4, monkeypatch)
+        cfg = build_run_config({"noise": STRESS}, seed=5, shots=200, pair_order=pair_order)
+        assert_counts_match_at_many_draws(cfg, monkeypatch)
+
+    @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+    def test_counts_match_with_a_slow_fill(self, pair_order, monkeypatch):
+        # the kernel waits for every draw
+        before_each_fill(lambda: time.sleep(5e-4), monkeypatch)
+        cfg = build_run_config({"noise": STRESS}, seed=5, shots=200, pair_order=pair_order)
+        assert_counts_match_at_many_draws(cfg, monkeypatch)
+
+    def test_concurrent_calls_keep_their_counts(self, monkeypatch):
+        # three callers on two cores, each with its fill thread, switching
+        # threads every microsecond: each call's counts are its own
+        monkeypatch.setattr(experiment, "DRAW_BYTES", 7 * WIDEST)
+        configs = [build_run_config({"noise": STRESS}, seed=seed, shots=100, pair_order=pair_order)
+                   for seed, pair_order in [(1, "forward"), (2, "reverse"), (3, "forward")]]
+        expected = [run_protocol(cfg) for cfg in configs]
+        results = [[] for _ in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda cfg=cfg, out=out: out.extend(run_protocol(cfg) for _ in range(3)))
+                       for cfg, out in zip(configs, results)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(expected, results):
+            assert len(got) == 3
+            for res in got:
+                assert np.array_equal(res.tables, want.tables) and res.discarded_shots == want.discarded_shots
+
+    def test_which_calls_start_a_thread(self, monkeypatch):
+        # the row kernel with more than two draws starts one (paper-2015 at
+        # 4000: three draws, at 8000: six); one draw (paper-2015 at 300),
+        # two (at 3000) and the class path (ideal) start none
+        for preset, shots, started in [("paper-2015", 8000, 1), ("paper-2015", 4000, 1), ("paper-2015", 300, 0),
+                                       ("paper-2015", 3000, 0), ("ideal", 10_000, 0), ("ideal", 100_000, 0)]:
+            cfg = build_run_config(load_preset(preset), seed=3, shots=shots)
+            with monkeypatch.context() as m, started_threads(m) as threads:
+                run_protocol(cfg)
+            assert len(threads) == started, (preset, shots)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_in_the_kernel_stops_the_fill_thread(self, error, monkeypatch):
+        run_rows, calls, exc = experiment._run_rows, itertools.count(1), error("second draw")
+
+        def failing(spans, channels, ws):
+            if next(calls) == 2:
+                raise exc
+            return run_rows(spans, channels, ws)
+
+        monkeypatch.setattr(experiment, "_run_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(error) as raised:
+            run_protocol(build_run_config(load_preset("paper-2015"), seed=3))
+        assert raised.value is exc
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_an_error_in_a_fill_reaches_the_caller(self, error, monkeypatch):
+        exc, fills = error("third fill"), itertools.count(1)
+
+        def fail_the_third():
+            if next(fills) == 3:
+                raise exc
+
+        before_each_fill(fail_the_third, monkeypatch)
+        before = threading.active_count()
+        with started_threads(monkeypatch) as threads, pytest.raises(error) as raised:
+            run_protocol(build_run_config(load_preset("paper-2015"), seed=3))
+        assert raised.value is exc and len(threads) == 1
+        assert threading.active_count() == before
 
 
 def assert_counts_match_the_scalar_helpers(config, monkeypatch):

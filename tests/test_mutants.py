@@ -7,6 +7,7 @@ survives."""
 import dataclasses
 import functools
 import math
+import threading
 import types
 
 import numpy as np
@@ -363,6 +364,17 @@ def test_discards_drawn_before_the_windows_fail_the_charge_tests(pair_order, mon
     for p in (0.3, 0.97):
         with pytest.raises(AssertionError):
             test_experiment.TestChargeCheck().test_attempts_end_at_the_last_kept_window(p, monkeypatch)
+
+
+@pytest.mark.parametrize("pair_order", ["forward", "reverse"])
+def test_fill_thread_two_draws_ahead_fails_the_slow_kernel_count_test(pair_order, monkeypatch):
+    # the fill thread may start draw i + 2 while the kernel still reads
+    # draw i, whose window block draw i + 2 reuses
+    semaphore = threading.Semaphore
+    monkeypatch.setattr(experiment, "threading", types.SimpleNamespace(
+        Semaphore=lambda n: semaphore(n + 1), Thread=threading.Thread, Event=threading.Event))
+    with pytest.raises(AssertionError):
+        test_experiment.TestFillAhead().test_counts_match_with_a_slow_kernel(pair_order, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [0.3, 0.9])

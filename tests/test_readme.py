@@ -88,10 +88,12 @@ def test_every_documented_tool_flag_exists():
 
 def test_determinism_says_what_holds():
     # the same counts on the same numpy build and dispatch targets; on
-    # another host numpy's transcendental loops may round differently
+    # another host numpy's transcendental loops may round differently. The
+    # thread that fills draws ahead changes no count
     text = " ".join(section("Determinism").split())
     for fact in ("in any process that runs the same numpy build on the same CPU dispatch targets",
-                 "on another host rare single shots can move between cells", "about one shot in 2·10⁷"):
+                 "on another host rare single shots can move between cells", "about one shot in 2·10⁷",
+                 "may use one extra thread, joined before it returns, and the counts do not depend on it"):
         assert fact in text, fact
 
 
