@@ -440,7 +440,8 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
 
 
 class TestImports:
-    MONTE_CARLO_STACK = ("numpy", "yaml", "csv", "kcbsim.config", "kcbsim.model", "kcbsim.experiment")
+    MONTE_CARLO_STACK = ("numpy", "yaml", "csv", "concurrent.futures", "kcbsim.config", "kcbsim.model",
+                         "kcbsim.experiment")
 
     def test_exact_and_validate_skip_the_monte_carlo_stack(self):
         loaded = run_fresh(

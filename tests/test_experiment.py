@@ -1430,6 +1430,27 @@ class TestFillAhead:
                 run_protocol(cfg)
             assert len(threads) == started, (preset, shots)
 
+    def test_discards_are_drawn_on_the_calling_thread_once_the_fill_thread_ends(self, monkeypatch):
+        # no two threads ever touch a stream: the fill thread fills every
+        # later window, and the caller draws each group's discards after it
+        group_rng, seen = experiment.group_rng, []
+
+        def spied(seed, group):
+            rng = group_rng(seed, group)
+
+            def negative_binomial(n, p):
+                seen.append((threading.current_thread(), threading.active_count()))
+                return rng.negative_binomial(n, p)
+
+            return types.SimpleNamespace(random=rng.random, negative_binomial=negative_binomial)
+
+        monkeypatch.setattr(experiment, "group_rng", spied)
+        before = threading.active_count()
+        with started_threads(monkeypatch) as threads:
+            run_protocol(build_run_config(load_preset("paper-2015"), seed=3))
+        assert len(threads) == 1
+        assert seen == [(threading.current_thread(), before)] * 6
+
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_an_error_in_the_kernel_stops_the_fill_thread(self, error, monkeypatch):
         run_rows, calls, exc = experiment._run_rows, itertools.count(1), error("second draw")

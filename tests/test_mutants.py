@@ -7,8 +7,8 @@ survives."""
 import dataclasses
 import functools
 import math
-import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -369,10 +369,17 @@ def test_discards_drawn_before_the_windows_fail_the_charge_tests(pair_order, mon
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
 def test_fill_thread_two_draws_ahead_fails_the_slow_kernel_count_test(pair_order, monkeypatch):
     # the fill thread may start draw i + 2 while the kernel still reads
-    # draw i, whose window block draw i + 2 reuses
-    semaphore = threading.Semaphore
-    monkeypatch.setattr(experiment, "threading", types.SimpleNamespace(
-        Semaphore=lambda n: semaphore(n + 1), Thread=threading.Thread, Event=threading.Event))
+    # draw i, whose window block draw i + 2 reuses: each submit also
+    # starts the next fill, whose future the next submit hands out
+    class TwoAhead(ThreadPoolExecutor):
+        following = None
+
+        def submit(self, fill, i):
+            future = self.following or super().submit(fill, i)
+            self.following = super().submit(fill, i + 1)  # past the last draw: an IndexError never read
+            return future
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", TwoAhead)
     with pytest.raises(AssertionError):
         test_experiment.TestFillAhead().test_counts_match_with_a_slow_kernel(pair_order, monkeypatch)
 
