@@ -1,16 +1,15 @@
-"""The batched sampler of the protocol: kcbsim.model's shot programs run as
-float32 array steps over many kept shots at once, each on its own window
-of its group's random stream, into the count tables of a run; a group's
+"""The batched sampler of the protocol: shot programs (kcbsim.model) run
+as float32 array steps over many kept shots at once, each on its own
+window of its group's random stream, into count tables; a group's
 discarded attempts are one negative-binomial draw after its last window.
 The windows run in draws (_draws): with angle noise, whole groups share a
 draw while it fits DRAW_BYTES, and each step of the row kernel runs once a
-draw over the columns of all its groups. A call with angle noise and
-more than two draws fills its first draw's windows itself and each next
-draw's on a one-worker executor while the row kernel runs in the calling
-thread, at the other end of the call's workspace; every other call fills
-each draw in turn, in the calling thread. The uniforms stay float64, so that
-advance(j * W) and every comparison with a uniform are those of a float64
-sampler; only the kernel's rows are float32."""
+draw over the columns of all its groups. A call with angle noise and more
+than two draws fills each next draw's windows on a one-worker executor
+while the row kernel runs; every other call fills each draw in turn. The
+uniforms stay float64, so that advance(j * W) and every comparison with a
+uniform are those of a float64 sampler; only the kernel's rows are
+float32."""
 
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq).advance(2**64))
 
 
-#: Most bytes of one draw's workspace in run_protocol (2.25 MiB). A kept
+#: Most bytes of one draw's workspace in run_tables (2.25 MiB). A kept
 #: shot's column takes 8 W bytes of float64 uniforms and 4 depth bytes of
 #: float32 kernel rows (_program_steps), depth being the deepest of its
 #: draw's groups, so a group fits one draw up to DRAW_BYTES // (8 W + 4 depth)
@@ -52,7 +51,7 @@ def group_rng(seed: int, group: int) -> np.random.Generator:
 #: line. Any other call than one that fills ahead holds one draw at a time,
 #: at most DRAW_BYTES. A call that fills ahead (angle noise, more than two
 #: draws) holds a draw and the next draw's windows at once, at opposite
-#: ends of the buffer (run_protocol's fill), each of the three blocks in
+#: ends of the buffer (run_tables' fill), each of the three blocks in
 #: whole lines: at most DRAW_BYTES + its largest draw's windows + 3 x 63,
 #: 3.65 MiB on paper-2015 from 13 107 shots. The memory tests hold either
 #: under 4 MiB.
@@ -98,7 +97,7 @@ def _steps(pulses, std: float):
 def _program_steps(prog, std: float, on: tuple[bool, bool, bool]):
     """(layout, steps, depth) of a shot program at pulse_angle_error_std
     std and channels on = (init error, nuclear flip, misassignment), as
-    run_protocol decides them, memoised on those flags alone, its arrays
+    run_tables decides them, memoised on those flags alone, its arrays
     read-only. steps are _steps of its pre and mid pulses; without angle
     noise, their _born_tables instead, which _run_rows reads per column.
     A kept shot's window holds only the uniforms of the channels on, in
@@ -307,7 +306,7 @@ def _born_tables(steps) -> _Born:
 def _run_rows(spans, channels, ws):
     """Assigned bits [(b1, b2), ...] of the attempts of a draw, segment by
     segment: spans holds (lo, hi, layout, steps, u) of each group in the
-    draw, lo:hi its columns of the float32 workspace ws as run_protocol
+    draw, lo:hi its columns of the float32 workspace ws as run_tables
     lays them out, u's columns the windows of its attempts; a program's
     layout (_program_steps) only slices its u. channels = (init_error_prob,
     nuclear_flip_prob, misassignment tails) are the channels applied, each
@@ -388,7 +387,7 @@ def _joined(parts):
 
 
 class _Draw(NamedTuple):
-    """One draw of run_protocol: its (group, columns) segments in column
+    """One draw of run_tables: its (group, columns) segments in column
     order, the depth of its kernel rows (its deepest group's,
     _program_steps), its columns, and the bytes of its float64 windows,
     8 W a column."""
@@ -444,35 +443,29 @@ def _lines(nbytes: int) -> int:
     return -(-nbytes // 64) * 64
 
 
-def run_protocol(config: RunConfig) -> ExperimentResult:
-    """Run the full sequential-measurement protocol.
+def run_tables(config: RunConfig, programs) -> tuple[np.ndarray, list[int]]:
+    """Run shot programs: the (len(programs), 2, 2) int64 tables of
+    assigned (b1, b2) and each group's discarded attempts, group g running
+    programs[g] on group_rng(config.seed, g). It takes the seed, shots and
+    noise from config, and never reads its pair_order.
 
-    Every group keeps shots_per_term shots, each running: initialize ->
-    noisy preparation and setting pulses -> first readout -> noisy swap (or
-    undo) pulses -> second readout, on its own window of the group's stream
-    (see group_rng) that holds the uniforms of its channels that are on
-    (_program_steps). The charge check does not depend on the state, so the
-    group then draws its failed checks before the shots-th pass from the
-    same stream at once, NB(shots, charge_good_prob) of them, and discards
-    them (numpy samples NB as a Poisson-Gamma mixture, exact in
-    distribution). RunConfig admits only runs that finish, so this raises
-    nothing of its own. Results are independent of execution order and of
-    how many windows are drawn at once; identical configurations reproduce
-    identical counts. The windows run in the draws of _draws: each group's
-    block of windows comes from its own stream into its own part of the
-    draw, and the draw's groups run together (_run_rows), in one flat
-    workspace that the call owns and drops on return, so that glibc does
-    not trim the heap and fault it back in between draws. A call with
-    angle noise and more than two draws fills its first draw itself and
-    each next one on a one-worker ThreadPoolExecutor while the row kernel
-    runs, and its workspace holds two draws' windows at once, at opposite
-    ends, with the kernel rows of the draw being run (fill). The worker
-    alone touches the streams from its first fill to the last, and it is
-    joined before the discards are drawn and before the call returns or
-    raises. Every other call fills its draws in turn, and its workspace
-    holds one draw, at most DRAW_BYTES. The result is table_estimates of
-    the count tables, as for the exact backend's expected counts.
-    """
+    Each group keeps shots_per_term shots, each running its program on its
+    own window of the group's stream, which holds the uniforms of the
+    channels that are on (_program_steps). The charge check does not depend
+    on the state, so after its last window the group draws its failed
+    checks before the shots-th pass at once, NB(shots, charge_good_prob) of
+    them, and discards them (numpy samples NB as a Poisson-Gamma mixture,
+    exact in distribution). RunConfig admits only runs that finish, so this
+    raises nothing of its own. Group g's counts depend on programs[g], g
+    and config alone: not on the other groups, the order of the shots or
+    how many windows are drawn at once. Each group's block of windows comes
+    from its own stream into its own part of a draw (_draws), and the
+    draw's groups run together (_run_rows), in one flat workspace that the
+    call owns and drops on return, so that glibc does not trim the heap and
+    fault it back in between draws. A call that fills ahead (DRAW_BYTES)
+    does so on a one-worker ThreadPoolExecutor (fill), which alone touches
+    the streams from its first fill to the last and is joined before the
+    discards are drawn and before the call returns or raises."""
     noise = config.noise
     shots = config.shots_per_term
     # a channel is on at a probability of 2^-53 or more: Generator.random
@@ -483,7 +476,6 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
     init, flip = (q if q >= 2.0**-53 else None for q in (noise.init_error_prob, noise.nuclear_flip_prob))
     channels = init, flip, eps if max(eps) >= 2.0**-53 else None
     on = tuple(q is not None for q in channels)
-    programs = shot_programs(config.pair_order)
     plans = [_program_steps(prog, noise.pulse_angle_error_std, on) for prog in programs]
     draws = _draws(plans, shots, noise.pulse_angle_error_std > 0.0)
     # with two draws the thread would overlap one fill, which paid less
@@ -550,5 +542,12 @@ def run_protocol(config: RunConfig) -> ExperimentResult:
             if i < len(draws):
                 spans, ws = following.result() if ahead else fill(i)
     # every group's discards, after its last window in its stream
-    discarded = sum(int(rng.negative_binomial(shots, noise.charge_good_prob)) for rng in rngs)
-    return table_estimates(programs, tables.reshape(-1, 2, 2), shots, discarded)
+    return tables.reshape(-1, 2, 2), [int(rng.negative_binomial(shots, noise.charge_good_prob)) for rng in rngs]
+
+
+def run_protocol(config: RunConfig) -> ExperimentResult:
+    """Run the protocol's six shot programs in config's pair order: the
+    table_estimates of run_tables' counts, the groups' discards summed."""
+    programs = shot_programs(config.pair_order)
+    tables, discards = run_tables(config, programs)
+    return table_estimates(programs, tables, config.shots_per_term, sum(discards))

@@ -252,7 +252,7 @@ class ExperimentResult:
     terms: TermSet
     stderrs: TermSet
     successes: dict[str, float]  # per-term success counts: integers from a run, floats from expected counts
-    tables: np.ndarray  # (6, 2, 2) counts of assigned (b1, b2), shot_programs order
+    tables: np.ndarray  # counts of assigned (b1, b2), one 2x2 table per program, in the programs' order
     shots_per_term: int
     kept_shots: int
     discarded_shots: int
@@ -263,12 +263,12 @@ class ExperimentResult:
 
 
 def table_estimates(programs, tables, shots: int, discarded: int) -> ExperimentResult:
-    """The ExperimentResult of (6, 2, 2) count tables of `shots` kept shots
-    a group, `discarded` attempts having failed the charge check: the
-    recorded_terms and their estimate_stats. Expected counts,
-    exact_tables times shots, give a run's expectation; their successes are
-    floats, and kept_shots is the exact integer len(programs) * shots on
-    both backends."""
+    """The ExperimentResult of count tables, one per program in the
+    programs' order, of `shots` kept shots a group, `discarded` attempts
+    having failed the charge check: the recorded_terms and their
+    estimate_stats. Expected counts, exact_tables times shots, give a run's
+    expectation; their successes are floats, and kept_shots is the exact
+    integer len(programs) * shots on both backends."""
     successes = recorded_terms(programs, tables)
     means, errs, combined = estimate_stats(list(successes.values()), shots)
     terms = TermSet.from_vector(means)
@@ -310,12 +310,12 @@ def _pulse_channel(rho, axis: str, t: float, std: float):
     return P @ rho @ P + cc * (A @ rho @ A) + ss * (B @ rho @ B.T) + cross + cross.T
 
 
-def exact_tables(noise: NoiseModel, pair_order: str = "forward") -> np.ndarray:
+def exact_tables(noise: NoiseModel, programs) -> np.ndarray:
     """Exact probabilities P(b1, b2) of the assigned bits of a kept shot,
-    a (6, 2, 2) array in shot_programs order: the protocol's expectation,
-    followed with real 3x3 density matrices. The prepared state is
-    diag(1 - p, p / 2, p / 2); each pulse is _pulse_channel. A readout
-    leaves P1 rho P1 on the |+1> outcome and, on the dark one,
+    one 2x2 table per shot program, in the programs' order: their
+    expectation, followed with real 3x3 density matrices. The prepared
+    state is diag(1 - p, p / 2, p / 2); each pulse is _pulse_channel. A
+    readout leaves P1 rho P1 on the |+1> outcome and, on the dark one,
     (1 - f) P0 rho P0 + f tr(P0 rho P0) P0 / 2, P0 being the projector on
     |0>, |-1> and f the nuclear flip probability. The table of true
     outcomes T then becomes C T C^T, with C[b, o] = P(assign b | true o).
@@ -331,7 +331,7 @@ def exact_tables(noise: NoiseModel, pair_order: str = "forward") -> np.ndarray:
         return rho
 
     tables = []
-    for prog in shot_programs(pair_order):
+    for prog in programs:
         rho = pulsed(prog.pre_pulses, np.diag([1.0 - p, p / 2.0, p / 2.0]))
         kept = dark @ rho @ dark
         # the states after a dark (0) and a |+1> (1) first outcome

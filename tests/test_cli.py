@@ -481,7 +481,8 @@ class TestImports:
             "import kcbsim.config\n"
             "from kcbsim.config import build_run_config, load_preset\n"
             "noise = build_run_config(load_preset('paper-2015')).noise\n"
-            "print(kcbsim.model.exact_tables(noise).shape, 'kcbsim.experiment' in sys.modules)\n"
+            "programs = kcbsim.model.shot_programs('forward')\n"
+            "print(kcbsim.model.exact_tables(noise, programs).shape, 'kcbsim.experiment' in sys.modules)\n"
         )
         assert out.split() == ["(6,", "2,", "2)", "False"]
 

@@ -21,12 +21,12 @@ from numpy.testing import assert_allclose
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import chi2, nbinom, poisson
 
-from kcbsim import experiment, model
+from kcbsim import experiment
 from kcbsim.config import build_run_config, load_preset
 from kcbsim.errors import ConfigError, InsufficientData
 from kcbsim.kcbs import TERM_NAMES, TermSet, exact_terms
 from kcbsim.experiment import DRAW_BYTES, group_rng, normal_uniforms
-from kcbsim.experiment import run_protocol
+from kcbsim.experiment import run_protocol, run_tables
 from kcbsim.experiment import _born_rows, _cos_sin, _noisy_apply_rows, _program_steps, _steps
 from kcbsim.model import (
     LAMBDA_MAX,
@@ -153,18 +153,19 @@ class TestChargeCheck:
         # negative-binomial draw, taken at shots * W, after its last window
         shots = 200
         cfg = RunConfig(seed=4, shots_per_term=shots, noise=NoiseModel(charge_good_prob=p))
-        discarded = 0
-        for group, prog in enumerate(shot_programs(cfg.pair_order)):
+        programs = shot_programs(cfg.pair_order)
+        discards = []
+        for group, prog in enumerate(programs):
             width = _program_steps(prog, 0.0, (False, False, False))[0][-1]  # noise off: 2
             rng = group_rng(cfg.seed, group)
             rng.bit_generator.advance(shots * width)
-            discarded += int(rng.negative_binomial(shots, p))
+            discards.append(int(rng.negative_binomial(shots, p)))
         # at 7 widest windows a draw each group takes dozens of draws
         for draw in (DRAW_BYTES, 7 * WIDEST):
             monkeypatch.setattr(experiment, "DRAW_BYTES", draw)
-            res = run_protocol(cfg)
-            assert (res.kept_shots, res.discarded_shots) == (6 * shots, discarded)
-        assert discarded > 0
+            tables, got = run_tables(cfg, programs)
+            assert (tables.sum(axis=(1, 2)) == shots).all() and got == discards, draw
+        assert all(discards)
 
 
 class TestAttemptBudget:
@@ -625,7 +626,8 @@ PAPER_MODIFIED = {"forward": 2.114681, "reverse": 2.110771}
 
 def exact_terms_of(noise, pair_order):
     """The twelve terms of exact_tables, by name."""
-    return recorded_terms(shot_programs(pair_order), exact_tables(noise, pair_order))
+    programs = shot_programs(pair_order)
+    return recorded_terms(programs, exact_tables(noise, programs))
 
 
 class TestExactTables:
@@ -639,11 +641,20 @@ class TestExactTables:
     @pytest.mark.parametrize("pair_order, value", list(PAPER_MODIFIED.items()))
     def test_paper_preset_modified_value(self, pair_order, value):
         cfg = build_run_config(load_preset("paper-2015"))
-        counts = exact_tables(cfg.noise, pair_order) * cfg.shots_per_term
-        res = table_estimates(shot_programs(pair_order), counts, cfg.shots_per_term, 0)
+        programs = shot_programs(pair_order)
+        counts = exact_tables(cfg.noise, programs) * cfg.shots_per_term
+        res = table_estimates(programs, counts, cfg.shots_per_term, 0)
         assert abs(res.inequality_value - value) < 1e-6
         # expected counts are floats, but the kept shots are exact
         assert type(res.kept_shots) is int and res.kept_shots == 6 * cfg.shots_per_term
+
+    @pytest.mark.parametrize("noise", ["paper-2015", "stress", "stress-noise-free"])
+    def test_programs_reversed_give_their_tables_reversed(self, noise):
+        # each table is its own program's: the exact backend, too, reads
+        # no other group
+        noise = NoiseModel(**(GATE_MODELS[noise] if noise in GATE_MODELS else load_preset(noise)["noise"]))
+        programs = shot_programs("reverse")
+        assert np.array_equal(exact_tables(noise, programs[::-1]), exact_tables(noise, programs)[::-1])
 
     @pytest.mark.parametrize("std", [0.02, 0.5, 1.0])
     @pytest.mark.parametrize("axis", ["a", "b"])
@@ -677,10 +688,9 @@ class TestExactTables:
 def run_against_exact(preset, pair_order, seed):
     """(run_protocol result, exact tables) of one preset, or of STRESS,
     STRESS_DARK or STRESS_NOISE_FREE, at 8000 shots."""
-    stress = {"stress": STRESS, "stress-dark": STRESS_DARK, "stress-noise-free": STRESS_NOISE_FREE}
-    data = {"noise": stress[preset]} if preset in stress else load_preset(preset)
+    data = {"noise": GATE_MODELS[preset]} if preset in GATE_MODELS else load_preset(preset)
     cfg = build_run_config(data, seed=seed, shots=8000, pair_order=pair_order)
-    return run_protocol(cfg), exact_tables(cfg.noise, pair_order)
+    return run_protocol(cfg), exact_tables(cfg.noise, shot_programs(pair_order))
 
 
 monte_carlo_and_exact = functools.cache(run_against_exact)
@@ -911,26 +921,43 @@ class TestGroupRng:
             assert res.successes == runs[0].successes and res.kept_shots == 6 * 300
         assert runs[0].discarded_shots == 0 < runs[1].discarded_shots < runs[2].discarded_shots
 
+    @pytest.mark.parametrize("shots", [300, 3000])
+    @pytest.mark.parametrize("noise", ["paper-2015", "stress", "stress-noise-free"])
+    def test_a_group_counts_only_its_own_program(self, noise, shots):
+        # group g's tables and discards depend on programs[g] and g alone,
+        # so the first k programs give the first k of the six: groups 6 and
+        # up leave the protocol's counts alone. With angle noise the six
+        # share one draw at 300 shots, and at 3000 fill two draws of three
+        # groups, where the first five fill a draw of three and one of two.
+        # Without angle noise each group takes a draw of its own on the
+        # class path
+        data = {"noise": GATE_MODELS[noise]} if noise in GATE_MODELS else load_preset(noise)
+        cfg = build_run_config(data, seed=17, shots=shots, pair_order="reverse")
+        programs = shot_programs(cfg.pair_order)
+        tables, discards = run_tables(cfg, programs)
+        for k in (1, 3, 5):
+            got, got_discards = run_tables(cfg, programs[:k])
+            assert np.array_equal(got, tables[:k]) and got_discards == discards[:k], k
+
 
 def axis_runs(pulses) -> int:
     """Runs of same-axis neighbours in a pulse string."""
     return sum(1 for _ in itertools.groupby(axis for axis, _ in pulses))
 
 
-def scalar_counts(config):
-    """(tables, kept, discarded) of run_protocol, the (6, 2, 2) tables of
-    assigned (b1, b2) tallied one kept shot at a time from initialize,
+def scalar_counts(config, programs):
+    """(tables, discards) of run_tables: the tables of assigned (b1, b2),
+    one per program, tallied one kept shot at a time from initialize,
     noisy_apply and single_shot_readout, each shot reading, in turn, the
     next uniforms of the group's stream, as many as its channels read (a
-    window of another width shifts every later shot's uniforms), and the
-    group's discards one negative-binomial draw after its last shot."""
+    window of another width shifts every later shot's uniforms), and each
+    group's discards, one negative-binomial draw after its last shot."""
     noise = config.noise
     shots = config.shots_per_term
     eps = misassignment_probabilities(noise)
     flip = noise.nuclear_flip_prob
-    programs = shot_programs(config.pair_order)
     tables = np.zeros((len(programs), 2, 2), dtype=np.int64)
-    discarded = 0
+    discards = []
     for group, (prog, table) in enumerate(zip(programs, tables)):
         rng = group_rng(config.seed, group)
         u = iter(rng.random, None)  # the group's stream, one uniform at a time
@@ -941,8 +968,8 @@ def scalar_counts(config):
             psi = noisy_apply(prog.mid_pulses, noise, u, psi)
             b2, _ = single_shot_readout(psi, u, eps, 0.0)
             table[b1, b2] += 1
-        discarded += int(rng.negative_binomial(shots, noise.charge_good_prob))
-    return tables, int(tables.sum()), discarded
+        discards.append(int(rng.negative_binomial(shots, noise.charge_good_prob)))
+    return tables, discards
 
 
 def channels_on(config, monkeypatch):
@@ -1028,6 +1055,8 @@ STRESS_DARK = dict(STRESS, lambda_dark=0.3)
 # (_run_rows on _Born tables) decides is on, far from ideal, where all of
 # them are off
 STRESS_NOISE_FREE = dict(STRESS, pulse_angle_error_std=0.0)
+#: The noise blocks of the stress models, by the names the gates give them.
+GATE_MODELS = {"stress": STRESS, "stress-dark": STRESS_DARK, "stress-noise-free": STRESS_NOISE_FREE}
 # STRESS's angle noise and discards, every other channel off
 PULSES_ONLY = dict(pulse_angle_error_std=0.2, charge_good_prob=0.3)
 #: The edge models of the count-for-count test, by id.
@@ -1070,10 +1099,9 @@ class TestArrayKernel:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("preset", ["ideal", "paper-2015", "stress", "stress-noise-free"])
     def test_counts_match_the_scalar_helpers(self, preset, seed, pair_order, monkeypatch):
-        stress = {"stress": STRESS, "stress-noise-free": STRESS_NOISE_FREE}
-        data = {"noise": stress[preset]} if preset in stress else load_preset(preset)
+        data = {"noise": GATE_MODELS[preset]} if preset in GATE_MODELS else load_preset(preset)
         cfg = build_run_config(data, seed=seed, shots=400, pair_order=pair_order)
-        assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+        assert_counts_match_the_scalar_helpers(cfg, shot_programs(cfg.pair_order), monkeypatch)
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     @pytest.mark.parametrize(
@@ -1087,7 +1115,7 @@ class TestArrayKernel:
         # that every window layout between ideal's and STRESS's is checked;
         # the noise-free twins check the same on the class path
         cfg = build_run_config({"noise": noise}, seed=5, shots=400, pair_order=pair_order)
-        assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+        assert_counts_match_the_scalar_helpers(cfg, shot_programs(cfg.pair_order), monkeypatch)
 
     @pytest.mark.parametrize("tail, on", [(2.0**-53, True), (np.nextafter(2.0**-53, 0.0), False)],
                              ids=["tail-at-2^-53", "tail-below-2^-53"])
@@ -1099,7 +1127,7 @@ class TestArrayKernel:
         monkeypatch.setitem(globals(), "misassignment_probabilities", tails)
         cfg = build_run_config(load_preset("ideal"), seed=9, shots=400)
         assert channels_on(cfg, monkeypatch) == {(False, False, on)}
-        assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+        assert_counts_match_the_scalar_helpers(cfg, shot_programs(cfg.pair_order), monkeypatch)
 
     @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
     def test_merged_steps_match_the_single_rotations(self, pair_order):
@@ -1277,18 +1305,19 @@ class TestArrayKernel:
         # any: the kernel skips a string with no step in any segment of a
         # draw, and leaves alone the segments without a step. Without angle
         # noise a |+1> preparation under an empty pre string leaves a dark
-        # class of norm 0, which _born_tables stores as 0 without a warning
+        # class of norm 0, which _born_tables stores as 0 without a warning.
+        # The programs keep the forward slots, which the z-test reads
         programs = tuple(EMPTY_STRINGS[strings](group, prog) for group, prog in enumerate(shot_programs("forward")))
-        for module in (model, experiment):
-            monkeypatch.setattr(module, "shot_programs", lambda order: programs)
-        monkeypatch.setitem(globals(), "shot_programs", lambda order: programs)
         experiment._program_steps.cache_clear()
         noise = dict(STRESS, pulse_angle_error_std=std)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_counts_match_the_scalar_helpers(build_run_config({"noise": noise}, seed=5, shots=400), monkeypatch)
+            cfg = build_run_config({"noise": noise}, seed=5, shots=400)
+            assert_counts_match_the_scalar_helpers(cfg, programs, monkeypatch)
             cfg = build_run_config({"noise": noise}, seed=11, shots=8000)
-            res, tables = run_protocol(cfg), exact_tables(cfg.noise)
+            counts, discards = run_tables(cfg, programs)
+            res = table_estimates(programs, counts, cfg.shots_per_term, sum(discards))
+            tables = exact_tables(cfg.noise, programs)
         assert_tables_pass_a_g_test(res, tables)
         assert_terms_within_five_sigma(res, tables, "forward")
 
@@ -1364,15 +1393,16 @@ def before_each_fill(hook, monkeypatch):
 
 
 def assert_counts_match_at_many_draws(config, monkeypatch):
-    """run_protocol's counts are the scalar helpers' at DRAW_BYTES =
-    7 WIDEST, dozens of draws a group, and the call fills ahead."""
-    tables, kept, discarded = scalar_counts(config)
+    """run_tables' counts of the protocol's programs are the scalar
+    helpers' at DRAW_BYTES = 7 WIDEST, dozens of draws a group, and the
+    call fills ahead."""
+    programs = shot_programs(config.pair_order)
+    tables, discards = scalar_counts(config, programs)
     monkeypatch.setattr(experiment, "DRAW_BYTES", 7 * WIDEST)
     with started_threads(monkeypatch) as threads:
-        res = run_protocol(config)
+        got, got_discards = run_tables(config, programs)
     assert len(threads) == 1
-    assert np.array_equal(res.tables, tables)
-    assert (res.kept_shots, res.discarded_shots) == (kept, discarded)
+    assert np.array_equal(got, tables) and got_discards == discards
 
 
 class TestFillAhead:
@@ -1483,17 +1513,18 @@ class TestFillAhead:
         assert threading.active_count() == before
 
 
-def assert_counts_match_the_scalar_helpers(config, monkeypatch):
-    # every cell of every table, not just the recorded terms
-    tables, kept, discarded = scalar_counts(config)
+def assert_counts_match_the_scalar_helpers(config, programs, monkeypatch):
+    # every cell of every table, not just the recorded terms, and each
+    # group's discards
+    tables, discards = scalar_counts(config, programs)
     # at the default DRAW_BYTES a group takes one draw; at 7 widest
     # columns it takes dozens, so counts carried across draws and the cut
     # in the last are checked
     for draw in (DRAW_BYTES, 7 * WIDEST):
         monkeypatch.setattr(experiment, "DRAW_BYTES", draw)
-        res = run_protocol(config)
-        assert np.array_equal(res.tables, tables), draw
-        assert (res.kept_shots, res.discarded_shots) == (kept, discarded), draw
+        got, got_discards = run_tables(config, programs)
+        assert np.array_equal(got, tables), draw
+        assert got_discards == discards, draw
 
 
 def traced_memory(config):

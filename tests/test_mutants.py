@@ -176,7 +176,7 @@ def test_class_path_flip_classes_swapped_fail_the_scalar_test(pair_order, monkey
     class_path_mutant(swap_the_flip_classes, monkeypatch)
     cfg = build_run_config({"noise": test_experiment.STRESS_NOISE_FREE}, seed=1, shots=400, pair_order=pair_order)
     with pytest.raises(AssertionError):
-        test_experiment.assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+        test_experiment.assert_counts_match_the_scalar_helpers(cfg, model.shot_programs(pair_order), monkeypatch)
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
@@ -190,17 +190,18 @@ def test_flip_classes_swapped_fail_the_born_table_test(pair_order, monkeypatch):
 
 
 def sampler_without(channel, monkeypatch):
-    """Turn one channel off in the sampler alone: run_protocol runs with
-    that noise field at 0, or with misassignment tails of 0, while the exact
-    tables and the scalar helpers keep it. Its uniforms leave the window
-    and its decision is never made."""
+    """Turn one channel off in the sampler alone: run_tables, and so
+    run_protocol, runs with that noise field at 0, or with misassignment
+    tails of 0, while the exact tables and the scalar helpers keep it. Its
+    uniforms leave the window and its decision is never made."""
     if channel == "misassignment":
         monkeypatch.setattr(experiment, "misassignment_probabilities", lambda noise: (0.0, 0.0))
         return
     field = {"init": "init_error_prob", "flip": "nuclear_flip_prob"}[channel]
-    run_protocol = experiment.run_protocol
-    monkeypatch.setattr(test_experiment, "run_protocol", lambda config: run_protocol(
-        dataclasses.replace(config, noise=dataclasses.replace(config.noise, **{field: 0.0}))))
+    run_tables = experiment.run_tables
+    for module in (experiment, test_experiment):
+        monkeypatch.setattr(module, "run_tables", lambda config, programs: run_tables(
+            dataclasses.replace(config, noise=dataclasses.replace(config.noise, **{field: 0.0})), programs))
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
@@ -224,7 +225,7 @@ def test_channel_reported_off_on_the_paper_preset_fails_the_scalar_test(channel,
     sampler_without(channel, monkeypatch)
     cfg = build_run_config(load_preset("paper-2015"), seed=1, shots=400, pair_order=pair_order)
     with pytest.raises(AssertionError):
-        test_experiment.assert_counts_match_the_scalar_helpers(cfg, monkeypatch)
+        test_experiment.assert_counts_match_the_scalar_helpers(cfg, model.shot_programs(pair_order), monkeypatch)
 
 
 @pytest.mark.parametrize("pair_order", ["forward", "reverse"])
@@ -346,9 +347,9 @@ def test_discards_drawn_before_the_windows_fail_the_charge_tests(pair_order, mon
     # window by the outputs it reads. That is exact in distribution, so
     # neither the exact gate nor the discard distribution can see it; the
     # charge tests do
-    group_rng, run_protocol = experiment.group_rng, experiment.run_protocol
+    group_rng, run_tables = experiment.group_rng, experiment.run_tables
 
-    def mutant(config):
+    def mutant(config, programs):
         def discards_first(seed, group):
             rng = group_rng(seed, group)
             k = rng.negative_binomial(config.shots_per_term, config.noise.charge_good_prob)
@@ -356,9 +357,10 @@ def test_discards_drawn_before_the_windows_fail_the_charge_tests(pair_order, mon
 
         with monkeypatch.context() as m:
             m.setattr(experiment, "group_rng", discards_first)
-            return run_protocol(config)
+            return run_tables(config, programs)
 
-    monkeypatch.setattr(test_experiment, "run_protocol", mutant)
+    for module in (experiment, test_experiment):
+        monkeypatch.setattr(module, "run_tables", mutant)
     with pytest.raises(AssertionError):
         test_experiment.TestGroupRng().test_counts_do_not_depend_on_the_charge_check(pair_order)
     for p in (0.3, 0.97):
@@ -428,8 +430,7 @@ def test_setting_slots_reversed_fail_the_geometric_slot_test(pair_order):
 def test_closing_slots_swapped_fail_the_paper_value_test(pair_order, monkeypatch):
     # l6 = l1 at gamma_0, so the geometric slot test cannot see this one
     programs = model.shot_programs
-    for module in (model, test_experiment):
-        monkeypatch.setattr(module, "shot_programs", lambda order: slots_reversed(programs(order), 5))
+    monkeypatch.setattr(test_experiment, "shot_programs", lambda order: slots_reversed(programs(order), 5))
     with pytest.raises(AssertionError):
         test_experiment.TestExactTables().test_paper_preset_modified_value(
             pair_order, test_experiment.PAPER_MODIFIED[pair_order]

@@ -69,6 +69,16 @@ def test_shots_below_two_is_a_usage_error(shots):
     assert err.value.returncode == 2 and "--shots must be at least 2" in err.value.stderr
 
 
+@pytest.mark.parametrize("shots", ["200000000", "95000000"])
+def test_verify_shots_that_run_config_refuses_are_a_usage_error(shots):
+    # above MAX_ATTEMPTS kept shots, or 1.06e8 attempts at the preset's
+    # charge_good_prob 0.9: refused before any seed runs
+    with pytest.raises(subprocess.CalledProcessError) as err:
+        run_tool("--verify", "--shots", shots)
+    assert err.value.returncode == 2 and f"--shots {shots}: " in err.value.stderr
+    assert "Traceback" not in err.value.stderr and err.value.stdout == ""
+
+
 def test_verify_runs_ten_seeds():
     lines = run_tool("--verify", "--shots", "500")
     rows = [line.split() for line in lines[1:] if line.strip() and line.split()[0].isdigit()]

@@ -21,10 +21,12 @@ The chosen parameters are frozen in src/kcbsim/presets/paper-2015.yaml.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import statistics
 
-from kcbsim.config import load_preset
+from kcbsim.config import build_run_config, load_preset
+from kcbsim.errors import ConfigError
 from kcbsim.model import MIN_SHOTS, NoiseModel, RunConfig, exact_tables
 from kcbsim.model import shot_programs, table_estimates
 
@@ -42,7 +44,8 @@ GRID = dict(
 def expected(noise: NoiseModel, shots: int) -> dict:
     """The exact forward-order modified value, and the stderr and sigma that
     a run of `shots` kept shots per term reports at its expected counts."""
-    res = table_estimates(shot_programs(), exact_tables(noise) * shots, shots, 0)
+    programs = shot_programs("forward")
+    res = table_estimates(programs, exact_tables(noise, programs) * shots, shots, 0)
     return {"value": res.inequality_value, "stderr": res.inequality_stderr,
             "sigma": res.violation_sigma}
 
@@ -79,16 +82,14 @@ def scan(shots: int) -> None:
         print(f"  {k}: {best[k]}")
 
 
-def verify(shots: int) -> None:
+def verify(config: RunConfig) -> None:
     from kcbsim.experiment import run_protocol  # the sampler; the scan never loads it
 
-    data = load_preset("paper-2015")
-    assert data["pair_order"] == "forward"  # the order the scan evaluates
-    noise = NoiseModel(**data["noise"])
+    assert config.pair_order == "forward"  # the order the scan evaluates
     rows = []
     print("seed  value    stderr   sigma")
     for seed in range(1, 11):
-        res = run_protocol(RunConfig(seed=seed, shots_per_term=shots, noise=noise))
+        res = run_protocol(dataclasses.replace(config, seed=seed))
         rows.append((res.inequality_value, res.inequality_stderr, res.violation_sigma))
         print(f"{seed:4d}  {rows[-1][0]:.4f}  {rows[-1][1]:.4f}  {rows[-1][2]:.2f}")
     value, stderr, sigma = (statistics.mean(column) for column in zip(*rows))
@@ -108,7 +109,13 @@ def main() -> None:
         parser.error(f"--shots must be at least {MIN_SHOTS}, got {args.shots}")
     shots = load_preset("paper-2015")["shots_per_term"] if args.shots is None else args.shots
     if args.verify:
-        verify(shots)
+        # the preset's run, refused here as a usage error when RunConfig
+        # refuses it: the scan is exact and takes any shot count
+        try:
+            config = build_run_config(load_preset("paper-2015"), shots=shots)
+        except ConfigError as exc:
+            parser.error(f"--shots {shots}: {exc}")
+        verify(config)
     else:
         scan(shots)
 
